@@ -37,11 +37,7 @@ def timed(fn):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for the scans")
-    args = parser.parse_args()
-    th = args.threads
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     # entropy == atomic length, exhaustive near the identity
     def sweep():
@@ -60,7 +56,7 @@ def main() -> int:
     # universality of the half norm on the displacement domains
     for n in (4, 5, 6):
         rep, dt = timed(lambda n=n: qf.universality_scan(
-            qf.form_Q(n), qf.domain_Delta(n), 200, 30, threads=th))
+            qf.form_Q(n), qf.domain_Delta(n), 200, 30))
         if n >= 5:
             ok_line(rep.all_witnessed, f"half norm universal on Delta({n})",
                     f"201 targets, {dt:.1f}s")
@@ -107,17 +103,16 @@ def main() -> int:
             "worked core example bit-exact")
 
     for n in (4, 5, 6, 7):
-        rep, dt = timed(lambda n=n: ca.granville_ono_scan(n, 150, 25,
-                                                          threads=th))
+        rep, dt = timed(lambda n=n: ca.granville_ono_scan(n, 150, 25))
         ok_line(rep.all_witnessed, f"core sizes universal (n={n}, N=150)",
                 f"{dt:.1f}s")
-    rep5 = ca.scan_refined_GO(5, 150, 25, threads=th)
+    rep5 = ca.scan_refined_GO(5, 150, 25)
     ok_line([e.target for e in rep5.misses] == [125],
             "refined family at n=5 misses exactly size 125")
-    rep6 = ca.scan_refined_GO(6, 100, 25, threads=th)
+    rep6 = ca.scan_refined_GO(6, 100, 25)
     ok_line(rep6.all_witnessed, "refined family at n=6 all witnessed")
     for n, ell in ((5, 2), (5, 3), (6, 2)):
-        rep = ca.scan_truncated_weight(n, ell, 100, 30, threads=th)
+        rep = ca.scan_truncated_weight(n, ell, 100, 30)
         ok_line(rep.all_witnessed,
                 f"truncated weight scan all-witness (n={n}, l={ell})")
 
@@ -142,14 +137,13 @@ def main() -> int:
 
     # affine type C
     for n in (4, 5):
-        rep, dt = timed(lambda n=n: ac.scan_deltaC(n, 150, 15, threads=th))
+        rep, dt = timed(lambda n=n: ac.scan_deltaC(n, 150, 15))
         ok_line(rep.all_witnessed,
                 f"constrained Euclidean scan all-witness (n={n})", f"{dt:.1f}s")
 
     # lattice rows and thresholds
     for tag in ac.LATTICE_TAGS:
-        rep = ac.norm_universality_scan(ac.AffineLatticeSpec(tag, 4), 100, 25,
-                                        threads=th)
+        rep = ac.norm_universality_scan(ac.AffineLatticeSpec(tag, 4), 100, 25)
         ok_line(rep.all_witnessed, f"lattice norm scan all-witness [{tag}]",
                 f"grid={rep.grid}")
     table = ac.threshold_table()

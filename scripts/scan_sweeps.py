@@ -16,33 +16,30 @@ from atomlen import cores_abaci as ca
 from atomlen import quadratic_forms as qf
 
 
-def sweeps(threads: int):
+def sweeps():
     for n in (2, 3, 4, 5, 6):
         yield (f"delta_{n}", qf.universality_scan(
-            qf.form_Q(n), qf.domain_Delta(n), 200, 30, threads=threads))
+            qf.form_Q(n), qf.domain_Delta(n), 200, 30))
     for n in (3, 4, 5, 6, 7):
-        yield (f"go_{n}", ca.granville_ono_scan(n, 150, 25, threads=threads))
+        yield (f"go_{n}", ca.granville_ono_scan(n, 150, 25))
     for n in (5, 6):
-        yield (f"refined_go_{n}", ca.scan_refined_GO(n, 150, 25,
-                                                     threads=threads))
+        yield (f"refined_go_{n}", ca.scan_refined_GO(n, 150, 25))
     for n, ell in ((5, 2), (5, 3), (6, 2), (7, 3)):
-        yield (f"trunc_{n}_{ell}", ca.scan_truncated_weight(
-            n, ell, 100, 30, threads=threads))
+        yield (f"trunc_{n}_{ell}", ca.scan_truncated_weight(n, ell, 100, 30))
     for n in (3, 4, 5, 6):
-        yield (f"deltaC_{n}", ac.scan_deltaC(n, 150, 15, threads=threads))
+        yield (f"deltaC_{n}", ac.scan_deltaC(n, 150, 15))
     for tag in ac.LATTICE_TAGS:
         yield (f"lattice_{tag}_4", ac.norm_universality_scan(
-            ac.AffineLatticeSpec(tag, 4), 100, 25, threads=threads))
+            ac.AffineLatticeSpec(tag, 4), 100, 25))
 
 
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
     outdir = pathlib.Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, report in sweeps(args.threads):
+    for name, report in sweeps():
         path = outdir / f"{name}.json"
         path.write_text(json.dumps(report.to_json_dict(), sort_keys=True,
                                    indent=1) + "\n")

@@ -75,11 +75,10 @@ def entropy_C(n: int, x) -> int:
     return sum(v * v for v in x)
 
 
-def scan_deltaC(n: int, max_k: int, radius: int,
-                threads: int = 1) -> UniversalityReport:
+def scan_deltaC(n: int, max_k: int, radius: int) -> UniversalityReport:
     """Universality scan of the Euclidean form on the constrained set."""
     return universality_scan(form_euclidean(n), domain_DeltaC(n), max_k,
-                             radius, threads=threads)
+                             radius)
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +136,14 @@ def half_norm(spec: AffineLatticeSpec, x) -> Fraction:
     return Fraction(sum(v * v for v in x), _TABLE[spec.tag][1])
 
 
-def norm_universality_scan(spec: AffineLatticeSpec, max_k: int, radius: int,
-                           threads: int = 1) -> UniversalityReport:
+def norm_universality_scan(spec: AffineLatticeSpec, max_k: int,
+                           radius: int) -> UniversalityReport:
     """Witness every target in [0, max_k] (half-integer grid where the map
     is half-integer valued) on the row's lattice."""
     grid = "half" if spec.half_grid else "int"
     return universality_scan(form_lattice_norm(spec.tag, spec.n),
                              domain_M(spec.tag, spec.n), max_k, radius,
-                             grid=grid, threads=threads)
+                             grid=grid)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ residues mod n and sum n(n+1)/2.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import BadLength, BadSum, InvariantViolation, RankMismatch, ResidueClash
@@ -174,8 +175,6 @@ def root_lattice_vectors(n: int, max_norm: int) -> list[tuple[int, ...]]:
 
 
 def _isqrt(v: int) -> int:
-    import math
-
     return math.isqrt(v) if v >= 0 else 0
 
 

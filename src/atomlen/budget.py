@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import BudgetExceeded
+from .errors import AtomlenError, BudgetExceeded
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -19,7 +19,8 @@ def cap() -> int:
     try:
         return int(raw)
     except ValueError:
-        return DEFAULT_BUDGET
+        raise AtomlenError(
+            f"ATOMLEN_BUDGET must be an integer, got {raw!r}") from None
 
 
 def check(estimate: int, *, what: str) -> None:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import affine_classical, affine_permutations, cores_abaci, finite_weyl
@@ -46,30 +45,17 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def _scan_report(args):
     form = args.form
     n = args.n
-    threads = args.threads
     if form in ("rho", "Q-delta"):
         dom = qf.domain_D(n) if form == "rho" else qf.domain_Delta(n)
         spec = qf.form_P(n) if form == "rho" else qf.form_Q(n)
-        rep = qf.universality_scan(spec, dom, args.max_k, args.radius,
-                                   threads=threads)
+        rep = qf.universality_scan(spec, dom, args.max_k, args.radius)
         return rep, n >= 5
     if form == "q-free":
         rep = qf.universality_scan(qf.form_q(n - 1), qf.domain_Z_full(n - 1),
-                                   args.max_k, args.radius, threads=threads)
+                                   args.max_k, args.radius)
         return rep, n >= 5
     if form == "Ps":
         if args.ell is None:
@@ -78,33 +64,29 @@ def _scan_report(args):
                    else tuple(range(args.ell)))
         spec = cores_abaci.WeightSpec(n, args.ell, charges)
         rep = qf.universality_scan(spec.form(), spec.domain(), args.max_k,
-                                   args.radius, threads=threads)
+                                   args.radius)
         return rep, False
     if form == "trunc":
         if args.ell is None:
             raise AtomlenError("form trunc needs --ell")
         rep = cores_abaci.scan_truncated_weight(n, args.ell, args.max_k,
-                                                args.radius, threads=threads)
+                                                args.radius)
         return rep, False
     if form == "refined-go":
-        rep = cores_abaci.scan_refined_GO(n, args.max_k, args.radius,
-                                          threads=threads)
+        rep = cores_abaci.scan_refined_GO(n, args.max_k, args.radius)
         return rep, False
     if form == "go":
-        rep = cores_abaci.granville_ono_scan(n, args.max_k, args.radius,
-                                             threads=threads)
+        rep = cores_abaci.granville_ono_scan(n, args.max_k, args.radius)
         return rep, n >= 4
     if form == "deltaC":
-        rep = affine_classical.scan_deltaC(n, args.max_k, args.radius,
-                                           threads=threads)
-        return rep, _is_prime(2 * n + 1) and n >= 2
+        rep = affine_classical.scan_deltaC(n, args.max_k, args.radius)
+        return rep, sumsets.is_prime(2 * n + 1) and n >= 2
     if form == "lattice":
         if not args.type:
             raise AtomlenError("form lattice needs --type")
         spec = affine_classical.AffineLatticeSpec(args.type, n)
         rep = affine_classical.norm_universality_scan(spec, args.max_k,
-                                                      args.radius,
-                                                      threads=threads)
+                                                      args.radius)
         return rep, n >= 4
     raise AtomlenError(f"unknown scan form {form!r}")
 
@@ -137,7 +119,7 @@ def _cmd_sumset(args) -> int:
     _emit(args, cert.to_json_dict(), text)
     if args.mod is not None:
         return 0  # exploratory override
-    guaranteed = args.family == "A" or _is_prime(2 * args.n + 1)
+    guaranteed = args.family == "A" or sumsets.is_prime(2 * args.n + 1)
     return 1 if (guaranteed and not cert.equal) else 0
 
 
@@ -207,8 +189,31 @@ def _cmd_threshold(args) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Usage errors: one line on stderr, exit code 2."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got "
+                                             f"{text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+POSITIVE = _int_at_least(1)
+NONNEGATIVE = _int_at_least(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="atomlen",
         description="Desk-scale checks for atomic lengths, entropy and cores")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -221,41 +226,39 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("entropy", _cmd_entropy, help="entropy of a window vector")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=POSITIVE, required=True)
     p.add_argument("--window", required=True, help="comma-separated window")
 
     p = add("scan", _cmd_scan, help="universality scan of a form")
     p.add_argument("--form", choices=SCAN_FORMS, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-k", type=int, required=True)
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--n", type=POSITIVE, required=True)
+    p.add_argument("--max-k", type=NONNEGATIVE, required=True)
+    p.add_argument("--radius", type=NONNEGATIVE, required=True)
     p.add_argument("--ell", type=int, help="level, for Ps/trunc")
     p.add_argument("--s", help="charge vector for Ps, comma-separated")
     p.add_argument("--type", choices=qf.LATTICE_TAGS,
                    help="affine type tag, for lattice")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for the scan (content-neutral)")
 
     p = add("hall", _cmd_hall, help="difference-vector decomposition")
-    p.add_argument("--mod", type=int, required=True)
+    p.add_argument("--mod", type=POSITIVE, required=True)
     p.add_argument("--d", required=True, help="comma-separated differences")
 
     p = add("sumset", _cmd_sumset, help="orbit difference-set equality")
     p.add_argument("--family", choices=("A", "C"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mod", type=int, help="override the modulus")
+    p.add_argument("--n", type=POSITIVE, required=True)
+    p.add_argument("--mod", type=POSITIVE, help="override the modulus")
 
     p = add("core", _cmd_core, help="quotient, core and multicharge")
     p.add_argument("--npartition", required=True,
                    help='semicolon-separated components, e.g. "3,1;2,1"')
     p.add_argument("--charges", required=True, help="comma-separated charges")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=POSITIVE, required=True)
     p.add_argument("--render", action="store_true",
                    help="print the abacus of the input")
 
     p = add("finite", _cmd_finite, help="finite-type bound or saturation")
     p.add_argument("--type", choices=finite_weyl.SERIES, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=POSITIVE, required=True)
     p.add_argument("--ell", type=int, required=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--bound", action="store_true")

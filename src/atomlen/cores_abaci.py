@@ -430,12 +430,11 @@ def core_of_orbit_point(spec: WeightSpec, t):
 # Scans
 # ---------------------------------------------------------------------------
 
-def scan_truncated_weight(n: int, ell: int, max_k: int, radius: int,
-                          threads: int = 1) -> UniversalityReport:
+def scan_truncated_weight(n: int, ell: int, max_k: int,
+                          radius: int) -> UniversalityReport:
     """Universality scan for the staircase weight of level l."""
     spec = WeightSpec(n, ell, tuple(range(ell)))
-    return universality_scan(spec.form(), spec.domain(), max_k, radius,
-                             threads=threads)
+    return universality_scan(spec.form(), spec.domain(), max_k, radius)
 
 
 def refined_go_form(n: int) -> FormSpec:
@@ -468,8 +467,7 @@ def refined_base_value(n: int) -> int:
     return val
 
 
-def scan_refined_GO(n: int, max_k: int, radius: int,
-                    threads: int = 1) -> UniversalityReport:
+def scan_refined_GO(n: int, max_k: int, radius: int) -> UniversalityReport:
     """Scan the refined problem over n-tuples with distinct residues mod n
     summing to n(n-1)/2.
 
@@ -480,16 +478,13 @@ def scan_refined_GO(n: int, max_k: int, radius: int,
     """
     base = refined_base_value(n)
     return universality_scan(refined_size_form(n), domain_Os(n),
-                             base + max_k, radius, min_k=base,
-                             threads=threads)
+                             base + max_k, radius, min_k=base)
 
 
-def granville_ono_scan(n: int, max_k: int, radius: int,
-                       threads: int = 1) -> UniversalityReport:
+def granville_ono_scan(n: int, max_k: int, radius: int) -> UniversalityReport:
     """Classical core-size scan on the zero-sum lattice."""
     return universality_scan(form_core_size(n), domain_Q_full(n), max_k,
-                             radius,
-                             threads=threads)
+                             radius)
 
 
 # ---------------------------------------------------------------------------

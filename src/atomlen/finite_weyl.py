@@ -9,6 +9,7 @@ to simple-root coordinates.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,8 +37,6 @@ class FiniteType:
         return self.n + 1 if self.series == "A" else self.n
 
     def order(self) -> int:
-        import math
-
         if self.series == "A":
             return math.factorial(self.n + 1)
         if self.series == "D":

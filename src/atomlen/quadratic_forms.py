@@ -5,20 +5,28 @@ solves
 
     A * sum(t_i^2) + sum(B_i * t_i) = K        (all data integers)
 
-over integer vectors subject to an optional fixed coordinate sum, per
-coordinate radius bounds, a coordinate stride, and congruence filters
-(distinct residues, distinct +/- classes, or a fixed residue multiset).
-Search order is fixed and documented, so the first witness found is
-deterministic: coordinates are assigned left to right, values spiral outward
-from the per-coordinate continuous minimizer (positive offset first); once two
-coordinates remain under a sum constraint (or one coordinate without), the
-quadratic is solved directly.  The whole search is repeated over an increasing
-radius schedule 1, 2, 4, ..., R, so small witnesses are found quickly while
-"not found" still certifies exhaustion of the full radius-R box.
+over integer vectors subject to an optional fixed coordinate sum, a radius
+bound on each coordinate (or a last coordinate forced by the sum), a
+coordinate stride, and congruence filters (distinct residues, distinct +/-
+classes, or a fixed residue multiset).
+
+One table answers every target of a scan at one radius.  For each suffix of
+coordinates it maps (suffix sum, filter state) to a big-int bitset of the
+values that suffix can reach, up to the largest target.  The filter state
+counts, in mixed radix, the residue classes the suffix uses; the classes
+cover the coordinates exactly, so the state a prefix needs from its suffix
+is the full state minus its own.  A witness is read off by walking left to
+right and taking, at each coordinate, the first value in spiral order
+(outward from the coordinate's continuous minimizer, positive offset first)
+whose suffix state still has the bit it needs.  That is the first vector in
+the lexicographic spiral order, the one a depth-first search in that order
+finds first, so witnesses are deterministic.  Tables are built over an
+increasing radius schedule 1, 2, 4, ..., R, each for the targets still
+missing, so small witnesses are found first while "not found" still
+certifies exhaustion of the full radius-R box.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -333,11 +341,17 @@ def form_lattice_norm(tag: str, n: int) -> FormSpec:
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Engine-level description of the set searched over."""
+    """Engine-level description of the set searched over.
+
+    free_last marks a last coordinate without a radius bound, forced by the
+    sum target.  The filter sorts each coordinate value into a class of
+    bounded capacity; the capacities of every filter add up to nvars, so a
+    full vector uses each class exactly to capacity.
+    """
 
     nvars: int
     sum_target: int | None = None
-    bounded: tuple[bool, ...] = ()
+    free_last: bool = False
     step: int = 1
     filter_kind: str = "none"       # none | distinct | distinct_pm | multiset
     filter_mod: int = 0
@@ -345,244 +359,117 @@ class SearchSpace:
     filter_counts: tuple[int, ...] = ()
     parity_even: bool = False
 
-    def __post_init__(self):
-        if not self.bounded:
-            object.__setattr__(self, "bounded", (True,) * self.nvars)
+    def classes(self):
+        """The class of value v at coordinate i, and each class's capacity."""
+        kind, mod = self.filter_kind, self.filter_mod
+        shifts = self.filter_shifts or (0,) * self.nvars
+        if kind == "none":
+            return (lambda i, v: 0), (self.nvars,)
+        if kind == "distinct":
+            return (lambda i, v: (v + shifts[i]) % mod), (1,) * mod
+        if kind == "distinct_pm":
+            def pm(i, v):
+                r = (v + shifts[i]) % mod
+                return min(r, mod - r)
+            return pm, (0,) + (1,) * (mod // 2)   # class 0 is excluded
+        if kind == "multiset":
+            return (lambda i, v: v % mod), self.filter_counts
+        raise DomainViolation(f"unknown filter kind {kind!r}")
 
 
 def _radius_schedule(radius: int) -> list[int]:
-    if radius <= 1:
-        return [radius]
     out, r = [], 1
     while r < radius:
         out.append(r)
         r *= 2
-    out.append(radius)
-    return out
+    return out + [radius]
 
 
-def _aligned_round(center: Fraction, step: int) -> int:
-    return step * math.floor(center / step + Fraction(1, 2))
+def _witnesses_at_radius(A, B, targets, space, radius) -> dict:
+    """First vector, in the fixed search order, with
+    A*sum(t^2) + sum(B*t) == K inside the radius box, for every K in targets
+    that has one."""
+    n, S, step = space.nvars, space.sum_target, space.step
+    cls, caps = space.classes()
+    if sum(caps) != n:
+        raise DomainViolation(f"filter {space.filter_kind} does not cover "
+                              f"{n} coordinates exactly")
+    # filter state: mixed radix, digit c counts the uses of class c
+    weights, w = [], 1
+    for c in caps:
+        weights.append(w)
+        w *= c + 1
+    full = sum(wc * c for wc, c in zip(weights, caps))
+    # sum key of a suffix: its exact sum under a sum target, its parity
+    # under parity_even, else 0; "& fold" reduces a sum to its key
+    fold = -1 if S is not None else (1 if space.parity_even else 0)
+    total = S or 0
+    h = radius // step * step
 
-
-def _int_roots(a: int, b: int, c: int) -> list[int]:
-    """Integer roots of a t^2 + b t + c = 0 with a > 0."""
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    s = math.isqrt(disc)
-    if s * s != disc:
-        return []
-    roots = []
-    for num in (-b + s, -b - s):
-        q, r = divmod(num, 2 * a)
-        if r == 0 and q not in roots:
-            roots.append(q)
-    return roots
-
-
-def find_witness(quad: int, lin: tuple[int, ...], K: int,
-                 space: SearchSpace, radius: int):
-    """First vector (in the fixed search order) with
-    quad*sum(t^2) + sum(lin*t) == K inside the space, or None."""
-    for r in _radius_schedule(radius):
-        hit = _search_at_radius(quad, lin, K, space, r)
-        if hit is not None:
-            return hit
-    return None
-
-
-def _search_at_radius(A, B, K, space, radius):
-    n = space.nvars
-    if n == 0:
-        return () if K == 0 else None
-    step = space.step
-    S = space.sum_target
-    kind = space.filter_kind
-    mod = space.filter_mod
-    shifts = space.filter_shifts or (0,) * n
-    hi_aligned = (radius // step) * step
-
-    # Spiral centers and per-coordinate extremal contributions at this radius.
-    v0 = [_aligned_round(Fraction(-B[i], 2 * A), step) for i in range(n)]
-    lo_i, hi_i, min_t, max_t = [], [], [], []
+    # Per coordinate, in spiral order: (value, term minus the coordinate's
+    # least term, class weight, class capacity).
+    cands, base = [], 0
     for i in range(n):
-        if space.bounded[i]:
-            lo, hi = -hi_aligned, hi_aligned
+        if space.free_last and i == n - 1:
+            values = range(S - i * h, S + i * h + 1)
         else:
-            lo = hi = None
-        lo_i.append(lo)
-        hi_i.append(hi)
-        c = v0[i]
-        if lo is not None:
-            c = min(hi, max(lo, c))
-        cands = {c, c - step, c + step}
-        if lo is not None:
-            cands = {min(hi, max(lo, v)) for v in cands}
-        min_t.append(min(A * v * v + B[i] * v for v in cands))
-        if lo is None:
-            max_t.append(None)
-        else:
-            max_t.append(max(A * lo * lo + B[i] * lo, A * hi * hi + B[i] * hi))
+            values = range(-h, h + 1, step)
+        terms = [A * v * v + B[i] * v for v in values]
+        low = min(terms)
+        base += low
+        center = step * ((A * step - B[i]) // (2 * A * step))
+        row = [(v, t - low, weights[c], caps[c])
+               for v, t in zip(values, terms) for c in (cls(i, v),) if caps[c]]
+        row.sort(key=lambda e: (abs(e[0] - center), e[0] < center))
+        cands.append(row)
+    top = max(targets) - base
+    if top < 0:
+        return {}
+    mask = (2 << top) - 1
 
-    min_suf = [0] * (n + 1)
-    max_suf: list[int | None] = [0] * (n + 1)
-    abs_suf: list[int | None] = [0] * (n + 1)
-    sufB = [0] * (n + 1)
-    sufB2 = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        min_suf[i] = min_suf[i + 1] + min_t[i]
-        max_suf[i] = (None if (max_suf[i + 1] is None or max_t[i] is None)
-                      else max_suf[i + 1] + max_t[i])
-        abs_suf[i] = (None if (abs_suf[i + 1] is None or hi_i[i] is None)
-                      else abs_suf[i + 1] + hi_i[i])
-        sufB[i] = sufB[i + 1] + B[i]
-        sufB2[i] = sufB2[i + 1] + B[i] * B[i]
-
-    # Congruence filter state.
-    used = bytearray(mod) if kind in ("distinct", "distinct_pm") else None
-    counts = list(space.filter_counts) if kind == "multiset" else None
-    if kind == "multiset" and (S is None or sum(counts) != n):
-        raise DomainViolation("multiset filter needs a sum target and "
-                              "exactly one residue per coordinate")
-
-    def f_key(i, v):
-        """Filter key for value v at coordinate i, or -1 when rejected."""
-        if kind == "none":
-            return 0
-        if kind == "distinct":
-            r = (v + shifts[i]) % mod
-            return -1 if used[r] else r
-        if kind == "distinct_pm":
-            r = (v + shifts[i]) % mod
-            if r == 0:
-                return -1
-            c = min(r, mod - r)
-            return -1 if used[c] else c
-        r = v % mod
-        return r if counts[r] > 0 else -1
-
-    def f_take(key):
-        if kind == "multiset":
-            counts[key] -= 1
-        elif kind != "none":
-            used[key] = 1
-
-    def f_drop(key):
-        # distinct kinds never mark the same key twice, plain reset is safe
-        if kind == "multiset":
-            counts[key] += 1
-        elif kind != "none":
-            used[key] = 0
-
-    def ok_range(i, v):
-        if v % step:
-            return False
-        return lo_i[i] is None or lo_i[i] <= v <= hi_i[i]
-
-    vec = [0] * n
-
-    def accept_tail(i, cands, partial, ssum):
-        """Try candidate values for the single final coordinate i."""
-        for v in cands:
-            if not ok_range(i, v):
-                continue
-            if A * v * v + B[i] * v + partial != K:
-                continue
-            if space.parity_even and (ssum + v) % 2:
-                continue
-            key = f_key(i, v)
-            if key < 0:
-                continue
-            vec[i] = v
-            return True
-        return False
-
-    def spiral_sorted(i, cands):
-        c = v0[i]
-        return sorted(cands, key=lambda t: (abs(t - c), t < c))
-
-    def dfs(i, partial, ssum):
-        m = n - i
-        if partial + min_suf[i] > K:
-            return False
-        if max_suf[i] is not None and partial + max_suf[i] < K:
-            return False
-        if S is not None:
-            s_rem = S - ssum
-            if abs_suf[i] is not None and abs(s_rem) > abs_suf[i]:
-                return False
-            T = 2 * A * s_rem + sufB[i]
-            if m > 0 and m * (4 * A * (K - partial) + sufB2[i]) < T * T:
-                return False
-            if m == 1:
-                return accept_tail(i, [s_rem], partial, ssum)
-            if m == 2:
-                # Solve for t at i; the mate at i+1 is forced by the sum.
-                a2 = 2 * A
-                b2 = B[i] - B[i + 1] - 2 * A * s_rem
-                c2 = A * s_rem * s_rem + B[i + 1] * s_rem - (K - partial)
-                for t in spiral_sorted(i, _int_roots(a2, b2, c2)):
-                    u = s_rem - t
-                    if not ok_range(i, t) or not ok_range(i + 1, u):
-                        continue
-                    key = f_key(i, t)
-                    if key < 0:
-                        continue
-                    f_take(key)
-                    key2 = f_key(i + 1, u)
-                    if key2 >= 0:
-                        vec[i], vec[i + 1] = t, u
-                        return True
-                    f_drop(key)
-                return False
-        elif m == 1:
-            cands = spiral_sorted(i, _int_roots(A, B[i], partial - K))
-            return accept_tail(i, cands, partial, ssum)
-
-        # Spiral over values of coordinate i, outward from the minimizer.
-        c = v0[i]
-        if hi_i[i] is not None:
-            c = min(hi_i[i], max(lo_i[i], c))
-        plus = minus = True
-        d = 0
-        while plus or minus:
-            for v in ((c + d,) if d == 0 else (c + d, c - d)):
-                side_plus = v >= c
-                if side_plus and not plus:
+    # tables[i]: (suffix sum key, suffix filter state) -> bitset of the
+    # offset values coordinates i..n-1 reach.  tables[0] is never needed.
+    tables = [None] * n + [{(0, 0): 1}]
+    work = 0
+    for i in range(n - 1, 0, -1):
+        nxt, layer = tables[i + 1], {}
+        row = [e for e in cands[i] if e[1] <= top]
+        work += len(nxt) * len(row)
+        budget.check(work, what="representation table")
+        for (key, f), bits in nxt.items():
+            for v, off, wc, cap in row:
+                if f // wc % (cap + 1) == cap:
                     continue
-                if not side_plus and not minus:
-                    continue
-                if hi_i[i] is not None and not (lo_i[i] <= v <= hi_i[i]):
-                    if side_plus:
-                        plus = False
-                    else:
-                        minus = False
-                    continue
-                term = A * v * v + B[i] * v
-                if partial + term + min_suf[i + 1] > K:
-                    # convex: this side only grows from here on
-                    if side_plus:
-                        plus = False
-                    else:
-                        minus = False
-                    continue
-                key = f_key(i, v)
-                if key < 0:
-                    continue
-                f_take(key)
-                vec[i] = v
-                if dfs(i + 1, partial + term, ssum + v):
-                    return True
-                f_drop(key)
-            d += step
-            if d and d // step > 10 ** 9:
-                raise InvariantViolation("unbounded spiral")
-        return False
+                s = (key + v) & fold
+                if S is not None and abs(S - s) > i * h:
+                    continue  # the i bounded prefix coordinates fall short
+                b = (bits << off) & mask
+                if b:
+                    state = (s, f + wc)
+                    layer[state] = layer.get(state, 0) | b
+        tables[i] = layer
 
-    if dfs(0, 0, 0):
-        return tuple(vec)
-    return None
+    def walk(rem):
+        vec, psum, used = [], 0, 0
+        for i in range(n):
+            nxt = tables[i + 1]
+            for v, off, wc, cap in cands[i]:
+                if (off <= rem and used // wc % (cap + 1) < cap
+                        and nxt.get(((total - psum - v) & fold,
+                                     full - used - wc), 0) >> (rem - off) & 1):
+                    break
+            else:
+                return None
+            vec.append(v)
+            psum, used, rem = psum + v, used + wc, rem - off
+        return tuple(vec) if rem == 0 else None
+
+    out = {}
+    for K in targets:
+        hit = walk(K - base)
+        if hit is not None:
+            out[K] = hit
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -608,12 +495,11 @@ def _search_space(form: FormSpec, domain: ConstrainedDomain) -> SearchSpace:
     if kind == "Q_full":
         return SearchSpace(n, sum_target=0)
     if kind == "Z_full":
-        return SearchSpace(dim, sum_target=0,
-                           bounded=(True,) * (dim - 1) + (False,))
+        return SearchSpace(dim, sum_target=0, free_last=True)
     if kind == "X":
         return SearchSpace(dim, sum_target=0, filter_kind="distinct",
                            filter_mod=n, filter_shifts=tuple(range(1, n + 1)),
-                           bounded=(True,) * (dim - 1) + (False,))
+                           free_last=True)
     if kind == "DeltaC":
         return SearchSpace(n, filter_kind="distinct_pm", filter_mod=2 * n + 1,
                            filter_shifts=tuple(range(1, n + 1)))
@@ -637,14 +523,14 @@ def _search_space(form: FormSpec, domain: ConstrainedDomain) -> SearchSpace:
     raise DomainViolation(f"unknown domain kind {kind!r}")
 
 
-def represent(form: FormSpec, domain: ConstrainedDomain, k, radius: int):
-    """Search for a domain vector with form value exactly k.
+def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
+                  radius: int) -> list:
+    """Witness or None for each target, in order: the first domain vector in
+    the fixed search order with form value exactly k.
 
-    Returns the witness tuple or None.  None is not a proof of
-    non-representability, only exhaustion of the radius box.
+    None is not a proof of non-representability, only exhaustion of the
+    radius box.  Every witness is re-evaluated and member-checked.
     """
-    if k < 0:
-        return None
     if radius < 0:
         raise DomainViolation(f"radius must be >= 0, got {radius}")
     space = _search_space(form, domain)
@@ -652,20 +538,39 @@ def represent(form: FormSpec, domain: ConstrainedDomain, k, radius: int):
         raise DomainViolation(
             f"form {form.form_id} has arity {form.nvars}, domain "
             f"{domain.label()} has dimension {domain.dim()}")
-    knum = form.denom * Fraction(k) - form.const
-    if knum.denominator != 1:
-        return None
-    hit = find_witness(form.quad, form.lin, int(knum), space, radius)
-    if hit is None:
-        return None
-    if form.virtual_last:
-        hit = hit[:-1]
-    if form.evaluate(hit) != k:
-        raise InvariantViolation(
-            f"witness {hit} evaluates to {form.evaluate(hit)}, wanted {k}")
-    if not member(domain, hit):
-        raise InvariantViolation(f"witness {hit} escaped {domain.label()}")
-    return hit
+    nums = {}
+    for k in targets:
+        knum = form.denom * Fraction(k) - form.const
+        if k >= 0 and knum.denominator == 1:
+            nums[k] = int(knum)
+    found = {}
+    for r in _radius_schedule(radius):
+        pending = set(nums.values()) - found.keys()
+        if not pending:
+            break
+        found.update(_witnesses_at_radius(form.quad, form.lin, pending,
+                                          space, r))
+    hits = []
+    for k in targets:
+        hit = found.get(nums.get(k))
+        if hit is not None:
+            if form.virtual_last:
+                hit = hit[:-1]
+            if form.evaluate(hit) != k:
+                raise InvariantViolation(
+                    f"witness {hit} evaluates to {form.evaluate(hit)}, "
+                    f"wanted {k}")
+            if not member(domain, hit):
+                raise InvariantViolation(
+                    f"witness {hit} escaped {domain.label()}")
+        hits.append(hit)
+    return hits
+
+
+def represent(form: FormSpec, domain: ConstrainedDomain, k, radius: int):
+    """Search for a domain vector with form value exactly k; the witness
+    tuple or None (see represent_all)."""
+    return represent_all(form, domain, [k], radius)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -827,10 +732,7 @@ def _target_text(k):
     return str(int(k))
 
 
-def _scan_one(form: FormSpec, domain: ConstrainedDomain, k, radius, moduli):
-    hit = represent(form, domain, k, radius)
-    if hit is not None:
-        return ReportEntry(k, "witness", hit)
+def _missed(form: FormSpec, k, moduli) -> ReportEntry:
     if isinstance(k, int) or k.denominator == 1:
         obs = _obstruction(form, int(k), moduli)
         if obs is not None:
@@ -840,36 +742,15 @@ def _scan_one(form: FormSpec, domain: ConstrainedDomain, k, radius, moduli):
 
 def universality_scan(form: FormSpec, domain: ConstrainedDomain, max_k: int,
                       radius: int, *, min_k: int = 0, grid: str = "int",
-                      moduli=DEFAULT_OBSTRUCTION_MODULI,
-                      threads: int = 1) -> UniversalityReport:
+                      moduli=DEFAULT_OBSTRUCTION_MODULI) -> UniversalityReport:
     """Represent every target in [min_k, max_k] (or the half-integer grid)
     and attach modular obstructions to missed targets where certifiable."""
     if grid == "half":
         targets = [Fraction(j, 2) for j in range(2 * min_k, 2 * max_k + 1)]
     else:
         targets = list(range(min_k, max_k + 1))
-    if threads > 1:
-        entries = _parallel_scan(form, domain, targets, radius, moduli, threads)
-    else:
-        entries = [_scan_one(form, domain, k, radius, moduli) for k in targets]
+    hits = represent_all(form, domain, targets, radius)
+    entries = [ReportEntry(k, "witness", hit) if hit is not None
+               else _missed(form, k, moduli) for k, hit in zip(targets, hits)]
     return UniversalityReport(form.form_id, domain.label(), domain.n, max_k,
                               radius, grid, tuple(entries), min_k)
-
-
-def _scan_worker(args):
-    form, domain, k, radius, moduli = args
-    return _scan_one(form, domain, k, radius, moduli)
-
-
-def _parallel_scan(form, domain, targets, radius, moduli, threads):
-    """Fan targets out over worker processes; merge order is the target
-    order, so parallelism never changes report content."""
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    args = [(form, domain, k, radius, moduli) for k in targets]
-    try:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_scan_worker, args, chunksize=8))
-    except (OSError, BrokenProcessPool):
-        return [_scan_one(form, domain, k, radius, moduli) for k in targets]

@@ -2,6 +2,7 @@
 and the permutation / signed-permutation orbit sumsets."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import budget
@@ -125,19 +126,13 @@ def build_orbit(family: str, n: int, modulus: int | None = None) -> OrbitSet:
         frontier = nxt
     orbit = OrbitSet(family, n, m, frozenset(seen))
     if modulus is None or modulus == default:
-        expected = _factorial(n) if family == "A" else 2 ** n * _factorial(n)
+        expected = (math.factorial(n) if family == "A"
+                    else 2 ** n * math.factorial(n))
         if len(orbit) != expected:
             raise SearchFailed(
                 f"orbit {family},{n} mod {m} has size {len(orbit)}, "
                 f"expected {expected}")
     return orbit
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def zero_sum_subgroup(n: int, m: int) -> frozenset[tuple[int, ...]]:
@@ -200,7 +195,7 @@ def _full_group(n: int, m: int) -> frozenset[tuple[int, ...]]:
     return frozenset(itertools.product(range(m), repeat=n))
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
     if p < 2:
         return False
     f = 2
@@ -221,7 +216,7 @@ def c_difference_witness(n: int, a) -> tuple[tuple[int, ...], tuple[int, ...]]:
     A failure would contradict the existence theorem, so it raises.
     """
     p = 2 * n + 1
-    if not _is_prime(p):
+    if not is_prime(p):
         raise NotPrime(f"2n+1 = {p} is not prime")
     a = tuple(v % p for v in a)
     if len(a) != n:

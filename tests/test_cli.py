@@ -1,6 +1,7 @@
 import json
 
 import jsonschema
+import pytest
 
 from atomlen.cli import main
 
@@ -67,6 +68,34 @@ def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("scan", "--form", "Q-delta", "--n", "0", "--max-k", "5", "--radius", "5"),
+    ("scan", "--form", "Q-delta", "--n", "5", "--max-k", "-3",
+     "--radius", "5"),
+    ("scan", "--form", "go", "--n", "4", "--max-k", "5", "--radius", "-1"),
+    ("scan", "--form", "go", "--n", "4", "--max-k", "5", "--radius", "x"),
+    ("hall", "--mod", "0", "--d", "0"),
+    ("sumset", "--family", "A", "--n", "3", "--mod", "0"),
+    ("entropy", "--n", "0", "--window", "1"),
+    ("finite", "--type", "A", "--n", "-2", "--ell", "1", "--bound"),
+])
+def test_out_of_range_arguments_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "error: argument" in err
+
+
+def test_budget_errors_exit_two(capsys, monkeypatch):
+    scan = ("scan", "--form", "Q-delta", "--n", "6", "--max-k", "200",
+            "--radius", "30")
+    monkeypatch.setenv("ATOMLEN_BUDGET", "abc")
+    code, out, err = run(capsys, *scan)
+    assert code == 2 and out == "" and "ATOMLEN_BUDGET" in err
+    monkeypatch.setenv("ATOMLEN_BUDGET", "1000")
+    code, out, err = run(capsys, *scan)
+    assert code == 2 and out == "" and "over the budget" in err
+
+
 def test_core_worked_example(capsys):
     code, out, _ = run(capsys, "core", "--npartition", "3,1;2,1",
                        "--charges", "0,0", "--n", "3")
@@ -123,7 +152,7 @@ def test_sumset_family_C_override(capsys):
 
 def test_scan_text_stability(capsys):
     args = ("scan", "--form", "q-free", "--n", "3", "--max-k", "8",
-            "--radius", "8", "--threads", "1")
+            "--radius", "8")
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0  # misses expected at this rank
@@ -133,7 +162,7 @@ def test_scan_text_stability(capsys):
 
 def test_scan_guaranteed_rank_exit_zero(capsys):
     code, out, _ = run(capsys, "scan", "--form", "Q-delta", "--n", "5",
-                       "--max-k", "15", "--radius", "20", "--threads", "1")
+                       "--max-k", "15", "--radius", "20")
     assert code == 0
     assert "witnesses 16/16" in out
 
@@ -142,29 +171,29 @@ def test_scan_guaranteed_rank_failure_is_exit_one(capsys):
     # radius 0 cannot witness positive targets; rank 5 is theorem-backed, so
     # the missing entries force exit code 1
     code, out, _ = run(capsys, "scan", "--form", "Q-delta", "--n", "5",
-                       "--max-k", "3", "--radius", "0", "--threads", "1")
+                       "--max-k", "3", "--radius", "0")
     assert code == 1
 
 
 def test_scan_conjectural_forms_exit_zero(capsys):
     code, _, _ = run(capsys, "scan", "--form", "trunc", "--n", "5", "--ell",
-                     "2", "--max-k", "8", "--radius", "15", "--threads", "1")
+                     "2", "--max-k", "8", "--radius", "15")
     assert code == 0
     code, _, _ = run(capsys, "scan", "--form", "go", "--n", "3", "--max-k",
-                     "10", "--radius", "15", "--threads", "1")
+                     "10", "--radius", "15")
     assert code == 0  # misses are expected below the theorem's rank
 
 
 def test_scan_ps_needs_ell(capsys):
     code, _, err = run(capsys, "scan", "--form", "Ps", "--n", "5", "--max-k",
-                       "5", "--radius", "10", "--threads", "1")
+                       "5", "--radius", "10")
     assert code == 2 and "--ell" in err
 
 
 def test_scan_lattice_json(capsys):
     code, out, _ = run(capsys, "scan", "--form", "lattice", "--type",
                        "A2even", "--n", "4", "--max-k", "2", "--radius", "6",
-                       "--threads", "1", "--json")
+                       "--json")
     assert code == 0
     doc = json.loads(out)
     assert doc["grid"] == "half"
@@ -175,13 +204,13 @@ def test_scan_lattice_json(capsys):
 def test_scan_json_validates_against_schema(capsys):
     for argv in (
         ("scan", "--form", "q-free", "--n", "4", "--max-k", "20",
-         "--radius", "12", "--threads", "1", "--json"),
+         "--radius", "12", "--json"),
         ("scan", "--form", "rho", "--n", "5", "--max-k", "10",
-         "--radius", "15", "--threads", "1", "--json"),
+         "--radius", "15", "--json"),
         ("scan", "--form", "refined-go", "--n", "5", "--max-k", "10",
-         "--radius", "15", "--threads", "1", "--json"),
+         "--radius", "15", "--json"),
         ("scan", "--form", "deltaC", "--n", "3", "--max-k", "12",
-         "--radius", "10", "--threads", "1", "--json"),
+         "--radius", "10", "--json"),
     ):
         code, out, _ = run(capsys, *argv)
         jsonschema.validate(json.loads(out), REPORT_SCHEMA)

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomlen import quadratic_forms as qf
-from atomlen.errors import DomainViolation
+from atomlen.cores_abaci import WeightSpec, refined_size_form
+from atomlen.errors import BudgetExceeded, DomainViolation
 
 from test_affine_permutations import random_window_strategy
 
@@ -177,13 +180,6 @@ def test_report_serialization_round_trip():
     assert text == rep.to_text()  # byte-stable
 
 
-def test_parallel_scan_matches_serial():
-    serial = qf.universality_scan(qf.form_Q(5), qf.domain_Delta(5), 25, 20)
-    parallel = qf.universality_scan(qf.form_Q(5), qf.domain_Delta(5), 25, 20,
-                                    threads=3)
-    assert serial == parallel
-
-
 def test_represent_radius_zero_and_edge():
     assert qf.represent(qf.form_Q(4), qf.domain_Delta(4), 0, 0) == (0,) * 4
     assert qf.represent(qf.form_Q(4), qf.domain_Delta(4), 1, 0) is None
@@ -206,23 +202,32 @@ def test_q_values_are_half_norms_on_zero_sum_vectors():
         assert qf.eval_q(x) == qf.eval_Q(lifted)
 
 
-def _brute_force_exists(form, domain, k, radius):
-    import itertools
-
-    dim = domain.dim()
-    for v in itertools.product(range(-radius, radius + 1), repeat=dim):
-        if qf.member(domain, v) and form.evaluate(v) == k:
-            return True
-    return False
+def _brute_force_first(form, domain, k, radius):
+    """First witness in the documented search order, by plain enumeration:
+    radii 1, 2, 4, ..., R; within a radius, the box in lexicographic order,
+    each coordinate spiralling out from its rounded minimizer, positive
+    offset first.  A virtual last coordinate is forced, never enumerated."""
+    radii = [r for r in (1, 2, 4, 8) if r < radius] + [radius]
+    for r in radii:
+        axes = []
+        for b in form.lin[:domain.dim()]:
+            c = math.floor(Fraction(-b, 2 * form.quad) + Fraction(1, 2))
+            axes.append(sorted(range(-r, r + 1),
+                               key=lambda t, c=c: (abs(t - c), t < c)))
+        for v in itertools.product(*axes):
+            if qf.member(domain, v) and form.evaluate(v) == k:
+                return v
+    return None
 
 
 @given(st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_engine_matches_brute_force(data):
-    # independent oracle for the pruned search: existence must agree with a
-    # plain box enumeration at small radius
+    # independent oracle for the table engine: at small radius, its witness
+    # must be the first one a plain box enumeration meets in the same order
     kind = data.draw(st.sampled_from(
-        ["delta", "core-size", "deltaC", "euclid-D", "window", "charges"]))
+        ["delta", "core-size", "deltaC", "euclid-D", "window", "charges",
+         "q-free", "projected", "refined", "C1", "B1"]))
     if kind == "delta":
         n = data.draw(st.integers(2, 4))
         form, dom = qf.form_Q(n), qf.domain_Delta(n)
@@ -238,18 +243,72 @@ def test_engine_matches_brute_force(data):
     elif kind == "window":
         n = data.draw(st.integers(2, 3))
         form, dom = qf.form_P(n), qf.domain_D(n)
-    else:
-        from atomlen.cores_abaci import WeightSpec
-
+    elif kind == "charges":
         n = data.draw(st.integers(2, 4))
         ell = data.draw(st.integers(1, n))
         charges = tuple(sorted(data.draw(st.integers(0, n - 1))
                                for _ in range(ell)))
         spec = WeightSpec(n, ell, charges)
         form, dom = spec.form(), spec.domain()
+    elif kind == "q-free":
+        m = data.draw(st.integers(1, 3))
+        form, dom = qf.form_q(m), qf.domain_Z_full(m)
+    elif kind == "projected":
+        n = data.draw(st.integers(2, 4))
+        form, dom = qf.form_q(n - 1), qf.domain_X(n)
+    elif kind == "refined":
+        n = data.draw(st.integers(2, 4))
+        form, dom = refined_size_form(n), qf.domain_Os(n)
+    else:
+        n = data.draw(st.integers(1, 3))
+        form, dom = qf.form_lattice_norm(kind, n), qf.domain_M(kind, n)
     radius = data.draw(st.integers(0, 3))
     k = data.draw(st.integers(0, 15))
     hit = qf.represent(form, dom, k, radius)
-    assert (hit is not None) == _brute_force_exists(form, dom, k, radius)
+    assert hit == _brute_force_first(form, dom, k, radius)
     if hit is not None:
         assert all(abs(v) <= radius for v in hit)
+
+
+# Witnesses of the depth-first engine this table engine replaced, recorded
+# from it: one per filter kind, the off-centre minimizers of P, the forced
+# last coordinate, the stride and the parity lattice.  Each is first found
+# beyond radius 1.
+PINNED_WITNESSES = [
+    (qf.form_Q(5), qf.domain_Delta(5), 7, 10, (1, 2, -2, 1, -2)),
+    (qf.form_Q(6), qf.domain_Delta(6), 50, 30, (0, 0, 1, -1, 7, -7)),
+    (qf.form_P(5), qf.domain_D(5), 13, 30, (1, 2, 4, 0, 8)),
+    (qf.form_P(6), qf.domain_D(6), 40, 30, (1, 3, 8, 6, 4, -1)),
+    (qf.form_q(3), qf.domain_Z_full(3), 29, 12, (2, -2, 5)),
+    (qf.form_q(4), qf.domain_X(5), 13, 10, (1, 2, 2, -1)),
+    (qf.form_core_size(4), qf.domain_Q_full(4), 23, 25, (-1, 1, -2, 2)),
+    (qf.form_euclidean(4), qf.domain_DeltaC(4), 31, 15, (-2, 3, 3, 3)),
+    (refined_size_form(5), qf.domain_Os(5), 60, 25, (1, -1, 2, 5, 3)),
+    (WeightSpec(5, 3, (2, 2, 4)).form(), WeightSpec(5, 3, (2, 2, 4)).domain(),
+     17, 20, (1, -3, 3, 4, 3)),
+    (qf.form_lattice_norm("C1", 3), qf.domain_M("C1", 3), 6, 25, (2, 2, 4)),
+    (qf.form_lattice_norm("B1", 3), qf.domain_M("B1", 3), 7, 25, (1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("form,dom,k,radius,witness", PINNED_WITNESSES,
+                         ids=lambda v: getattr(v, "form_id", None))
+def test_pinned_witnesses(form, dom, k, radius, witness):
+    assert qf.represent(form, dom, k, radius) == witness
+    assert qf.represent(form, dom, k, 1) is None
+    report = qf.universality_scan(form, dom, k, radius, min_k=k)
+    assert report.entries[0].witness == witness
+
+
+def test_represent_all_matches_represent():
+    form, dom = qf.form_P(4), qf.domain_D(4)
+    targets = [30, 0, 14, -1, 7, 30, 110]
+    assert qf.represent_all(form, dom, targets, 12) == [
+        qf.represent(form, dom, k, 12) for k in targets]
+
+
+def test_table_over_budget_raises(monkeypatch):
+    monkeypatch.setenv("ATOMLEN_BUDGET", "1000")
+    with pytest.raises(BudgetExceeded):
+        qf.universality_scan(qf.form_Q(6), qf.domain_Delta(6), 200, 30)
+    assert qf.represent(qf.form_Q(3), qf.domain_Delta(3), 1, 2) is not None

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomlen import sumsets as ss
-from atomlen.errors import BadLength, BadSum, BudgetExceeded, NotPrime
+from atomlen.errors import (AtomlenError, BadLength, BadSum, BudgetExceeded,
+                            NotPrime)
 
 
 def test_hall_worked_example():
@@ -122,3 +123,9 @@ def test_budget_guard(monkeypatch):
         ss.verify_sumset_equality("A", 4)
     monkeypatch.delenv("ATOMLEN_BUDGET")
     assert ss.verify_sumset_equality("A", 4).equal
+
+
+def test_malformed_budget_is_rejected(monkeypatch):
+    monkeypatch.setenv("ATOMLEN_BUDGET", "abc")
+    with pytest.raises(AtomlenError, match="ATOMLEN_BUDGET"):
+        ss.verify_sumset_equality("A", 3)
