@@ -8,9 +8,9 @@ from fractions import Fraction
 
 from .affine_permutations import AffinePermutation, make_affine
 from .errors import BadLength, DomainViolation, MirrorViolation
-from .quadratic_forms import (LATTICE_TAGS, UniversalityReport, domain_DeltaC,
-                              domain_M, form_euclidean, form_lattice_norm,
-                              member, universality_scan)
+from .quadratic_forms import (LATTICE_DENOM, LATTICE_TAGS, UniversalityReport,
+                              domain_DeltaC, domain_M, form_euclidean,
+                              form_lattice_norm, member, universality_scan)
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,15 @@ def scan_deltaC(n: int, max_k: int, radius: int) -> UniversalityReport:
 # Lattice table for the classical affine families
 # ---------------------------------------------------------------------------
 
-# tag -> (underlying finite series, norm denominator on ||x||_2^2, coxeter h,
-#         half-integer-valued flag)
+# tag -> (underlying finite series, coxeter h, half-integer-valued flag);
+# the norm denominators are quadratic_forms.LATTICE_DENOM
 _TABLE = {
-    "B1": ("B", 2, lambda n: 2 * n, False),
-    "C1": ("C", 4, lambda n: 2 * n, False),
-    "D1": ("D", 2, lambda n: 2 * n - 2, False),
-    "A2odd": ("C", 2, lambda n: 2 * n - 1, False),
-    "A2even": ("C", 2, lambda n: 2 * n + 1, True),
-    "D2": ("B", 1, lambda n: n + 1, False),
+    "B1": ("B", lambda n: 2 * n, False),
+    "C1": ("C", lambda n: 2 * n, False),
+    "D1": ("D", lambda n: 2 * n - 2, False),
+    "A2odd": ("C", lambda n: 2 * n - 1, False),
+    "A2even": ("C", lambda n: 2 * n + 1, True),
+    "D2": ("B", lambda n: n + 1, False),
 }
 
 
@@ -117,11 +117,11 @@ class AffineLatticeSpec:
 
     @property
     def coxeter_number(self) -> int:
-        return _TABLE[self.tag][2](self.n)
+        return _TABLE[self.tag][1](self.n)
 
     @property
     def half_grid(self) -> bool:
-        return _TABLE[self.tag][3]
+        return _TABLE[self.tag][2]
 
 
 def lattice_member(spec: AffineLatticeSpec, x) -> bool:
@@ -133,7 +133,7 @@ def half_norm(spec: AffineLatticeSpec, x) -> Fraction:
     x = tuple(x)
     if len(x) != spec.n:
         raise BadLength(f"need {spec.n} coordinates")
-    return Fraction(sum(v * v for v in x), _TABLE[spec.tag][1])
+    return Fraction(sum(v * v for v in x), LATTICE_DENOM[spec.tag])
 
 
 def norm_universality_scan(spec: AffineLatticeSpec, max_k: int,

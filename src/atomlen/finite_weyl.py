@@ -187,39 +187,42 @@ def height_of_weight(t: FiniteType, i: int) -> Fraction:
     return sum(omega_in_roots(t, i))
 
 
-@lru_cache(maxsize=None)
-def _height_functional(series: str, n: int) -> tuple[Fraction, ...]:
-    """Vector u with <u, v> = height of v for v in the root span, obtained
-    from an exact solve of u . alpha_j = 1 for every simple root."""
-    t = FiniteType(series, n)
-    roots = simple_roots(t)
-    d = t.dim
-    # Solve u . alpha_j = 1 for all j by elimination; underdetermined for
-    # series A, where any solution works on the sum-zero root span.
-    m = [[roots[j][k] for k in range(d)] + [Fraction(1)] for j in range(n)]
+def _solve(rows, rhs):
+    """Exact Gauss-Jordan solve of rows . x = rhs: one solution (free
+    unknowns zero, None if the system is inconsistent) and the rank."""
+    width = len(rows[0])
+    m = [list(row) + [Fraction(b)] for row, b in zip(rows, rhs)]
     pivots = []
-    r = 0
-    for c in range(d):
-        pivot = next((i for i in range(r, n) if m[i][c] != 0), None)
+    for c in range(width):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n):
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    if r < n:
-        raise InvariantViolation("simple roots are not independent")
-    u = [Fraction(0)] * d
+    if any(row[width] != 0 for row in m[len(pivots):]):
+        return None, len(pivots)
+    x = [Fraction(0)] * width
     for row, c in zip(m, pivots):
-        u[c] = row[d]
-    return tuple(u)
+        x[c] = row[width]
+    return tuple(x), len(pivots)
+
+
+@lru_cache(maxsize=None)
+def _height_functional(series: str, n: int) -> tuple[Fraction, ...]:
+    """Vector u with <u, v> = height of v for v in the root span: a solution
+    of u . alpha_j = 1 for every simple root (underdetermined for series A,
+    where any solution works on the sum-zero root span)."""
+    roots = simple_roots(FiniteType(series, n))
+    u, rank = _solve(roots, [1] * n)
+    if rank < n:
+        raise InvariantViolation("simple roots are not independent")
+    return u
 
 
 def height_eps(t: FiniteType, v) -> Fraction:
@@ -231,32 +234,12 @@ def height_eps(t: FiniteType, v) -> Fraction:
 def root_coordinates(t: FiniteType, v) -> tuple[Fraction, ...]:
     """Exact coordinates of v on the simple-root basis."""
     roots = simple_roots(t)
-    n, d = t.n, t.dim
-    # Solve sum_j a_j alpha_j = v by elimination.
-    m = [[roots[j][k] for j in range(n)] + [Fraction(v[k])] for k in range(d)]
-    coeffs = [Fraction(0)] * n
-    r = 0
-    cols = []
-    for c in range(n):
-        pivot = next((i for i in range(r, d) if m[i][c] != 0), None)
-        if pivot is None:
-            raise InvariantViolation("degenerate simple roots")
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(d):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        cols.append(c)
-        r += 1
-    for row, c in zip(m, cols):
-        coeffs[c] = row[n]
-    # consistency of the remaining rows
-    for i in range(r, d):
-        if m[i][n] != 0:
-            raise InvariantViolation(f"{v} is outside the root span")
-    return tuple(coeffs)
+    coeffs, rank = _solve(list(zip(*roots)), v)
+    if rank < t.n:
+        raise InvariantViolation("degenerate simple roots")
+    if coeffs is None:
+        raise InvariantViolation(f"{v} is outside the root span")
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

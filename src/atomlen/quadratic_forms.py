@@ -5,10 +5,13 @@ solves
 
     A * sum(t_i^2) + sum(B_i * t_i) = K        (all data integers)
 
-over integer vectors subject to an optional fixed coordinate sum, a radius
-bound on each coordinate (or a last coordinate forced by the sum), a
-coordinate stride, and congruence filters (distinct residues, distinct +/-
-classes, or a fixed residue multiset).
+over the vectors of a constrained domain inside a radius box.  One frozen
+record per domain (ConstrainedDomain) serves both membership and search: an
+optional fixed coordinate sum, a coordinate stride, an even-sum condition,
+and residue classes with capacities (distinct residues, distinct +/-
+classes, or a fixed residue multiset).  A projected domain drops its last
+coordinate, which the sum forces; the search leaves that coordinate
+unbounded.  member checks exactly the conditions the engine enumerates.
 
 One table answers every target of a scan at one radius.  For each suffix of
 coordinates it maps (suffix sum, filter state) to a big-int bitset of the
@@ -27,7 +30,7 @@ certifies exhaustion of the full radius-R box.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -109,69 +112,90 @@ def map_pr_inv(x, n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ConstrainedDomain:
-    """A decidable subset of an integer lattice.
+    """A decidable subset of an integer lattice, in the form the search
+    engine reads it.
 
-    kind is one of "D", "Delta", "X", "Q_full", "Z_full", "DeltaC", "Ds",
-    "Os", "M"; n is the rank parameter; extra carries kind-specific data
-    (for "Ds": (ell, charges); for "M": the affine type tag).
+    The full vector has nvars coordinates.  Coordinate i with value v falls
+    in class (v + shifts[i]) % mod, folded to min(r, mod - r) when signed;
+    a member uses class c at most caps[c] times, and the caps add up to
+    nvars.  A member also has coordinate sum sum_target (when set), every
+    coordinate a multiple of step, and an even sum under parity_even.  A
+    projected domain omits the last coordinate, which its sum forces.
+    Empty shifts mean no shift.
     """
 
-    kind: str
+    label: str
     n: int
-    extra: tuple = ()
+    nvars: int
+    caps: tuple[int, ...]
+    sum_target: int | None = None
+    mod: int = 1
+    shifts: tuple[int, ...] = ()
+    signed: bool = False
+    step: int = 1
+    parity_even: bool = False
+    projected: bool = False
 
     def dim(self) -> int:
-        if self.kind == "X":
-            return self.n - 1
-        return self.n
+        return self.nvars - self.projected
 
-    def label(self) -> str:
-        if self.kind == "Z_full":
-            return f"Z^{self.n}"
-        if self.kind == "Ds":
-            ell, charges = self.extra
-            return f"Ds(n={self.n},l={ell},s={','.join(map(str, charges))})"
-        if self.kind == "M":
-            return f"M[{self.extra[0]}]({self.n})"
-        return f"{self.kind}({self.n})"
+    def cls(self, i: int, v: int) -> int:
+        r = (v + self.shifts[i] if self.shifts else v) % self.mod
+        return min(r, self.mod - r) if self.signed else r
+
+
+def _distinct(label, n, sum_target, shifts):
+    return ConstrainedDomain(label, n, n, (1,) * n, sum_target, n, shifts)
 
 
 def domain_D(n: int) -> ConstrainedDomain:
-    return ConstrainedDomain("D", n)
+    return _distinct(f"D({n})", n, n * (n + 1) // 2, ())
 
 
 def domain_Delta(n: int) -> ConstrainedDomain:
-    return ConstrainedDomain("Delta", n)
+    return _distinct(f"Delta({n})", n, 0, tuple(range(1, n + 1)))
 
 
 def domain_X(n: int) -> ConstrainedDomain:
-    return ConstrainedDomain("X", n)
+    return replace(domain_Delta(n), label=f"X({n})", projected=True)
 
 
 def domain_Q_full(n: int) -> ConstrainedDomain:
-    return ConstrainedDomain("Q_full", n)
+    return ConstrainedDomain(f"Q_full({n})", n, n, (n,), 0)
 
 
 def domain_Z_full(dim: int) -> ConstrainedDomain:
-    return ConstrainedDomain("Z_full", dim)
+    return replace(domain_Q_full(dim + 1), label=f"Z^{dim}", n=dim,
+                   projected=True)
 
 
 def domain_DeltaC(n: int) -> ConstrainedDomain:
-    return ConstrainedDomain("DeltaC", n)
+    # class 0 (the fixed point of the mirror) is excluded
+    return ConstrainedDomain(f"DeltaC({n})", n, n, (0,) + (1,) * n,
+                             mod=2 * n + 1, shifts=tuple(range(1, n + 1)),
+                             signed=True)
 
 
 def domain_Ds(n: int, ell: int, charges: tuple[int, ...]) -> ConstrainedDomain:
-    return ConstrainedDomain("Ds", n, (ell, tuple(charges)))
+    """The charge orbit: coordinate sum of the charges, residues mod ell
+    distributed as in the orbit's base point."""
+    charges = tuple(charges)
+    base = conjugate_charges(n, ell, charges)
+    caps = tuple(sum(1 for v in base if v % ell == r) for r in range(ell))
+    label = f"Ds(n={n},l={ell},s={','.join(map(str, charges))})"
+    return ConstrainedDomain(label, n, n, caps, sum(charges), ell)
 
 
 def domain_Os(n: int) -> ConstrainedDomain:
-    return ConstrainedDomain("Os", n)
+    return _distinct(f"Os({n})", n, n * (n - 1) // 2, ())
 
 
 def domain_M(tag: str, n: int) -> ConstrainedDomain:
     if tag not in LATTICE_TAGS:
         raise DomainViolation(f"unknown lattice tag {tag!r}")
-    return ConstrainedDomain("M", n, (tag,))
+    return ConstrainedDomain(f"M[{tag}]({n})", n, n, (n,),
+                             step=2 if tag == "C1" else 1,
+                             parity_even=tag in ("B1", "D1", "A2odd"))
 
 
 def conjugate_charges(n: int, ell: int, charges) -> tuple[int, ...]:
@@ -189,78 +213,24 @@ def conjugate_charges(n: int, ell: int, charges) -> tuple[int, ...]:
     return tuple(out)
 
 
-def residue_counts(values, mod: int) -> tuple[int, ...]:
-    counts = [0] * mod
-    for v in values:
-        counts[v % mod] += 1
-    return tuple(counts)
-
-
 def member(domain: ConstrainedDomain, v) -> bool:
-    """Exact membership test for each domain kind."""
+    """Exact membership test: lift a projected vector by its forced last
+    coordinate, then check sum, step, parity and class counts."""
     v = tuple(v)
-    n = domain.n
     if len(v) != domain.dim():
         return False
-    kind = domain.kind
-    if kind == "D":
-        return (sum(v) == n * (n + 1) // 2
-                and len({x % n for x in v}) == n)
-    if kind == "Delta":
-        return (sum(v) == 0
-                and len({(x + i) % n for i, x in enumerate(v, 1)}) == n)
-    if kind == "X":
-        # Equivalent to the projected conditions: the lift by the forced last
-        # coordinate lands in Delta.  (The literal T_i conditions are checked
-        # against this in the tests.)
-        return member(domain_Delta(n), v + (-sum(v),))
-    if kind == "Q_full":
-        return sum(v) == 0
-    if kind == "Z_full":
-        return True
-    if kind == "DeltaC":
-        m = 2 * n + 1
-        classes = set()
-        for i, x in enumerate(v, 1):
-            r = (x + i) % m
-            if r == 0:
-                return False
-            c = min(r, m - r)
-            if c in classes:
-                return False
-            classes.add(c)
-        return True
-    if kind == "Ds":
-        ell, charges = domain.extra
-        sprime = conjugate_charges(n, ell, charges)
-        return (sum(v) == sum(charges)
-                and residue_counts(v, ell) == residue_counts(sprime, ell))
-    if kind == "Os":
-        return (sum(v) == n * (n - 1) // 2
-                and len({x % n for x in v}) == n)
-    if kind == "M":
-        tag = domain.extra[0]
-        if tag == "C1":
-            return all(x % 2 == 0 for x in v)
-        if tag in ("B1", "D1", "A2odd"):
-            return sum(v) % 2 == 0
-        return True  # A2even, D2: all of Z^n
-    raise DomainViolation(f"unknown domain kind {kind!r}")
-
-
-def member_X_literal(v, n: int) -> bool:
-    """Projected conditions written out (used to cross-check member)."""
-    v = tuple(v)
-    if len(v) != n - 1:
+    S = domain.sum_target
+    if domain.projected:
+        v += (S - sum(v),)
+    if S is not None and sum(v) != S:
         return False
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            if (v[i - 1] + i) % n == (v[j - 1] + j) % n:
-                return False
-    total = sum(v)
-    for i in range(1, n):
-        t_i = total + v[i - 1]
-        if t_i % n == (n - i) % n:
+    if any(x % domain.step for x in v) or domain.parity_even and sum(v) % 2:
+        return False
+    used = [0] * len(domain.caps)
+    for i, x in enumerate(v):
+        c = domain.cls(i, x)
+        used[c] += 1
+        if used[c] > domain.caps[c]:
             return False
     return True
 
@@ -274,9 +244,9 @@ class FormSpec:
     """value(t) = (quad * sum(t^2) + sum(lin_i t_i) + const) / denom.
 
     nvars is the visible arity.  Forms flagged virtual_last are evaluated on
-    nvars coordinates but searched with one extra zero-sum coordinate (used
-    for the form with all pairwise products, which is the half norm on the
-    zero-sum lattice in one more variable).
+    nvars coordinates plus a last one forced to make the sum zero, and pair
+    with projected domains (used for the form with all pairwise products,
+    which is the half norm on the zero-sum lattice in one more variable).
     """
 
     form_id: str
@@ -323,59 +293,21 @@ def form_core_size(n: int) -> FormSpec:
                     tuple(2 * (i - 1) for i in range(1, n + 1)), 0, 2)
 
 
-LATTICE_TAGS = ("B1", "C1", "D1", "A2odd", "A2even", "D2")
-
-_LATTICE_DENOM = {"B1": 2, "C1": 4, "D1": 2, "A2odd": 2, "A2even": 2, "D2": 1}
+# lattice row tag -> norm denominator on ||x||_2^2
+LATTICE_DENOM = {"B1": 2, "C1": 4, "D1": 2, "A2odd": 2, "A2even": 2, "D2": 1}
+LATTICE_TAGS = tuple(LATTICE_DENOM)
 
 
 def form_lattice_norm(tag: str, n: int) -> FormSpec:
     """The half-norm map of the lattice row, under its norm convention."""
     if tag not in LATTICE_TAGS:
         raise DomainViolation(f"unknown lattice tag {tag!r}")
-    return FormSpec(f"norm[{tag}]", n, 1, (0,) * n, 0, _LATTICE_DENOM[tag])
+    return FormSpec(f"norm[{tag}]", n, 1, (0,) * n, 0, LATTICE_DENOM[tag])
 
 
 # ---------------------------------------------------------------------------
 # Search engine
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SearchSpace:
-    """Engine-level description of the set searched over.
-
-    free_last marks a last coordinate without a radius bound, forced by the
-    sum target.  The filter sorts each coordinate value into a class of
-    bounded capacity; the capacities of every filter add up to nvars, so a
-    full vector uses each class exactly to capacity.
-    """
-
-    nvars: int
-    sum_target: int | None = None
-    free_last: bool = False
-    step: int = 1
-    filter_kind: str = "none"       # none | distinct | distinct_pm | multiset
-    filter_mod: int = 0
-    filter_shifts: tuple[int, ...] = ()
-    filter_counts: tuple[int, ...] = ()
-    parity_even: bool = False
-
-    def classes(self):
-        """The class of value v at coordinate i, and each class's capacity."""
-        kind, mod = self.filter_kind, self.filter_mod
-        shifts = self.filter_shifts or (0,) * self.nvars
-        if kind == "none":
-            return (lambda i, v: 0), (self.nvars,)
-        if kind == "distinct":
-            return (lambda i, v: (v + shifts[i]) % mod), (1,) * mod
-        if kind == "distinct_pm":
-            def pm(i, v):
-                r = (v + shifts[i]) % mod
-                return min(r, mod - r)
-            return pm, (0,) + (1,) * (mod // 2)   # class 0 is excluded
-        if kind == "multiset":
-            return (lambda i, v: v % mod), self.filter_counts
-        raise DomainViolation(f"unknown filter kind {kind!r}")
-
 
 def _radius_schedule(radius: int) -> list[int]:
     out, r = [], 1
@@ -385,14 +317,14 @@ def _radius_schedule(radius: int) -> list[int]:
     return out + [radius]
 
 
-def _witnesses_at_radius(A, B, targets, space, radius) -> dict:
-    """First vector, in the fixed search order, with
+def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
+    """First full vector of the domain, in the fixed search order, with
     A*sum(t^2) + sum(B*t) == K inside the radius box, for every K in targets
     that has one."""
-    n, S, step = space.nvars, space.sum_target, space.step
-    cls, caps = space.classes()
+    n, S, step = domain.nvars, domain.sum_target, domain.step
+    cls, caps = domain.cls, domain.caps
     if sum(caps) != n:
-        raise DomainViolation(f"filter {space.filter_kind} does not cover "
+        raise DomainViolation(f"the classes of {domain.label} do not cover "
                               f"{n} coordinates exactly")
     # filter state: mixed radix, digit c counts the uses of class c
     weights, w = [], 1
@@ -402,7 +334,7 @@ def _witnesses_at_radius(A, B, targets, space, radius) -> dict:
     full = sum(wc * c for wc, c in zip(weights, caps))
     # sum key of a suffix: its exact sum under a sum target, its parity
     # under parity_even, else 0; "& fold" reduces a sum to its key
-    fold = -1 if S is not None else (1 if space.parity_even else 0)
+    fold = -1 if S is not None else (1 if domain.parity_even else 0)
     total = S or 0
     h = radius // step * step
 
@@ -410,7 +342,7 @@ def _witnesses_at_radius(A, B, targets, space, radius) -> dict:
     # least term, class weight, class capacity).
     cands, base = [], 0
     for i in range(n):
-        if space.free_last and i == n - 1:
+        if domain.projected and i == n - 1:
             values = range(S - i * h, S + i * h + 1)
         else:
             values = range(-h, h + 1, step)
@@ -476,53 +408,6 @@ def _witnesses_at_radius(A, B, targets, space, radius) -> dict:
 # Pairing forms with domains
 # ---------------------------------------------------------------------------
 
-def _search_space(form: FormSpec, domain: ConstrainedDomain) -> SearchSpace:
-    n = domain.n
-    kind = domain.kind
-    dim = form.nvars + (1 if form.virtual_last else 0)
-
-    if kind in ("Z_full", "X") and not form.virtual_last:
-        raise DomainViolation(
-            f"form {form.form_id} cannot be searched on {domain.label()}")
-
-    if kind == "D":
-        return SearchSpace(n, sum_target=n * (n + 1) // 2,
-                           filter_kind="distinct", filter_mod=n,
-                           filter_shifts=(0,) * n)
-    if kind == "Delta":
-        return SearchSpace(n, sum_target=0, filter_kind="distinct",
-                           filter_mod=n, filter_shifts=tuple(range(1, n + 1)))
-    if kind == "Q_full":
-        return SearchSpace(n, sum_target=0)
-    if kind == "Z_full":
-        return SearchSpace(dim, sum_target=0, free_last=True)
-    if kind == "X":
-        return SearchSpace(dim, sum_target=0, filter_kind="distinct",
-                           filter_mod=n, filter_shifts=tuple(range(1, n + 1)),
-                           free_last=True)
-    if kind == "DeltaC":
-        return SearchSpace(n, filter_kind="distinct_pm", filter_mod=2 * n + 1,
-                           filter_shifts=tuple(range(1, n + 1)))
-    if kind == "Ds":
-        ell, charges = domain.extra
-        sprime = conjugate_charges(n, ell, charges)
-        return SearchSpace(n, sum_target=sum(charges), filter_kind="multiset",
-                           filter_mod=ell,
-                           filter_counts=residue_counts(sprime, ell))
-    if kind == "Os":
-        return SearchSpace(n, sum_target=n * (n - 1) // 2,
-                           filter_kind="distinct", filter_mod=n,
-                           filter_shifts=(0,) * n)
-    if kind == "M":
-        tag = domain.extra[0]
-        if tag == "C1":
-            return SearchSpace(n, step=2)
-        if tag in ("B1", "D1", "A2odd"):
-            return SearchSpace(n, parity_even=True)
-        return SearchSpace(n)
-    raise DomainViolation(f"unknown domain kind {kind!r}")
-
-
 def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
                   radius: int) -> list:
     """Witness or None for each target, in order: the first domain vector in
@@ -533,11 +418,11 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
     """
     if radius < 0:
         raise DomainViolation(f"radius must be >= 0, got {radius}")
-    space = _search_space(form, domain)
-    if space.nvars != form.nvars + (1 if form.virtual_last else 0):
+    if (form.nvars, form.virtual_last) != (domain.dim(), domain.projected):
         raise DomainViolation(
-            f"form {form.form_id} has arity {form.nvars}, domain "
-            f"{domain.label()} has dimension {domain.dim()}")
+            f"form {form.form_id} cannot be searched on {domain.label}: "
+            f"arity {form.nvars} vs dimension {domain.dim()}, forced last "
+            f"coordinate {form.virtual_last} vs {domain.projected}")
     nums = {}
     for k in targets:
         knum = form.denom * Fraction(k) - form.const
@@ -549,12 +434,12 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
         if not pending:
             break
         found.update(_witnesses_at_radius(form.quad, form.lin, pending,
-                                          space, r))
+                                          domain, r))
     hits = []
     for k in targets:
         hit = found.get(nums.get(k))
         if hit is not None:
-            if form.virtual_last:
+            if domain.projected:
                 hit = hit[:-1]
             if form.evaluate(hit) != k:
                 raise InvariantViolation(
@@ -562,7 +447,7 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
                     f"wanted {k}")
             if not member(domain, hit):
                 raise InvariantViolation(
-                    f"witness {hit} escaped {domain.label()}")
+                    f"witness {hit} escaped {domain.label}")
         hits.append(hit)
     return hits
 
@@ -599,28 +484,13 @@ def _attained_q(nvars: int, m: int) -> frozenset[int]:
     return frozenset(attained)
 
 
-@lru_cache(maxsize=None)
-def _attained_euclid(nvars: int, m: int) -> frozenset[int]:
-    budget.check(m ** nvars, what="residue enumeration")
-    attained = set()
-
-    def rec(i, sq):
-        if i == nvars:
-            attained.add(sq % m)
-            return
-        for v in range(m):
-            rec(i + 1, sq + v * v)
-
-    rec(0, 0)
-    return frozenset(attained)
-
-
 def attained_classes(form: FormSpec, m: int) -> frozenset[int]:
-    """Residue classes mod m attained by the form on its natural domain.
+    """Residue classes mod m attained by the pairwise-products form q, or by
+    P and Q on their window and zero-sum domains.
 
-    Exhaustive over one coordinate period.  For the half-norm on the zero-sum
-    or window domains this uses the exact reduction to the pairwise-products
-    form in one variable less (same value sets, hence same classes).
+    Exhaustive over one coordinate period.  P and Q use the exact reduction
+    to q in one variable less (same value sets, hence same classes).  Other
+    forms raise DomainViolation.
     """
     if m < 1:
         raise DomainViolation(f"modulus must be >= 1, got {m}")
@@ -630,9 +500,6 @@ def attained_classes(form: FormSpec, m: int) -> frozenset[int]:
         return _attained_q(form.nvars, m)
     if form.form_id in ("P", "Q"):
         return _attained_q(form.nvars - 1, m)
-    if form.form_id == "euclidean" or form.form_id.startswith("norm["):
-        if form.denom == 1:
-            return _attained_euclid(form.nvars, m)
     raise DomainViolation(
         f"attained_classes does not support form {form.form_id!r}")
 
@@ -752,5 +619,5 @@ def universality_scan(form: FormSpec, domain: ConstrainedDomain, max_k: int,
     hits = represent_all(form, domain, targets, radius)
     entries = [ReportEntry(k, "witness", hit) if hit is not None
                else _missed(form, k, moduli) for k, hit in zip(targets, hits)]
-    return UniversalityReport(form.form_id, domain.label(), domain.n, max_k,
+    return UniversalityReport(form.form_id, domain.label, domain.n, max_k,
                               radius, grid, tuple(entries), min_k)

@@ -2,6 +2,7 @@
 and the permutation / signed-permutation orbit sumsets."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -180,19 +181,13 @@ def verify_sumset_equality(family: str, n: int,
         target = zero_sum_subgroup(n, m)
     else:
         budget.check(m ** n, what="full group enumeration")
-        target = _full_group(n, m)
+        target = frozenset(itertools.product(range(m), repeat=n))
     missing = tuple(sorted(target - diffs))
     if not diffs <= target:
         # differences always live in the target group for family A by the
         # zero-sum invariant; anything else is a bug
         raise SearchFailed(f"difference set escapes target for {family},{n}")
     return SumsetCertificate(family, n, m, not missing, missing)
-
-
-def _full_group(n: int, m: int) -> frozenset[tuple[int, ...]]:
-    import itertools
-
-    return frozenset(itertools.product(range(m), repeat=n))
 
 
 def is_prime(p: int) -> bool:

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomlen import finite_weyl as fw
-from atomlen.errors import BadEll, BadIndex, BadLength, BudgetExceeded
+from atomlen.errors import (BadEll, BadIndex, BadLength, BudgetExceeded,
+                            InvariantViolation)
 
 
 @st.composite
@@ -75,6 +76,20 @@ def test_root_coordinates_are_exact():
     v = fw.fundamental_weight_eps(t, 3)
     coords = fw.root_coordinates(t, v)
     assert coords == fw.omega_in_roots(t, 3)
+    # series A: the epsilon vectors off the sum-zero hyperplane
+    with pytest.raises(InvariantViolation, match="outside the root span"):
+        fw.root_coordinates(fw.FiniteType("A", 3), (1, 0, 0, 0))
+
+
+def test_dependent_roots_are_rejected(monkeypatch):
+    t = fw.FiniteType("B", 2)
+    one = Fraction(1)
+    monkeypatch.setattr(fw, "simple_roots",
+                        lambda t: ((one, -one), (-one, one)))
+    with pytest.raises(InvariantViolation, match="not independent"):
+        fw._height_functional.__wrapped__("B", 2)
+    with pytest.raises(InvariantViolation, match="degenerate"):
+        fw.root_coordinates(t, (1, -1))
 
 
 def test_atomic_length_examples():

@@ -61,12 +61,156 @@ def test_member_examples():
     assert qf.member(qf.domain_Z_full(3), (9, -4, 7))
 
 
+# Literal membership, written out from the paper's conditions for each domain
+# constructor.  member and the search engine read one shared domain record;
+# these predicates do not, so they check both.
+
+def member_X_literal(v, n):
+    """Projected conditions: distinct (x_i + i) mod n among the n-1 given
+    coordinates, and T_i = x_1 + ... + x_{n-1} + x_i never n - i mod n."""
+    if len(v) != n - 1:
+        return False
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            if (v[i - 1] + i) % n == (v[j - 1] + j) % n:
+                return False
+    total = sum(v)
+    for i in range(1, n):
+        if (total + v[i - 1]) % n == (n - i) % n:
+            return False
+    return True
+
+
+def _literal_D(v, n):
+    """Window vectors: sum n(n+1)/2, pairwise distinct residues mod n."""
+    return (len(v) == n and sum(v) == n * (n + 1) // 2
+            and len({x % n for x in v}) == n)
+
+
+def _literal_Delta(v, n):
+    """Displacement vectors: sum 0, pairwise distinct (x_i + i) mod n."""
+    return (len(v) == n and sum(v) == 0
+            and len({(x + i) % n for i, x in enumerate(v, 1)}) == n)
+
+
+def _literal_Q_full(v, n):
+    return len(v) == n and sum(v) == 0
+
+
+def _literal_Z_full(v, dim):
+    return len(v) == dim
+
+
+def _literal_DeltaC(v, n):
+    """Type C: each x_i + i is nonzero mod 2n+1, and no two agree up to
+    sign mod 2n+1."""
+    m = 2 * n + 1
+    if len(v) != n:
+        return False
+    r = [(x + i) % m for i, x in enumerate(v, 1)]
+    return all(a % m for a in r) and all(
+        (a - b) % m and (a + b) % m for a, b in itertools.combinations(r, 2))
+
+
+def _literal_Ds(v, n, ell, charges):
+    """Charge orbit: sum of the charges, and residues mod ell forming the
+    same multiset as the conjugate charge partition padded to n parts."""
+    base = [sum(1 for p in charges if p >= j) for j in range(1, n + 1)]
+    return (len(v) == n and sum(v) == sum(charges)
+            and sorted(x % ell for x in v) == sorted(b % ell for b in base))
+
+
+def _literal_Os(v, n):
+    """Refined orbit: sum n(n-1)/2, pairwise distinct residues mod n."""
+    return (len(v) == n and sum(v) == n * (n - 1) // 2
+            and len({x % n for x in v}) == n)
+
+
+def _literal_M(v, tag, n):
+    """Translation lattice rows: 2Z^n for C1, the even-sum lattice for B1,
+    D1 and A2odd, all of Z^n for A2even and D2."""
+    if len(v) != n:
+        return False
+    if tag == "C1":
+        return all(x % 2 == 0 for x in v)
+    if tag in ("B1", "D1", "A2odd"):
+        return sum(v) % 2 == 0
+    return True
+
+
+LITERAL = {
+    qf.domain_D: _literal_D,
+    qf.domain_Delta: _literal_Delta,
+    qf.domain_X: member_X_literal,
+    qf.domain_Q_full: _literal_Q_full,
+    qf.domain_Z_full: _literal_Z_full,
+    qf.domain_DeltaC: _literal_DeltaC,
+    qf.domain_Ds: _literal_Ds,
+    qf.domain_Os: _literal_Os,
+    qf.domain_M: _literal_M,
+}
+
+
+def literal(ctor, *args):
+    """The literal membership test of the domain ctor(*args)."""
+    return lambda v: LITERAL[ctor](tuple(v), *args)
+
+
+def with_oracle(ctor, *args):
+    return ctor(*args), literal(ctor, *args)
+
+
+@st.composite
+def domains_with_oracle(draw):
+    ctor = draw(st.sampled_from(list(LITERAL)))
+    n = draw(st.integers(1, 5))
+    if ctor is qf.domain_Ds:
+        ell = draw(st.integers(1, n))
+        charges = sorted(draw(st.integers(0, n - 1)) for _ in range(ell))
+        return with_oracle(ctor, n, ell, tuple(charges))
+    if ctor is qf.domain_M:
+        return with_oracle(ctor, draw(st.sampled_from(qf.LATTICE_TAGS)), n)
+    return with_oracle(ctor, n)
+
+
 @given(st.integers(3, 7), st.lists(st.integers(-9, 9), min_size=2, max_size=6))
 def test_member_X_matches_literal_conditions(n, xs):
     xs = tuple(xs[: n - 1])
     if len(xs) != n - 1:
         return
-    assert qf.member(qf.domain_X(n), xs) == qf.member_X_literal(xs, n)
+    assert qf.member(qf.domain_X(n), xs) == member_X_literal(xs, n)
+
+
+@given(domains_with_oracle(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_member_matches_literal_oracle(dom_lit, data):
+    dom, lit = dom_lit
+    dim = dom.dim()
+    size = data.draw(st.integers(max(dim - 1, 0), dim + 1))
+    v = data.draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
+    if v and not dom.projected and data.draw(st.booleans()):
+        # land on the sum condition, where the congruences decide
+        v[-1] += (dom.sum_target or 0) - sum(v)
+    assert qf.member(dom, v) == lit(v)
+
+
+@pytest.mark.parametrize("ctor,args", [
+    (qf.domain_D, (3,)), (qf.domain_Delta, (3,)), (qf.domain_X, (4,)),
+    (qf.domain_Q_full, (3,)), (qf.domain_Z_full, (2,)),
+    (qf.domain_DeltaC, (3,)), (qf.domain_Ds, (3, 2, (0, 1))),
+    (qf.domain_Ds, (3, 3, (0, 2, 2))), (qf.domain_Os, (3,)),
+] + [(qf.domain_M, (tag, 3)) for tag in qf.LATTICE_TAGS],
+    ids=lambda v: getattr(v, "__name__", None))
+def test_member_matches_literal_on_a_box(ctor, args):
+    # exhaustive over a small box, wrong lengths included; the box holds
+    # members and non-members of every domain
+    dom, lit = with_oracle(ctor, *args)
+    seen = set()
+    for size in (dom.dim() - 1, dom.dim(), dom.dim() + 1):
+        for v in itertools.product(range(-3, 5), repeat=size):
+            assert qf.member(dom, v) == lit(v), v
+            seen.add(lit(v))
+    assert seen == {False, True}
 
 
 def test_constant_sets():
@@ -119,6 +263,11 @@ def test_attained_classes_via_window_forms():
         qf.form_q(3), 16)
     assert qf.attained_classes(qf.form_P(4), 16) == qf.attained_classes(
         qf.form_q(3), 16)
+    # obstructions are only ever looked up for these forms
+    for form in (qf.form_euclidean(3), qf.form_lattice_norm("D2", 3),
+                 qf.form_core_size(3)):
+        with pytest.raises(DomainViolation):
+            qf.attained_classes(form, 4)
 
 
 @pytest.mark.parametrize("m,d", [(6, 3), (16, 4), (32, 16), (128, 32)])
@@ -195,6 +344,14 @@ def test_represent_rejects_mismatched_pairing():
         qf.represent(qf.form_Q(4), qf.domain_Z_full(4), 3, 5)
 
 
+def test_virtual_last_form_needs_a_projected_domain():
+    # q(3) forces a fourth coordinate, so it pairs with X(4), never with the
+    # full four-coordinate Delta(4)
+    with pytest.raises(DomainViolation, match="cannot be searched"):
+        qf.represent(qf.form_q(3), qf.domain_Delta(4), 2, 3)
+    assert qf.represent(qf.form_q(3), qf.domain_X(4), 2, 3) is not None
+
+
 def test_q_values_are_half_norms_on_zero_sum_vectors():
     # the defining identity behind the virtual-coordinate search
     for x in ((1, 2, 3), (0, 0, 0), (-2, 5, 1), (7,)):
@@ -202,20 +359,21 @@ def test_q_values_are_half_norms_on_zero_sum_vectors():
         assert qf.eval_q(x) == qf.eval_Q(lifted)
 
 
-def _brute_force_first(form, domain, k, radius):
-    """First witness in the documented search order, by plain enumeration:
-    radii 1, 2, 4, ..., R; within a radius, the box in lexicographic order,
-    each coordinate spiralling out from its rounded minimizer, positive
-    offset first.  A virtual last coordinate is forced, never enumerated."""
+def _brute_force_first(form, lit, k, radius):
+    """First witness in the documented search order, by plain enumeration
+    filtered with the literal membership test lit: radii 1, 2, 4, ..., R;
+    within a radius, the box in lexicographic order, each coordinate
+    spiralling out from its rounded minimizer, positive offset first.  A
+    virtual last coordinate is forced, never enumerated."""
     radii = [r for r in (1, 2, 4, 8) if r < radius] + [radius]
     for r in radii:
         axes = []
-        for b in form.lin[:domain.dim()]:
+        for b in form.lin[:form.nvars]:
             c = math.floor(Fraction(-b, 2 * form.quad) + Fraction(1, 2))
             axes.append(sorted(range(-r, r + 1),
                                key=lambda t, c=c: (abs(t - c), t < c)))
         for v in itertools.product(*axes):
-            if qf.member(domain, v) and form.evaluate(v) == k:
+            if lit(v) and form.evaluate(v) == k:
                 return v
     return None
 
@@ -230,19 +388,22 @@ def test_engine_matches_brute_force(data):
          "q-free", "projected", "refined", "C1", "B1"]))
     if kind == "delta":
         n = data.draw(st.integers(2, 4))
-        form, dom = qf.form_Q(n), qf.domain_Delta(n)
+        form, (dom, lit) = qf.form_Q(n), with_oracle(qf.domain_Delta, n)
     elif kind == "core-size":
         n = data.draw(st.integers(2, 4))
-        form, dom = qf.form_core_size(n), qf.domain_Q_full(n)
+        form, (dom, lit) = (qf.form_core_size(n),
+                            with_oracle(qf.domain_Q_full, n))
     elif kind == "deltaC":
         n = data.draw(st.integers(1, 3))
-        form, dom = qf.form_euclidean(n), qf.domain_DeltaC(n)
+        form, (dom, lit) = (qf.form_euclidean(n),
+                            with_oracle(qf.domain_DeltaC, n))
     elif kind == "euclid-D":
         n = data.draw(st.integers(1, 3))
-        form, dom = qf.form_lattice_norm("D2", n), qf.domain_M("D2", n)
+        form, (dom, lit) = (qf.form_lattice_norm("D2", n),
+                            with_oracle(qf.domain_M, "D2", n))
     elif kind == "window":
         n = data.draw(st.integers(2, 3))
-        form, dom = qf.form_P(n), qf.domain_D(n)
+        form, (dom, lit) = qf.form_P(n), with_oracle(qf.domain_D, n)
     elif kind == "charges":
         n = data.draw(st.integers(2, 4))
         ell = data.draw(st.integers(1, n))
@@ -250,22 +411,24 @@ def test_engine_matches_brute_force(data):
                                for _ in range(ell)))
         spec = WeightSpec(n, ell, charges)
         form, dom = spec.form(), spec.domain()
+        lit = literal(qf.domain_Ds, n, ell, charges)
     elif kind == "q-free":
         m = data.draw(st.integers(1, 3))
-        form, dom = qf.form_q(m), qf.domain_Z_full(m)
+        form, (dom, lit) = qf.form_q(m), with_oracle(qf.domain_Z_full, m)
     elif kind == "projected":
         n = data.draw(st.integers(2, 4))
-        form, dom = qf.form_q(n - 1), qf.domain_X(n)
+        form, (dom, lit) = qf.form_q(n - 1), with_oracle(qf.domain_X, n)
     elif kind == "refined":
         n = data.draw(st.integers(2, 4))
-        form, dom = refined_size_form(n), qf.domain_Os(n)
+        form, (dom, lit) = refined_size_form(n), with_oracle(qf.domain_Os, n)
     else:
         n = data.draw(st.integers(1, 3))
-        form, dom = qf.form_lattice_norm(kind, n), qf.domain_M(kind, n)
+        form, (dom, lit) = (qf.form_lattice_norm(kind, n),
+                            with_oracle(qf.domain_M, kind, n))
     radius = data.draw(st.integers(0, 3))
     k = data.draw(st.integers(0, 15))
     hit = qf.represent(form, dom, k, radius)
-    assert hit == _brute_force_first(form, dom, k, radius)
+    assert hit == _brute_force_first(form, lit, k, radius)
     if hit is not None:
         assert all(abs(v) <= radius for v in hit)
 
