@@ -6,11 +6,14 @@ PASS/FAIL line per check and exits nonzero when anything fails.  Slower and
 chattier than the pytest suite; useful for eyeballing the actual numbers.
 """
 import argparse
+import itertools
+import pathlib
 import random
 import sys
 import time
 
-sys.path.insert(0, "src")
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 from atomlen import affine_classical as ac
 from atomlen import affine_permutations as ap
@@ -118,10 +121,7 @@ def main() -> int:
 
     # finite types
     def finite_sweep():
-        cases = [("A", n) for n in range(2, 6)] + \
-                [("B", n) for n in range(2, 5)] + \
-                [("C", n) for n in range(2, 5)] + [("D", 4)]
-        for series, n in cases:
+        for series, n in itertools.product(fw.SERIES, range(2, 9)):
             t = fw.FiniteType(series, n)
             for ell in range(2 if series == "D" else 1, n + 1):
                 res = fw.saturation_check(t, ell)
@@ -132,7 +132,7 @@ def main() -> int:
                     return (series, n, ell)
         return None
     bad, dt = timed(finite_sweep)
-    ok_line(bad is None, "finite bounds and saturation (A<=5, B/C<=4, D=4)",
+    ok_line(bad is None, "finite bounds and saturation (A/B/C/D, n=2..8)",
             f"{dt:.1f}s" + (f" first mismatch {bad}" if bad else ""))
 
     # affine type C

@@ -9,7 +9,8 @@ import json
 import pathlib
 import sys
 
-sys.path.insert(0, "src")
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 from atomlen import affine_classical as ac
 from atomlen import cores_abaci as ca

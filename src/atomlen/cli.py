@@ -3,7 +3,8 @@ subcommand with deterministic text or JSON output.
 
 Exit codes: 0 when the computation finished and every theorem-backed check
 passed, 1 when a report misses a value that the invoked theorem guarantees,
-2 for invalid input.
+2 for invalid input (including a computation over the budget), 3 for an
+internal error; every error is one line on stderr, never a traceback.
 """
 from __future__ import annotations
 
@@ -284,6 +285,11 @@ def main(argv=None) -> int:
     except AtomlenError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not a verdict: keep it off codes 0-2
+        detail = " ".join(str(exc).split())
+        print(f"atomlen {args.command}: internal error: "
+              f"{type(exc).__name__}: {detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

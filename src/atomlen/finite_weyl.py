@@ -1,6 +1,6 @@
 """Finite classical Weyl groups A/B/C/D: fundamental weights in exact
 arithmetic, truncated-staircase atomic lengths, their closed-form maxima,
-and brute-force saturation checks.
+and exact saturation checks by a subset DP over signed permutations.
 
 Groups act on epsilon coordinates (dimension n+1 for series A, n otherwise)
 by signed permutations; heights are read off after an exact change of basis
@@ -302,9 +302,9 @@ def saturation_predicted(t: FiniteType, ell: int) -> bool:
     ("n != 2 and ell <= n, or n = 2 and ell in {1, 3}") does not survive
     direct enumeration at the small-rank edges:
 
-    * series C never saturates at level 1: the values there are sums of
-      distinct odd numbers from {1, 3, ..., 2n-1}, so 2 is missing at every
-      rank;
+    * series C saturates at level 1 only at rank 1 (where b = 1): the values
+      there are sums of distinct odd numbers from {1, 3, ..., 2n-1}, so 2
+      is missing at every rank n >= 2;
     * at rank 2, only level 1 of series A and B saturates (the level-2 image
       misses 2; a level-3 weight does not exist), plus the reducible rank-2
       case of series D;
@@ -313,12 +313,13 @@ def saturation_predicted(t: FiniteType, ell: int) -> bool:
       rank 4.
 
     From rank 4 on, every admissible level saturates except series C at
-    level 1 (checked by enumeration through rank 6; the rank-raising
-    inequalities hold from there on).
+    level 1.  This rule matches the exact image (the subset DP of
+    saturation_check) for every series, rank 1 to 8 and level; the
+    rank-raising inequalities carry it further.
     """
     _check_ell(t, ell)
     if t.series == "C" and ell == 1:
-        return False
+        return t.n == 1
     if t.n == 2:
         return t.series == "D" or ell == 1
     if t.n == 3 and ell == 2 and t.series in ("C", "D"):
@@ -347,17 +348,80 @@ class SaturationResult:
                 "missing": list(self.missing)}
 
 
+def _image(t: FiniteType, ell: int, b: int) -> tuple[int, ...]:
+    """Sorted image of the truncated atomic length over the whole group.
+
+    With h = <u, .> the height functional, the element w(e_i) = s_i e_pi(i)
+    has length h(rho) - sum_i s_i rho_i u_pi(i).  A DP over the source
+    coordinates i = 0, 1, ... has one state per set of used targets pi(i);
+    the partial sums a state reaches are the set bits of one integer.  All
+    values are scaled by a common denominator, so the arithmetic is exact.
+
+    Series D allows only an even number of sign changes, but u_n = 0 there:
+    the sign sent to e_n does not change the value, so every sign vector
+    has an even one with the same length and the signs stay unconstrained.
+    """
+    d = t.dim
+    signs = (1,) if t.series == "A" else (1, -1)
+    budget.check((1 << d) * d * len(signs) * (b + 1),
+                 what=f"saturation DP of {t.series}{t.n}")
+    rho = truncated_staircase_eps(t, ell)
+    u = _height_functional(t.series, t.n)
+    if t.series == "D" and u[-1] != 0:
+        raise InvariantViolation(f"height functional {u} of D{t.n} needs "
+                                 f"sign parity")
+    terms = [[r * x for x in u] for r in rho]
+    scale = math.lcm(*(q.denominator for row in terms for q in row))
+    a = [[int(q * scale) for q in row] for row in terms]
+    # partial sums stay >= 0 once shifted by the largest possible drop
+    offset = sum(max(abs(x) for x in row) for row in a)
+    full = (1 << d) - 1
+    table = [0] * (full + 1)
+    table[0] = 1 << offset
+    for mask in range(full):   # every transition goes to a larger mask
+        bits, table[mask] = table[mask], 0
+        row = a[mask.bit_count()]
+        for j in range(d):
+            if mask >> j & 1:
+                continue
+            for s in signs:
+                step = -s * row[j]
+                table[mask | 1 << j] |= (bits << step if step >= 0
+                                         else bits >> -step)
+    bits = table[full]
+    base = sum(a[i][i] for i in range(d)) - offset
+    image = []
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        value, frac = divmod(base + low.bit_length() - 1, scale)
+        if frac or value < 0:
+            raise InvariantViolation(
+                f"atomic length {Fraction(value * scale + frac, scale)} of "
+                f"{t.series}{t.n}, level {ell} is not a nonnegative integer")
+        image.append(value)
+    return tuple(image)
+
+
 def saturation_check(t: FiniteType, ell: int) -> SaturationResult:
-    """Enumerate the group and test whether the atomic length image is the
-    full interval [0, b]."""
+    """Test whether the atomic length image is the full interval [0, b].
+
+    The image comes from the subset DP of _image; the values at the
+    identity and at the longest element are re-evaluated directly and must
+    be its minimum 0 and maximum b.
+    """
     _check_ell(t, ell)
     b = b_bound(t, ell)
-    values = set()
-    for w in enumerate_group(t):
-        values.add(atomic_length_finite(t, ell, w))
-    image = tuple(sorted(values))
-    is_interval = image == tuple(range(b + 1))
-    if max(image) > b:
+    image = _image(t, ell, b)
+    if image[-1] > b:
         raise InvariantViolation(
-            f"value {max(image)} above the closed-form bound {b}")
+            f"value {image[-1]} above the closed-form bound {b}")
+    ends = (atomic_length_finite(t, ell, identity_element(t)),
+            atomic_length_finite(t, ell, w0_action(t)))
+    if ends != (0, b) or (image[0], image[-1]) != ends:
+        raise InvariantViolation(
+            f"image of {t.series}{t.n}, level {ell} spans "
+            f"[{image[0]}, {image[-1]}]; identity and longest element give "
+            f"{ends}, expected (0, {b})")
+    is_interval = image == tuple(range(b + 1))
     return SaturationResult(t, ell, b, image, is_interval)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from . import budget
-from .errors import BadLength, BadSum, NotPrime, SearchFailed
+from .errors import (BadLength, BadSum, InvariantViolation, NotPrime,
+                     SearchFailed)
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,8 @@ def build_orbit(family: str, n: int, modulus: int | None = None) -> OrbitSet:
     default = n if family == "A" else 2 * n + 1
     m = default if modulus is None else modulus
     start = tuple(i % m for i in range(1, n + 1))
+    budget.check(_class_size(family, _canonical(family, start, m), m) * n,
+                 what=f"orbit closure of {family}{n} mod {m}")
     seen = {start}
     frontier = [start]
     while frontier:
@@ -134,6 +138,64 @@ def build_orbit(family: str, n: int, modulus: int | None = None) -> OrbitSet:
                 f"orbit {family},{n} mod {m} has size {len(orbit)}, "
                 f"expected {expected}")
     return orbit
+
+
+# ---------------------------------------------------------------------------
+# Orbit classes: the coordinate symmetries act linearly, so every set below
+# is a union of orbits and is handled through one canonical form per orbit.
+# ---------------------------------------------------------------------------
+
+def _canonical(family: str, v, m: int) -> tuple[int, ...]:
+    """Orbit representative: the sorted coordinates (A), the sorted classes
+    min(x, -x mod m) (C)."""
+    if family == "C":
+        v = (min(x, -x % m) for x in v)
+    return tuple(sorted(v))
+
+
+def _class_size(family: str, cls, m: int) -> int:
+    """Number of vectors whose canonical form is cls."""
+    size = math.factorial(len(cls))
+    for count in Counter(cls).values():
+        size //= math.factorial(count)
+    if family == "C":
+        size <<= sum(1 for x in cls if 2 * x % m)   # x and -x differ
+    return size
+
+
+def _arrangements(values):
+    """Distinct orderings of a multiset, each once."""
+    if not values:
+        yield ()
+        return
+    for v in sorted(set(values)):
+        rest = list(values)
+        rest.remove(v)
+        for tail in _arrangements(rest):
+            yield (v,) + tail
+
+
+def _class_members(family: str, cls, m: int):
+    """Every vector whose canonical form is cls."""
+    for p in _arrangements(cls):
+        if family == "A":
+            yield p
+        else:
+            yield from itertools.product(*(sorted({x, -x % m}) for x in p))
+
+
+def _target_classes(family: str, n: int, m: int):
+    """Canonical forms of the target group's orbits: the zero-sum multisets
+    from Z/m (A), read off their n-1 smallest entries, and all multisets of
+    +/- classes 0..m//2 (C)."""
+    if family == "C":
+        yield from itertools.combinations_with_replacement(
+            range(m // 2 + 1), n)
+        return
+    for head in itertools.combinations_with_replacement(range(m), n - 1):
+        last = -sum(head) % m
+        if not head or last >= head[-1]:
+            yield head + (last,)
 
 
 def zero_sum_subgroup(n: int, m: int) -> frozenset[tuple[int, ...]]:
@@ -173,20 +235,35 @@ def verify_sumset_equality(family: str, n: int,
     Family A: orbit minus itself must be the zero-sum subgroup of (Z/nZ)^n.
     Family C: orbit minus itself must be all of (Z/(2n+1)Z)^n (or of the
     overridden modulus group).  The certificate lists missing elements.
+
+    The orbit O = W.e is an orbit of a group W acting linearly, so
+    O - O = W.{w.e - e}: it is the union of the orbits of the |O| vectors
+    o - e.  Both sides are therefore compared on canonical forms: the
+    target's orbits are the zero-sum multisets from Z/m (A) or all
+    multisets of +/- classes 0..m//2 (C), and only the orbits that are
+    not hit are expanded into explicit missing vectors.
     """
     orbit = build_orbit(family, n, modulus)
     m = orbit.modulus
-    diffs = difference_set(orbit.elements, m)
-    if family == "A":
-        target = zero_sum_subgroup(n, m)
-    else:
-        budget.check(m ** n, what="full group enumeration")
-        target = frozenset(itertools.product(range(m), repeat=n))
-    missing = tuple(sorted(target - diffs))
-    if not diffs <= target:
+    e = tuple(i % m for i in range(1, n + 1))
+    hit = {_canonical(family, tuple((x - y) % m for x, y in zip(o, e)), m)
+           for o in orbit.elements}
+    if family == "A" and any(sum(c) % m for c in hit):
         # differences always live in the target group for family A by the
         # zero-sum invariant; anything else is a bug
         raise SearchFailed(f"difference set escapes target for {family},{n}")
+    group = m ** n if family == "C" else m ** (n - 1)
+    absent = group - sum(_class_size(family, c, m) for c in hit)
+    classes = (math.comb(m // 2 + n, n) if family == "C"
+               else math.comb(m + n - 2, n - 1))
+    budget.check(classes + absent, what="orbit classes and missing vectors")
+    missing = tuple(sorted(v for c in _target_classes(family, n, m)
+                           if c not in hit
+                           for v in _class_members(family, c, m)))
+    if len(missing) != absent:
+        raise InvariantViolation(
+            f"{len(missing)} missing vectors for {family},{n} mod {m}, "
+            f"expected {absent}")
     return SumsetCertificate(family, n, m, not missing, missing)
 
 

@@ -1,8 +1,10 @@
 import json
+import time
 
 import jsonschema
 import pytest
 
+from atomlen import cli, finite_weyl
 from atomlen.cli import main
 
 REPORT_SCHEMA = {
@@ -224,6 +226,36 @@ def test_finite_bound_and_saturate(capsys):
                        "2", "--saturate")
     assert code == 0  # non-interval here matches the characterization
     assert "interval=no" in out and "missing=2,5" in out
+
+
+def test_finite_saturate_rank_nine_is_fast(capsys):
+    # 10! elements took minutes by enumeration; the subset DP has 2^10 states
+    start = time.perf_counter()
+    code, out, err = run(capsys, "finite", "--type", "A", "--n", "9",
+                         "--ell", "9", "--saturate")
+    assert time.perf_counter() - start < 10
+    assert code == 0 and err == ""
+    assert out == "type=A n=9 ell=9 b=165 interval=yes missing=-\n"
+
+
+def test_finite_saturate_over_budget_before_any_table(capsys, monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("the DP started before the budget check")
+    monkeypatch.setattr(finite_weyl, "truncated_staircase_eps", no_tables)
+    code, out, err = run(capsys, "finite", "--type", "A", "--n", "40",
+                         "--ell", "1", "--saturate")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "over the budget" in err
+
+
+def test_internal_error_is_exit_three(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("unexpected\nstate")
+    monkeypatch.setattr(cli, "_cmd_entropy", boom)
+    code, out, err = run(capsys, "entropy", "--n", "2", "--window", "3,0")
+    assert code == 3 and out == ""
+    assert err == ("atomlen entropy: internal error: RuntimeError: "
+                   "unexpected state\n")
 
 
 def test_threshold(capsys):

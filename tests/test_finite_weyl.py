@@ -175,6 +175,70 @@ def test_saturation_matches_predicted(te):
     assert res.is_interval == fw.saturation_predicted(t, ell)
 
 
+def levels(series, n):
+    return range(2 if series == "D" else 1, n + 1)
+
+
+@pytest.mark.parametrize("series,n", [(s, n) for s in fw.SERIES
+                                      for n in range(2 if s == "D" else 1, 6)])
+def test_saturation_image_matches_enumeration(series, n):
+    t = fw.FiniteType(series, n)
+    group = list(fw.enumerate_group(t))
+    for ell in levels(series, n):
+        oracle = {fw.atomic_length_finite(t, ell, w) for w in group}
+        assert fw.saturation_check(t, ell).image == tuple(sorted(oracle))
+
+
+def test_saturation_predicted_matches_the_image_through_rank_8():
+    for series in fw.SERIES:
+        for n in range(2 if series == "D" else 1, 9):
+            t = fw.FiniteType(series, n)
+            for ell in levels(series, n):
+                res = fw.saturation_check(t, ell)
+                assert res.is_interval == fw.saturation_predicted(t, ell), \
+                    (series, n, ell, res.missing)
+                assert res.image[-1] == fw.b_bound(t, ell)
+
+
+@pytest.mark.parametrize("series,n,ell,b,signs", [("A", 3, 3, 10, 1),
+                                                  ("B", 3, 2, 16, 2)])
+def test_saturation_budget_counts_dp_work(monkeypatch, series, n, ell, b,
+                                          signs):
+    t = fw.FiniteType(series, n)
+    work = 2 ** t.dim * t.dim * signs * (b + 1)  # states x targets x signs
+    monkeypatch.setenv("ATOMLEN_BUDGET", str(work - 1))
+    with pytest.raises(BudgetExceeded, match="saturation DP"):
+        fw.saturation_check(t, ell)
+    monkeypatch.setenv("ATOMLEN_BUDGET", str(work))
+    assert fw.saturation_check(t, ell).bound == b
+
+
+def test_saturation_exactness_invariants(monkeypatch):
+    t = fw.FiniteType("B", 3)
+    b = fw.b_bound(t, 2)
+    with monkeypatch.context() as mp:
+        mp.setattr(fw, "b_bound", lambda t, ell: b - 1)
+        with pytest.raises(InvariantViolation, match="above the closed-form"):
+            fw.saturation_check(t, 2)
+    with monkeypatch.context() as mp:
+        mp.setattr(fw, "w0_action", fw.identity_element)
+        with pytest.raises(InvariantViolation, match="longest element"):
+            fw.saturation_check(t, 2)
+    rho = fw.truncated_staircase_eps(t, 2)
+    with monkeypatch.context() as mp:
+        mp.setattr(fw, "truncated_staircase_eps",
+                   lambda t, ell: (rho[0] + Fraction(1, 3),) + rho[1:])
+        with pytest.raises(InvariantViolation, match="nonnegative integer"):
+            fw.saturation_check(t, 2)
+    td = fw.FiniteType("D", 4)
+    u = fw._height_functional("D", 4)
+    with monkeypatch.context() as mp:
+        mp.setattr(fw, "_height_functional",
+                   lambda series, n: u[:-1] + (Fraction(1),))
+        with pytest.raises(InvariantViolation, match="sign parity"):
+            fw.saturation_check(td, 2)
+
+
 def test_saturation_result_serialization():
     res = fw.saturation_check(fw.FiniteType("B", 2), 2)
     doc = res.to_json_dict()

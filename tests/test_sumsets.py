@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from atomlen import sumsets as ss
 from atomlen.errors import (AtomlenError, BadLength, BadSum, BudgetExceeded,
-                            NotPrime)
+                            NotPrime, SearchFailed)
 
 
 def test_hall_worked_example():
@@ -115,6 +116,65 @@ def test_c_difference_witness_random_targets():
             w1, w2 = ss.c_difference_witness(n, a)
             assert all((x - y) % p == t for x, y, t in zip(w1, w2, a))
             assert w1 in orbit and w2 in orbit
+
+
+def pairwise_oracle(family, n, m):
+    """Missing vectors of the difference-set identity from the definition:
+    the orbit as all (signed) permutations of (1, ..., n) mod m, every
+    pairwise difference, and the target group listed element by element."""
+    e = tuple(i % m for i in range(1, n + 1))
+    orbit = set(itertools.permutations(e))
+    if family == "C":
+        orbit = {tuple(s * x % m for s, x in zip(signs, v))
+                 for v in orbit
+                 for signs in itertools.product((1, -1), repeat=n)}
+    diffs = {tuple((x - y) % m for x, y in zip(a, b))
+             for a in orbit for b in orbit}
+    target = {v for v in itertools.product(range(m), repeat=n)
+              if family == "C" or sum(v) % m == 0}
+    assert diffs <= target
+    return tuple(sorted(target - diffs))
+
+
+@pytest.mark.parametrize("family,n,m", [
+    *(("A", n, None) for n in range(1, 7)),
+    *(("C", n, None) for n in range(1, 4)),
+    *((f, n, m) for f in "AC" for n in range(1, 4) for m in range(1, 10)),
+])
+def test_certificate_matches_pairwise_oracle(family, n, m):
+    cert = ss.verify_sumset_equality(family, n, m)
+    default = n if family == "A" else 2 * n + 1
+    assert cert.modulus == (default if m is None else m)
+    assert cert.missing == pairwise_oracle(family, n, cert.modulus)
+    assert cert.equal == (not cert.missing)
+
+
+def test_quotient_orbit_sizes_match_the_closure():
+    for family, n, m in (("A", 5, 5), ("A", 4, 2), ("C", 3, 7), ("C", 3, 4),
+                         ("C", 4, 6)):
+        orbit = ss.build_orbit(family, n, m)
+        start = tuple(i % m for i in range(1, n + 1))
+        cls = ss._canonical(family, start, m)
+        assert ss._class_size(family, cls, m) == len(orbit)
+        assert set(ss._class_members(family, cls, m)) == orbit.elements
+
+
+def test_classes_and_missing_vectors_are_budgeted(monkeypatch):
+    # C2 mod 8: the orbit closure (16 steps) fits either way; 15 target
+    # classes plus 37 missing vectors make 52
+    assert len(ss.verify_sumset_equality("C", 2, 8).missing) == 37
+    monkeypatch.setenv("ATOMLEN_BUDGET", "51")
+    with pytest.raises(BudgetExceeded, match="missing vectors"):
+        ss.verify_sumset_equality("C", 2, 8)
+    monkeypatch.setenv("ATOMLEN_BUDGET", "52")
+    assert len(ss.verify_sumset_equality("C", 2, 8).missing) == 37
+
+
+def test_difference_class_outside_the_target_is_an_error(monkeypatch):
+    monkeypatch.setattr(ss, "_canonical",
+                        lambda family, v, m: (1,) + (0,) * (len(v) - 1))
+    with pytest.raises(SearchFailed, match="escapes target"):
+        ss.verify_sumset_equality("A", 3)
 
 
 def test_budget_guard(monkeypatch):

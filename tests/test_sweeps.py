@@ -3,7 +3,12 @@ byte: the test iterates the script's own sweeps(), so both share one list."""
 import hashlib
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "scan_sweeps.py"
 
@@ -55,3 +60,12 @@ def test_sweep_reports_are_pinned():
             changed.append(name)
     assert not changed, f"sweep reports changed: {', '.join(changed)}"
     assert names == list(PINNED)
+
+
+@pytest.mark.parametrize("script", ["scan_sweeps.py", "run_paper_checks.py"])
+def test_scripts_run_from_any_directory(tmp_path, script):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(SCRIPT.parent / script),
+                           "--help"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
