@@ -466,31 +466,38 @@ def represent(form: FormSpec, domain: ConstrainedDomain, k, radius: int):
 def _attained_q(nvars: int, m: int) -> frozenset[int]:
     """Classes mod m attained by the all-pairwise-products form.
 
-    The polynomial has integer coefficients, so coordinates in [0, m) give
-    every class.
+    q has integer coefficients, so coordinates mod m decide q mod m.
+    Appending v to a prefix of sum s adds v^2 + v*s to q, so a DP over the
+    coordinates keeps, per prefix sum mod m, the classes of q mod m as an
+    m-bit int; appending v rotates that int.  The last coordinate needs
+    no sum state: it rotates by each distinct increment into state 0.
     """
-    budget.check(m ** nvars, what="residue enumeration")
-    attained = set()
-
-    # evaluate via (sum of squares + square of sum) / 2; parity is automatic
-    def rec(i, sq, s):
-        if i == nvars:
-            attained.add(((sq + s * s) // 2) % m)
-            return
-        for v in range(m):
-            rec(i + 1, sq + v * v, s + v)
-
-    rec(0, 0, 0)
-    return frozenset(attained)
+    full = (1 << m) - 1
+    layer, work = {0: 1}, 0
+    for i in range(nvars):
+        work += len(layer) * m
+        budget.check(work, what=f"residue table of q({nvars}) mod {m}")
+        nxt = {}
+        for s, bits in layer.items():
+            if i == nvars - 1:
+                steps = ((0, d) for d in {v * (v + s) % m for v in range(m)})
+            else:
+                steps = (((s + v) % m, v * (v + s) % m) for v in range(m))
+            for t, d in steps:
+                nxt[t] = nxt.get(t, 0) | ((bits << d | bits >> (m - d))
+                                          & full)
+        layer = nxt
+    return frozenset(c for c in range(m) if layer[0] >> c & 1)
 
 
 def attained_classes(form: FormSpec, m: int) -> frozenset[int]:
     """Residue classes mod m attained by the pairwise-products form q, or by
     P and Q on their window and zero-sum domains.
 
-    Exhaustive over one coordinate period.  P and Q use the exact reduction
-    to q in one variable less (same value sets, hence same classes).  Other
-    forms raise DomainViolation.
+    Exact: a DP over the coordinates mod m (see _attained_q), about
+    arity * m^2 steps.  P and Q use the exact reduction to q in one variable
+    less (same value sets, hence same classes).  Other forms raise
+    DomainViolation.
     """
     if m < 1:
         raise DomainViolation(f"modulus must be >= 1, got {m}")
@@ -504,11 +511,13 @@ def attained_classes(form: FormSpec, m: int) -> frozenset[int]:
         f"attained_classes does not support form {form.form_id!r}")
 
 
-_OBSTRUCTION_WORK_CAP = 5 * 10 ** 6
-
-
 def _obstruction(form: FormSpec, k: int, moduli) -> tuple[int, int] | None:
-    """Smallest modulus certifying that k is in a missed class, if any."""
+    """First modulus in moduli certifying that k is in a missed class, if
+    any.
+
+    Every modulus is tried, however large: one whose residue table is over
+    the budget raises BudgetExceeded instead of being skipped.
+    """
     if form.form_id not in ("P", "Q", "q"):
         return None
     arity = form.nvars if form.form_id == "q" else form.nvars - 1
@@ -516,8 +525,6 @@ def _obstruction(form: FormSpec, k: int, moduli) -> tuple[int, int] | None:
         return None  # universal from four variables on: no class is missed
     base = form_q(arity)
     for m in moduli:
-        if m ** arity > _OBSTRUCTION_WORK_CAP:
-            break
         if k % m not in attained_classes(base, m):
             return m, k % m
     return None

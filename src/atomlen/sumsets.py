@@ -99,44 +99,39 @@ def sumset(A, m: int) -> frozenset[tuple[int, ...]]:
     return frozenset(out)
 
 
-def build_orbit(family: str, n: int, modulus: int | None = None) -> OrbitSet:
-    """Orbit of (1, ..., n) under adjacent swaps ("A"), plus a sign flip of
-    the last coordinate ("C"), computed by breadth-first closure.
+def _orbit(family: str, n: int, modulus: int | None):
+    """Modulus m, start vector e = (1, ..., n) mod m, and the orbit of e as
+    a stream: the vectors whose canonical form is e's (see below).
 
     Defaults: modulus n for family A, 2n+1 for family C.  At the default
-    modulus the size is checked against n! (A) and 2^n n! (C).
+    modulus the orbit size must be n! (A) or 2^n n! (C); check_size checks
+    a count against that.
     """
     if family not in ("A", "C"):
         raise BadLength(f"unknown family {family!r}")
     default = n if family == "A" else 2 * n + 1
     m = default if modulus is None else modulus
-    start = tuple(i % m for i in range(1, n + 1))
-    budget.check(_class_size(family, _canonical(family, start, m), m) * n,
-                 what=f"orbit closure of {family}{n} mod {m}")
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(n - 1):
-                w = v[:i] + (v[i + 1], v[i]) + v[i + 2:]
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-            if family == "C":
-                w = v[:-1] + ((-v[-1]) % m,)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    orbit = OrbitSet(family, n, m, frozenset(seen))
-    if modulus is None or modulus == default:
-        expected = (math.factorial(n) if family == "A"
-                    else 2 ** n * math.factorial(n))
-        if len(orbit) != expected:
+    e = tuple(i % m for i in range(1, n + 1))
+    cls = _canonical(family, e, m)
+    budget.check(_class_size(family, cls, m) * n,
+                 what=f"orbit of {family}{n} mod {m}")
+
+    def check_size(size: int) -> None:
+        expected = math.factorial(n) << (n if family == "C" else 0)
+        if m == default and size != expected:
             raise SearchFailed(
-                f"orbit {family},{n} mod {m} has size {len(orbit)}, "
+                f"orbit {family},{n} mod {m} has size {size}, "
                 f"expected {expected}")
+
+    return m, e, _class_members(family, cls, m), check_size
+
+
+def build_orbit(family: str, n: int, modulus: int | None = None) -> OrbitSet:
+    """Orbit of (1, ..., n) under coordinate permutations ("A"), plus sign
+    flips ("C"), listed explicitly (see _orbit)."""
+    m, _, members, check_size = _orbit(family, n, modulus)
+    orbit = OrbitSet(family, n, m, frozenset(members))
+    check_size(len(orbit))
     return orbit
 
 
@@ -241,17 +236,20 @@ def verify_sumset_equality(family: str, n: int,
     o - e.  Both sides are therefore compared on canonical forms: the
     target's orbits are the zero-sum multisets from Z/m (A) or all
     multisets of +/- classes 0..m//2 (C), and only the orbits that are
-    not hit are expanded into explicit missing vectors.
+    not hit are expanded into explicit missing vectors.  The orbit is
+    streamed, never stored: memory grows with the number of classes.
     """
-    orbit = build_orbit(family, n, modulus)
-    m = orbit.modulus
-    e = tuple(i % m for i in range(1, n + 1))
-    hit = {_canonical(family, tuple((x - y) % m for x, y in zip(o, e)), m)
-           for o in orbit.elements}
+    m, e, members, check_size = _orbit(family, n, modulus)
+    hit, size = set(), 0
+    for o in members:
+        hit.add(_canonical(family, tuple((x - y) % m for x, y in zip(o, e)),
+                           m))
+        size += 1
     if family == "A" and any(sum(c) % m for c in hit):
         # differences always live in the target group for family A by the
         # zero-sum invariant; anything else is a bug
         raise SearchFailed(f"difference set escapes target for {family},{n}")
+    check_size(size)
     group = m ** n if family == "C" else m ** (n - 1)
     absent = group - sum(_class_size(family, c, m) for c in hit)
     classes = (math.comb(m // 2 + n, n) if family == "C"

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import os
 import time
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomlen import cli, finite_weyl
+from atomlen import quadratic_forms as qf
 from atomlen.cli import main
 
 REPORT_SCHEMA = {
@@ -39,6 +46,37 @@ REPORT_SCHEMA = {
         },
     },
     "additionalProperties": False,
+}
+
+
+INT = {"type": "integer"}
+INTS = {"type": "array", "items": INT}
+PARTITIONS = {"type": "array", "items": INTS}
+
+
+def exact_object(**properties):
+    return {"type": "object", "required": sorted(properties),
+            "properties": properties, "additionalProperties": False}
+
+
+FINITE_FIELDS = {"type": {"enum": list(finite_weyl.SERIES)}, "n": INT,
+                 "ell": INT, "b": INT}
+SCHEMAS = {
+    "entropy": exact_object(n=INT, window=INTS, entropy=INT),
+    "hall": exact_object(mod=INT, d=INTS, a=INTS, b=INTS),
+    "sumset": exact_object(family={"enum": ["A", "C"]}, n=INT, modulus=INT,
+                           equal={"type": "boolean"},
+                           missing={"type": "array", "items": INTS}),
+    "core": exact_object(n=INT, input=PARTITIONS, charges=INTS,
+                         quotient=PARTITIONS, quotient_charges=INTS,
+                         core=PARTITIONS, core_charges=INTS,
+                         core_multicharge=INTS, core_size=INT),
+    "finite --bound": exact_object(**FINITE_FIELDS),
+    "finite --saturate": exact_object(
+        **FINITE_FIELDS, image_min=INT, image_max=INT,
+        is_interval={"type": "boolean"}, missing=INTS),
+    "threshold": exact_object(type={"enum": list(qf.LATTICE_TAGS)}, n0=INT,
+                              check_range=INT),
 }
 
 
@@ -264,3 +302,124 @@ def test_threshold(capsys):
     code, out, _ = run(capsys, "threshold", "--type", "D2", "--json")
     assert code == 0
     assert json.loads(out)["n0"] == 10
+
+
+@pytest.mark.parametrize("schema,argv", [
+    ("entropy", ("entropy", "--n", "3", "--window", "4,-1,3")),
+    ("hall", ("hall", "--mod", "4", "--d", "3,0,2,3")),
+    ("hall", ("hall", "--mod", "1", "--d", "0")),
+    ("sumset", ("sumset", "--family", "A", "--n", "4")),
+    ("sumset", ("sumset", "--family", "C", "--n", "2", "--mod", "4")),
+    ("core", ("core", "--npartition", "3,1;2,1", "--charges", "0,0",
+              "--n", "3")),
+    ("core", ("core", "--npartition", ";", "--charges", "1,-1", "--n",
+              "2")),
+    ("finite --bound", ("finite", "--type", "D", "--n", "4", "--ell", "2",
+                        "--bound")),
+    ("finite --saturate", ("finite", "--type", "B", "--n", "2", "--ell",
+                           "2", "--saturate")),
+    ("finite --saturate", ("finite", "--type", "A", "--n", "4", "--ell",
+                           "3", "--saturate")),
+    ("threshold", ("threshold", "--type", "C1")),
+    ("threshold", ("threshold", "--type", "A2odd")),
+])
+def test_json_validates_against_schema(capsys, schema, argv):
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0 and err == ""
+    jsonschema.validate(json.loads(out), SCHEMAS[schema])
+
+
+# Generated argv: every subcommand, mostly with well-formed options (valid
+# windows, zero-sum differences, partitions), otherwise with an option
+# missing, out of range or malformed.
+SMALL = st.integers(0, 12)
+MALFORMED = st.sampled_from(["", "x", "1.5", "1e3", "0x10", " 7", "-1", "-3",
+                             "40", ",", "1,,2", "a,b", "1;2", "3,1;x", ";;"])
+csv = ",".join
+
+
+@st.composite
+def window(draw, n):
+    """Window of an affine permutation of rank n (sometimes not one)."""
+    perm = draw(st.permutations(range(1, n + 1)))
+    shifts = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    shifts[-1] -= draw(st.sampled_from([0, 0, 0, 1])) + sum(shifts)
+    return csv(str(p + n * t) for p, t in zip(perm, shifts))
+
+
+@st.composite
+def zero_sum(draw, m):
+    d = draw(st.lists(st.integers(-5, 12), min_size=m - 1, max_size=m))
+    return csv(map(str, d + [-sum(d)] if len(d) < m else d))
+
+
+@st.composite
+def multipartition(draw, ell):
+    comps = draw(st.lists(st.lists(st.integers(0, 6), max_size=4),
+                          min_size=ell, max_size=ell))
+    return ";".join(csv(map(str, sorted(c, reverse=True))) for c in comps)
+
+
+@st.composite
+def command_options(draw):
+    """(command, [(option, value or None for a flag), ...])."""
+    command = draw(st.sampled_from(["entropy", "scan", "hall", "sumset",
+                                    "core", "finite", "threshold", "bogus"]))
+    n = draw(st.integers(1, 7))
+    ell = draw(st.integers(1, 4))
+    ints = [draw(SMALL) for _ in range(2)]
+    if command == "entropy":
+        opts = [("--n", n), ("--window", draw(window(n)))]
+    elif command == "scan":
+        opts = [("--form", draw(st.sampled_from(cli.SCAN_FORMS))),
+                ("--n", n), ("--max-k", ints[0]), ("--radius", ints[1]),
+                ("--ell", ell),
+                ("--s", csv(map(str, draw(st.lists(SMALL, max_size=4))))),
+                ("--type", draw(st.sampled_from(qf.LATTICE_TAGS)))]
+    elif command == "hall":
+        opts = [("--mod", n), ("--d", draw(zero_sum(n)))]
+    elif command == "sumset":
+        opts = [("--family", draw(st.sampled_from("AC"))), ("--n", n),
+                ("--mod", ints[0])]
+    elif command == "core":
+        opts = [("--npartition", draw(multipartition(ell))),
+                ("--charges", csv(str(draw(st.integers(-3, 3)))
+                                  for _ in range(ell))),
+                ("--n", n), ("--render", None)]
+    elif command == "finite":
+        opts = [("--type", draw(st.sampled_from(finite_weyl.SERIES))),
+                ("--n", n), ("--ell", ints[0]),
+                (draw(st.sampled_from(["--bound", "--saturate"])), None)]
+    elif command == "threshold":
+        opts = [("--type", draw(st.sampled_from(qf.LATTICE_TAGS)))]
+    else:
+        opts = []
+    return command, opts
+
+
+@st.composite
+def argvs(draw):
+    command, opts = draw(command_options())
+    argv = [command]
+    for option, value in opts:
+        if not draw(st.integers(0, 9)):
+            continue   # missing one time in ten
+        argv.append(option)
+        if value is not None:
+            bad = not draw(st.integers(0, 9))
+            argv.append(draw(MALFORMED) if bad else str(value))
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@given(argvs(), st.sampled_from(["100000", "100000", "200", "abc"]))
+@settings(max_examples=300, deadline=None)
+def test_cli_fuzz_exits_cleanly(argv, budget):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"ATOMLEN_BUDGET": budget}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())

@@ -277,6 +277,85 @@ def test_attained_classes_monotone_under_divisibility(m, d):
     assert {c % d for c in classes_m} <= classes_d
 
 
+def enumerated_classes(nvars, m):
+    """Classes of q mod m, literally: q at every vector of [0, m)^nvars."""
+    return frozenset(qf.eval_q(x) % m
+                     for x in itertools.product(range(m), repeat=nvars))
+
+
+@pytest.mark.parametrize("nvars", range(4))
+def test_attained_classes_match_enumeration(nvars):
+    moduli = sorted({*range(1, 41), *qf.DEFAULT_OBSTRUCTION_MODULI})
+    for m in moduli:
+        if m ** nvars > 3 * 10 ** 5:
+            continue
+        classes = enumerated_classes(nvars, m)
+        assert qf._attained_q(nvars, m) == classes, m
+        assert qf.attained_classes(qf.form_q(nvars), m) == classes, m
+        # P(n) and Q(n) reduce to q(n - 1)
+        for form in (qf.form_P(nvars + 1), qf.form_Q(nvars + 1)):
+            assert qf.attained_classes(form, m) == classes, (form, m)
+
+
+def test_residue_table_budget_counts_dp_work(monkeypatch):
+    # q(3) mod 16: 1, 16 and 16 prefix-sum states, 16 values each
+    work = 16 + 16 * 16 + 16 * 16
+    qf._attained_q.cache_clear()
+    monkeypatch.setenv("ATOMLEN_BUDGET", str(work - 1))
+    with pytest.raises(BudgetExceeded, match="residue table"):
+        qf._attained_q(3, 16)
+    monkeypatch.setenv("ATOMLEN_BUDGET", str(work))
+    assert set(range(16)) - qf._attained_q(3, 16) == {14}
+
+
+def test_obstruction_tries_every_modulus(monkeypatch):
+    # 14 and 30 are attained mod 300; the large modulus is tried, not
+    # skipped, and mod 16 certifies both misses
+    form, dom = qf.form_q(3), qf.domain_Z_full(3)
+    rep = qf.universality_scan(form, dom, 40, 10, moduli=(300, 16))
+    assert [(e.target, e.status, e.modulus, e.residue)
+            for e in rep.misses] == [(14, "obstructed", 16, 14),
+                                     (30, "obstructed", 16, 14)]
+    rep = qf.universality_scan(form, dom, 40, 10, moduli=(300,))
+    assert [(e.target, e.status) for e in rep.misses] == [
+        (14, "not-found"), (30, "not-found")]
+    qf._attained_q.cache_clear()
+    monkeypatch.setenv("ATOMLEN_BUDGET", str(300 + 2 * 300 * 300 - 1))
+    with pytest.raises(BudgetExceeded,
+                       match=r"residue table of q\(3\) mod 300"):
+        qf.universality_scan(form, dom, 40, 10, moduli=(300,))
+
+
+# (k, modulus, residue) of every obstructed target, recorded from the
+# enumeration of every class over one coordinate period
+PINNED_OBSTRUCTIONS_Q3 = [
+    (14, 16, 14), (30, 16, 14), (46, 16, 14), (56, 64, 56), (62, 16, 14),
+    (78, 16, 14), (94, 16, 14), (110, 16, 14), (120, 64, 56), (126, 16, 14),
+    (142, 16, 14), (158, 16, 14), (174, 16, 14), (184, 64, 56),
+    (190, 16, 14), (206, 16, 14), (222, 16, 14), (238, 16, 14),
+    (248, 64, 56), (254, 16, 14), (270, 16, 14), (286, 16, 14)]
+PINNED_OBSTRUCTIONS = [
+    (qf.form_q(3), qf.domain_Z_full(3), 300, 20, PINNED_OBSTRUCTIONS_Q3),
+    (qf.form_P(4), qf.domain_D(4), 200, 30, PINNED_OBSTRUCTIONS_Q3[:15]),
+    (qf.form_Q(4), qf.domain_Delta(4), 600, 40, PINNED_OBSTRUCTIONS_Q3 + [
+        (302, 16, 14), (312, 64, 56), (318, 16, 14), (334, 16, 14),
+        (350, 16, 14), (366, 16, 14), (376, 64, 56), (382, 16, 14),
+        (398, 16, 14), (414, 16, 14), (430, 16, 14), (440, 64, 56),
+        (446, 16, 14), (462, 16, 14), (478, 16, 14), (494, 16, 14),
+        (504, 64, 56), (510, 16, 14), (526, 16, 14), (542, 16, 14),
+        (558, 16, 14), (568, 64, 56), (574, 16, 14), (590, 16, 14)]),
+]
+
+
+@pytest.mark.parametrize("form,dom,max_k,radius,pinned", PINNED_OBSTRUCTIONS,
+                         ids=["q3", "P4", "Q4"])
+def test_pinned_obstructions(form, dom, max_k, radius, pinned):
+    qf._attained_q.cache_clear()
+    rep = qf.universality_scan(form, dom, max_k, radius)
+    assert [(e.target, e.modulus, e.residue) for e in rep.entries
+            if e.status == "obstructed"] == pinned
+
+
 def test_scan_small_n_reports_obstructions():
     rep = qf.universality_scan(qf.form_q(2), qf.domain_Z_full(2), 10, 10)
     flagged = {e.target: (e.modulus, e.residue) for e in rep.entries

@@ -149,18 +149,50 @@ def test_certificate_matches_pairwise_oracle(family, n, m):
     assert cert.equal == (not cert.missing)
 
 
+def orbit_closure(family, n, m):
+    """Orbit of (1, ..., n) mod m by breadth-first closure under adjacent
+    swaps, plus a sign flip of the last coordinate for family C."""
+    start = tuple(i % m for i in range(1, n + 1))
+    seen, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            moves = [v[:i] + (v[i + 1], v[i]) + v[i + 2:]
+                     for i in range(n - 1)]
+            if family == "C":
+                moves.append(v[:-1] + (-v[-1] % m,))
+            for w in moves:
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return frozenset(seen)
+
+
 def test_quotient_orbit_sizes_match_the_closure():
     for family, n, m in (("A", 5, 5), ("A", 4, 2), ("C", 3, 7), ("C", 3, 4),
-                         ("C", 4, 6)):
-        orbit = ss.build_orbit(family, n, m)
+                         ("C", 4, 6), ("A", 1, 1), ("C", 1, 2), ("C", 2, 8)):
+        closure = orbit_closure(family, n, m)
         start = tuple(i % m for i in range(1, n + 1))
         cls = ss._canonical(family, start, m)
-        assert ss._class_size(family, cls, m) == len(orbit)
-        assert set(ss._class_members(family, cls, m)) == orbit.elements
+        assert ss._class_size(family, cls, m) == len(closure)
+        assert set(ss._class_members(family, cls, m)) == closure
+        assert ss.build_orbit(family, n, m).elements == closure
+
+
+def test_orbit_size_is_checked_at_the_default_modulus(monkeypatch):
+    # a class expansion that lost a vector is caught by the count, both
+    # when the orbit is listed and when it is streamed
+    real = ss._class_members
+    monkeypatch.setattr(ss, "_class_members",
+                        lambda family, cls, m: list(real(family, cls, m))[1:])
+    for build in (ss.build_orbit, ss.verify_sumset_equality):
+        with pytest.raises(SearchFailed, match="expected 6"):
+            build("A", 3)
 
 
 def test_classes_and_missing_vectors_are_budgeted(monkeypatch):
-    # C2 mod 8: the orbit closure (16 steps) fits either way; 15 target
+    # C2 mod 8: the orbit (16 steps) fits either way; 15 target
     # classes plus 37 missing vectors make 52
     assert len(ss.verify_sumset_equality("C", 2, 8).missing) == 37
     monkeypatch.setenv("ATOMLEN_BUDGET", "51")
