@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadLength, BadSum, InvariantViolation, RankMismatch, ResidueClash
+from .quadratic_forms import eval_P
 
 
 @dataclass(frozen=True)
@@ -139,16 +140,9 @@ def entropy(w: AffinePermutation) -> int:
 
 
 def atomic_length_rho(w: AffinePermutation) -> int:
-    """Atomic length for the sum of the fundamental weights, straight from the
-    window polynomial; agrees with entropy() on every element."""
-    n = w.n
-    num = 6 * sum(v * v for v in w.window)
-    num -= 12 * sum(i * v for i, v in enumerate(w.window, start=1))
-    num += n * (n + 1) * (2 * n + 1)
-    q, r = divmod(num, 12)
-    if r:
-        raise InvariantViolation(f"atomic length of {w.window} is not an integer")
-    return q
+    """Atomic length for the sum of the fundamental weights: the window
+    polynomial P at the window; agrees with entropy() on every element."""
+    return eval_P(w.window, w.n)
 
 
 def root_lattice_vectors(n: int, max_norm: int) -> list[tuple[int, ...]]:

@@ -81,7 +81,7 @@ def _scan_report(args):
         return rep, n >= 4
     if form == "deltaC":
         rep = affine_classical.scan_deltaC(n, args.max_k, args.radius)
-        return rep, sumsets.is_prime(2 * n + 1) and n >= 2
+        return rep, n >= 4 and sumsets.is_prime(2 * n + 1)
     if form == "lattice":
         if not args.type:
             raise AtomlenError("form lattice needs --type")

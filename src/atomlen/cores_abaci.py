@@ -238,38 +238,30 @@ def _block_range(runners, width: int) -> tuple[int, int]:
     return lo_all // width - 1, (hi_all - 1) // width + 1
 
 
-def _rotate_acw(runners: tuple[BetaAbacus, ...], n: int) -> tuple[BetaAbacus, ...]:
-    """Quarter turn anticlockwise of every width-n block of an l-runner
-    abacus: the bead on runner r (1-based, bottom to top) at position
-    q*n + (c-1) lands on runner c at position q*l + (l - r)."""
-    ell = len(runners)
-    q_min, q_max = _block_range(runners, n)
+def _transpose(runners: tuple[BetaAbacus, ...], width: int) -> tuple[BetaAbacus, ...]:
+    """Cut a k-runner abacus into blocks of `width` positions and transpose
+    each: the bead on runner i (0-based) at position q*width + j lands on
+    runner j at position q*k + i."""
+    k = len(runners)
+    q_min, q_max = _block_range(runners, width)
     out = []
-    for c in range(1, n + 1):
+    for j in range(width):
         occupied = []
         for q in range(q_min, q_max + 1):
-            p_old = q * n + (c - 1)
-            for d in range(ell):
-                if runners[ell - d - 1].occupied(p_old):
-                    occupied.append(q * ell + d)
-        out.append(normalize_runner(q_min * ell, occupied))
+            p_old = q * width + j
+            for i in range(k):
+                if runners[i].occupied(p_old):
+                    occupied.append(q * k + i)
+        out.append(normalize_runner(q_min * k, occupied))
     return tuple(out)
 
 
-def _rotate_cw(runners: tuple[BetaAbacus, ...], ell: int) -> tuple[BetaAbacus, ...]:
-    """Inverse of _rotate_acw: from an n-runner abacus back to l runners."""
-    n = len(runners)
-    q_min, q_max = _block_range(runners, ell)
-    out = []
-    for r in range(1, ell + 1):
-        occupied = []
-        for q in range(q_min, q_max + 1):
-            p_old = q * ell + (ell - r)
-            for c in range(1, n + 1):
-                if runners[c - 1].occupied(p_old):
-                    occupied.append(q * n + (c - 1))
-        out.append(normalize_runner(q_min * n, occupied))
-    return tuple(out)
+def _rotate(multipartition, charges, width: int):
+    """Reverse the runners, transpose the blocks, reverse again.  Width n is
+    phi; width l undoes it, since transposing twice is the identity."""
+    runners = l_abacus(multipartition, charges).runners[::-1]
+    out = LAbacus(_transpose(runners, width)[::-1])
+    return out.to_multipartition(), out.multicharge
 
 
 def phi(multipartition, charges, n: int):
@@ -278,21 +270,14 @@ def phi(multipartition, charges, n: int):
     charge is preserved."""
     if n < 2:
         raise BadLength(f"need n >= 2, got {n}")
-    ab = l_abacus(multipartition, charges)
-    rotated = _rotate_acw(ab.runners, n)
-    out = LAbacus(tuple(reversed(rotated)))
-    return out.to_multipartition(), out.multicharge
+    return _rotate(multipartition, charges, n)
 
 
 def phi_inverse(multipartition, charges, ell: int):
-    """Inverse of phi: undo the output reversal, rotate blocks back."""
+    """Inverse of phi: the same reverse-transpose-reverse with width l."""
     if ell < 1:
         raise BadEll(f"need level >= 1, got {ell}")
-    ab = l_abacus(tuple(reversed(tuple(multipartition))),
-                  tuple(reversed(tuple(charges))))
-    rotated = _rotate_cw(ab.runners, ell)
-    out = LAbacus(rotated)
-    return out.to_multipartition(), out.multicharge
+    return _rotate(multipartition, charges, ell)
 
 
 def ns_core_of(multipartition, charges, n: int):

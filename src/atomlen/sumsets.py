@@ -31,7 +31,7 @@ def hall_decompose(m: int, d) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     Exists for every zero-sum d-vector; found by backtracking (columns left
     to right, unused a-values tried in ascending order, so the output is
-    deterministic).
+    deterministic).  Every dead end of the search counts against the budget.
     """
     d = tuple(x % m for x in d)
     if len(d) != m:
@@ -42,8 +42,10 @@ def hall_decompose(m: int, d) -> tuple[tuple[int, ...], tuple[int, ...]]:
     a = [0] * m
     used_a = bytearray(m)
     used_b = bytearray(m)
+    dead_ends = 0
 
     def rec(i: int) -> bool:
+        nonlocal dead_ends
         if i == m:
             return True
         for v in range(m):
@@ -57,6 +59,10 @@ def hall_decompose(m: int, d) -> tuple[tuple[int, ...], tuple[int, ...]]:
             if rec(i + 1):
                 return True
             used_a[v] = used_b[w] = 0
+        dead_ends += 1
+        if not dead_ends & 1023:
+            budget.check(dead_ends, what=f"Hall decomposition mod {m} "
+                                         f"(dead ends)")
         return False
 
     if not rec(0):
@@ -283,7 +289,8 @@ def c_difference_witness(n: int, a) -> tuple[tuple[int, ...], tuple[int, ...]]:
     The orbit consists exactly of the vectors with nonzero, pairwise
     +/- distinct coordinates, so it is enough to backtrack over x with
     x_i != 0, x_i != +/-x_j and the same for x - a; then w1 = x, w2 = x - a.
-    A failure would contradict the existence theorem, so it raises.
+    A failure would contradict the existence theorem, so it raises.  Every
+    dead end of the search counts against the budget.
     """
     p = 2 * n + 1
     if not is_prime(p):
@@ -295,11 +302,13 @@ def c_difference_witness(n: int, a) -> tuple[tuple[int, ...], tuple[int, ...]]:
     x = [0] * n
     used_x = bytearray(p)   # +/- classes 1..n
     used_y = bytearray(p)
+    dead_ends = 0
 
     def cls(v: int) -> int:
         return min(v, p - v)
 
     def rec(i: int) -> bool:
+        nonlocal dead_ends
         if i == n:
             return True
         for v in range(1, p):
@@ -313,6 +322,10 @@ def c_difference_witness(n: int, a) -> tuple[tuple[int, ...], tuple[int, ...]]:
             if rec(i + 1):
                 return True
             used_x[cls(v)] = used_y[cls(w)] = 0
+        dead_ends += 1
+        if not dead_ends & 1023:
+            budget.check(dead_ends, what=f"difference witness mod {p} "
+                                         f"(dead ends)")
         return False
 
     if not rec(0):

@@ -1,252 +1,27 @@
-"""Acceptance battery: one test per criterion, exact checks at the stated
-sizes, with one PASS line printed each (run with -s to see them)."""
-import random
-import time
-from fractions import Fraction
+"""Acceptance battery: one test per entry of the check registry CHECKS in
+scripts/run_paper_checks.py, which states every paper check once, with one
+PASS line printed each (run with -s to see them)."""
+import importlib.util
+import pathlib
 
-from atomlen import affine_classical as ac
-from atomlen import affine_permutations as ap
-from atomlen import cores_abaci as ca
-from atomlen import finite_weyl as fw
-from atomlen import quadratic_forms as qf
-from atomlen import sumsets as ss
+SCRIPT = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
+          / "run_paper_checks.py")
 
 
-def _ok(num: int, text: str) -> None:
-    print(f"ACCEPTANCE {num:2d} PASS  {text}")
+def _load_script():
+    spec = importlib.util.spec_from_file_location("run_paper_checks", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def _random_window(rng: random.Random, n: int, span: int = 5):
-    perm = list(range(1, n + 1))
-    rng.shuffle(perm)
-    x = [rng.randint(-span, span) for _ in range(n - 1)]
-    x.append(-sum(x))
-    return tuple(perm[i] + n * x[perm[i] - 1] for i in range(n))
+def _acceptance_test(name, check):
+    def test():
+        print(f"ACCEPTANCE {name} PASS  {check()}")
+    test.__name__ = f"test_{name}"
+    return test
 
 
-def test_criterion_01_entropy_equals_atomic_length():
-    t0 = time.time()
-    count = 0
-    for n in range(2, 6):
-        for w in ap.enumerate_bounded(n, 20):
-            assert ap.entropy(w) == ap.atomic_length_rho(w)
-            count += 1
-    elapsed = time.time() - t0
-    assert count > 10_000
-    assert elapsed < 10.0
-    _ok(1, f"entropy == atomic length on {count} elements, {elapsed:.1f}s")
-
-
-def test_criterion_02_diagram_commutativity():
-    rng = random.Random(13)
-    for _ in range(10_000):
-        n = rng.randint(2, 7)
-        win = _random_window(rng, n)
-        p = qf.eval_P(win, n)
-        x = qf.map_C(win, n)
-        assert qf.eval_Q(x) == p
-        assert qf.eval_q(qf.map_pr(x, n)) == p
-    _ok(2, "P == Q(C(y)) == q(pr(C(y))) on 10^4 random windows, n <= 7")
-
-
-def test_criterion_03_q_four_variables_hits_s290():
-    t0 = time.time()
-    form, dom = qf.form_q(4), qf.domain_Z_full(4)
-    for k in sorted(qf.S290):
-        w = qf.represent(form, dom, k, 8)
-        assert w is not None and qf.eval_q(w) == k
-        assert all(abs(v) <= 8 for v in w)
-    elapsed = time.time() - t0
-    assert elapsed < 5.0
-    _ok(3, f"29/29 elements of S290 witnessed in [-8,8]^4, {elapsed:.1f}s")
-
-
-def test_criterion_04_attained_classes_exactly():
-    assert qf.attained_classes(qf.form_q(2), 3) == frozenset({0, 1})
-    assert set(range(16)) - qf.attained_classes(qf.form_q(3), 16) == {14}
-    assert set(range(32)) - qf.attained_classes(qf.form_q(3), 32) == {14, 30}
-    m128 = set(range(128)) - qf.attained_classes(qf.form_q(3), 128)
-    assert m128 == {14, 30, 46, 56, 62, 78, 94, 110, 120, 126}
-    _ok(4, "attained classes mod 3/16/32/128 match the stated sets exactly")
-
-
-def test_criterion_05_delta_scans():
-    t0 = time.time()
-    for n in (5, 6):
-        rep = qf.universality_scan(qf.form_Q(n), qf.domain_Delta(n), 200, 30)
-        assert rep.all_witnessed, (n, [e.target for e in rep.misses])
-    rep4 = qf.universality_scan(qf.form_Q(4), qf.domain_Delta(4), 200, 30)
-    flagged = {e.target for e in rep4.entries if e.status == "obstructed"}
-    assert {14, 30, 110} <= flagged
-    elapsed = time.time() - t0
-    assert elapsed < 60.0
-    _ok(5, f"201/201 witnesses at ranks 5 and 6; 14/30/110 obstructed at "
-           f"rank 4, {elapsed:.1f}s")
-
-
-def test_criterion_06_hall_sumsets():
-    for n in range(2, 7):
-        cert = ss.verify_sumset_equality("A", n)
-        assert cert.equal
-    assert len(ss.zero_sum_subgroup(6, 6)) == 7776
-    rng = random.Random(29)
-    for _ in range(1000):
-        m = rng.randint(2, 12)
-        d = [rng.randrange(m) for _ in range(m - 1)]
-        d.append((-sum(d)) % m)
-        a, b = ss.hall_decompose(m, d)
-        assert sorted(a) == list(range(m)) and sorted(b) == list(range(m))
-        assert all((y - x) % m == e for x, y, e in zip(a, b, d))
-    _ok(6, "orbit difference sets equal the zero-sum subgroup for n=2..6 "
-           "(|H_6| = 7776); 1000 random decompositions verified")
-
-
-def test_criterion_07_type_c_sumsets():
-    for n in (2, 3):
-        cert = ss.verify_sumset_equality("C", n)
-        assert cert.equal
-    over = ss.verify_sumset_equality("C", 2, modulus=4)
-    assert not over.equal and (1, 0) in over.missing
-    rng = random.Random(31)
-    for n in (3, 5):
-        p = 2 * n + 1
-        for _ in range(100):
-            a = tuple(rng.randrange(p) for _ in range(n))
-            w1, w2 = ss.c_difference_witness(n, a)
-            assert all((x - y) % p == t for x, y, t in zip(w1, w2, a))
-    _ok(7, "signed orbits cover the full group (n=2,3); the mod-4 "
-           "counterexample (1,0) reproduced; 200 random witnesses")
-
-
-def test_criterion_08_phi_and_cores():
-    ln, sn = ca.phi(((3, 1), (2, 1)), (0, 0), 3)
-    assert ln == ((1,), (2,), ()) and sn == (1, -1, 0)
-    (core, charges), multicharge = ca.ns_core_of(((3, 1), (2, 1)), (0, 0), 3)
-    assert core == ((1,), (2,)) and charges == (-1, 1)
-    assert multicharge == (0, -1, 1)
-
-    rng = random.Random(37)
-    for _ in range(300):
-        ell = rng.randint(1, 4)
-        n = rng.randint(2, 6)
-        lam = tuple(
-            tuple(sorted((rng.randint(1, 8) for _ in range(rng.randint(0, 5))),
-                         reverse=True))
-            for _ in range(ell))
-        if sum(map(sum, lam)) > 30:
-            continue
-        chg = tuple(rng.randint(-4, 4) for _ in range(ell))
-        out = ca.phi(lam, chg, n)
-        assert ca.phi_inverse(out[0], out[1], ell) == (lam, chg)
-
-    for _ in range(500):
-        n = rng.randint(2, 7)
-        lam = tuple(sorted((rng.randint(1, 10)
-                            for _ in range(rng.randint(0, 7))), reverse=True))
-        s = rng.randint(-3, 3)
-        assert ca.is_n_core_abacus(ca.beta_set(lam, s), n) == \
-            ca.is_n_core_hooks(lam, n)
-    _ok(8, "worked example bit-exact; 300 round trips; 500 abacus-vs-hook "
-           "core agreements")
-
-
-def _random_spec_and_orbit_point(rng):
-    n = rng.randint(2, 7)
-    ell = rng.randint(1, n)
-    charges = tuple(sorted(rng.randrange(n) for _ in range(ell)))
-    spec = ca.WeightSpec(n, ell, charges)
-    word = [rng.randrange(n) for _ in range(rng.randint(0, 14))]
-    t = ca.affine_action_on_charges(word, spec.sprime, ell)
-    return spec, t
-
-
-def test_criterion_09_polynomial_consistency():
-    rng = random.Random(41)
-    for _ in range(50):
-        spec, _ = _random_spec_and_orbit_point(rng)
-        assert ca.eval_Ps(spec, spec.sprime) == 0
-    for _ in range(200):
-        spec, t = _random_spec_and_orbit_point(rng)
-        val = ca.eval_Ps(spec, t)
-        core, _ = ca.core_of_orbit_point(spec, t)
-        assert ca.multipartition_size(core) == val
-        z = ca.dilate_point(spec, t)
-        assert ca.eval_dilated(spec, z) == Fraction(spec.n, spec.ell) * val
-    _ok(9, "normalization, box-count and dilation identities exact on "
-           "50 + 200 random samples")
-
-
-def test_criterion_10_granville_ono_desk_scale():
-    t0 = time.time()
-    for n in (4, 5, 6, 7):
-        rep = ca.granville_ono_scan(n, 150, 25)
-        assert rep.all_witnessed, (n, [e.target for e in rep.misses])
-    rep6 = ca.scan_refined_GO(6, 100, 25)
-    assert rep6.all_witnessed
-    rep5 = ca.scan_refined_GO(5, 150, 25)
-    misses = [e.target for e in rep5.misses]
-    assert misses == [125]
-    assert rep5.misses[0].status == "not-found"
-    assert ca.refined_base_value(5) == 35
-    _ok(10, f"core-size scans all-witness for n=4..7; refined scan misses "
-            f"only size 125 at n=5, {time.time() - t0:.1f}s")
-
-
-def test_criterion_11_truncated_weight_evidence():
-    for n, ell in ((5, 2), (5, 3), (6, 2)):
-        rep = ca.scan_truncated_weight(n, ell, 100, 30)
-        assert rep.all_witnessed, (n, ell, [e.target for e in rep.misses])
-    _ok(11, "truncated-staircase scans all-witness for (5,2), (5,3), (6,2)")
-
-
-def test_criterion_12_finite_types():
-    t0 = time.time()
-    cases = [("A", n) for n in range(2, 6)] + \
-            [("B", n) for n in range(2, 5)] + \
-            [("C", n) for n in range(2, 5)] + [("D", 4)]
-    for series, n in cases:
-        t = fw.FiniteType(series, n)
-        lo = 2 if series == "D" else 1
-        for ell in range(lo, n + 1):
-            values = [fw.atomic_length_finite(t, ell, w)
-                      for w in fw.enumerate_group(t)]
-            assert max(values) == fw.b_bound(t, ell)
-            res = fw.saturation_check(t, ell)
-            assert res.is_interval == fw.saturation_predicted(t, ell), \
-                (series, n, ell)
-    assert not fw.saturation_check(fw.FiniteType("B", 2), 2).is_interval
-    assert not fw.saturation_check(fw.FiniteType("C", 2), 2).is_interval
-    elapsed = time.time() - t0
-    assert elapsed < 120.0
-    _ok(12, f"bounds match enumeration and saturation matches the verified "
-            f"characterization on all cases, {elapsed:.1f}s")
-
-
-def test_criterion_13_affine_type_c_entropy():
-    for n in (4, 5):
-        rep = ac.scan_deltaC(n, 150, 15)
-        assert rep.all_witnessed, (n, [e.target for e in rep.misses])
-    rng = random.Random(43)
-    done = 0
-    while done < 1000:
-        n = rng.randint(2, 6)
-        x = tuple(rng.randint(-7, 7) for _ in range(n))
-        if not ac.member_DeltaC(n, x):
-            continue
-        e = ac.from_displacement(n, x)
-        assert ap.entropy(ac.lift_to_A(e)) == ac.entropy_C(n, x)
-        done += 1
-    _ok(13, "constrained Euclidean scans all-witness for n=4,5; embedding "
-            "identity on 10^3 samples")
-
-
-def test_criterion_14_large_rank():
-    for tag in ac.LATTICE_TAGS:
-        spec = ac.AffineLatticeSpec(tag, 4)
-        rep = ac.norm_universality_scan(spec, 100, 25)
-        assert rep.all_witnessed, (tag, [e.target for e in rep.misses])
-        assert rep.grid == ("half" if tag == "A2even" else "int")
-    assert ac.threshold_table() == {"B1": 15, "C1": 15, "D1": 16,
-                                    "A2odd": 15, "A2even": 16, "D2": 10}
-    _ok(14, "all lattice rows witness [0,100] at rank 4; thresholds "
-            "15/15/16/15/16/10 reproduced")
+# one named test per entry, so each criterion keeps its own test id
+for _name, _check in _load_script().CHECKS:
+    globals()[f"test_{_name}"] = _acceptance_test(_name, _check)

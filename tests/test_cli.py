@@ -136,6 +136,15 @@ def test_budget_errors_exit_two(capsys, monkeypatch):
     assert code == 2 and out == "" and "over the budget" in err
 
 
+def test_hall_over_the_budget_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("ATOMLEN_BUDGET", "100000")
+    d = ",".join(map(str, (9, 21, 21, 25, 20, 19, 0, 17, 0, 20, 4, 12, 23,
+                           17, 3, 14, 0, 24, 13, 19, 21, 13, 8, 11, 13, 17)))
+    code, out, err = run(capsys, "hall", "--mod", "26", "--d", d)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "over the budget" in err
+
+
 def test_core_worked_example(capsys):
     code, out, _ = run(capsys, "core", "--npartition", "3,1;2,1",
                        "--charges", "0,0", "--n", "3")
@@ -222,6 +231,17 @@ def test_scan_conjectural_forms_exit_zero(capsys):
     code, _, _ = run(capsys, "scan", "--form", "go", "--n", "3", "--max-k",
                      "10", "--radius", "15")
     assert code == 0  # misses are expected below the theorem's rank
+
+
+@pytest.mark.parametrize("n, radius, expected", [
+    (2, 15, 0), (3, 15, 0),   # three squares never make 7: no theorem here
+    (4, 15, 0), (5, 15, 0), (6, 15, 0),
+    (5, 0, 1),                # 2n+1 = 11 is prime: misses fail the check
+])
+def test_scan_deltaC_exit_codes(capsys, n, radius, expected):
+    code, _, _ = run(capsys, "scan", "--form", "deltaC", "--n", str(n),
+                     "--max-k", "40", "--radius", str(radius))
+    assert code == expected
 
 
 def test_scan_ps_needs_ell(capsys):

@@ -217,6 +217,23 @@ def test_budget_guard(monkeypatch):
     assert ss.verify_sumset_equality("A", 4).equal
 
 
+# m=26 runs for minutes without a budget; n=8 needs over 1024 dead ends
+HALL_HARD = (9, 21, 21, 25, 20, 19, 0, 17, 0, 20, 4, 12, 23, 17, 3, 14, 0,
+             24, 13, 19, 21, 13, 8, 11, 13, 17)
+C_HARD = (3, 2, 15, 0, 0, 2, 2, 13)
+
+
+def test_backtracking_dead_ends_are_budgeted(monkeypatch):
+    monkeypatch.setenv("ATOMLEN_BUDGET", "1000")
+    with pytest.raises(BudgetExceeded, match="Hall decomposition mod 26"):
+        ss.hall_decompose(26, HALL_HARD)
+    with pytest.raises(BudgetExceeded, match="difference witness mod 17"):
+        ss.c_difference_witness(8, C_HARD)
+    monkeypatch.delenv("ATOMLEN_BUDGET")
+    w1, w2 = ss.c_difference_witness(8, C_HARD)
+    assert all((x - y) % 17 == t for x, y, t in zip(w1, w2, C_HARD))
+
+
 def test_malformed_budget_is_rejected(monkeypatch):
     monkeypatch.setenv("ATOMLEN_BUDGET", "abc")
     with pytest.raises(AtomlenError, match="ATOMLEN_BUDGET"):

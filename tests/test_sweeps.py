@@ -1,5 +1,7 @@
 """The 26 universality reports of scripts/scan_sweeps.py, pinned byte for
-byte: the test iterates the script's own sweeps(), so both share one list."""
+byte: the test iterates the script's own sweeps(), so both share one list.
+Also the two scripts' entry points, and the PASS/FAIL loop of
+scripts/run_paper_checks.py."""
 import hashlib
 import importlib.util
 import json
@@ -44,8 +46,8 @@ PINNED = {
 }
 
 
-def _load_script():
-    spec = importlib.util.spec_from_file_location("scan_sweeps", SCRIPT)
+def _load_script(path=SCRIPT):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -69,3 +71,31 @@ def test_scripts_run_from_any_directory(tmp_path, script):
                            "--help"], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def _run_main(module, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["run_paper_checks.py"])
+    code = module.main()
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_paper_checks_all_pass(monkeypatch, capsys):
+    module = _load_script(SCRIPT.parent / "run_paper_checks.py")
+    code, lines = _run_main(module, monkeypatch, capsys)
+    assert code == 0 and lines[-1] == "ALL CHECKS PASSED"
+    assert [line.split()[:2] for line in lines[:-1]] == \
+        [["PASS", name] for name, _ in module.CHECKS]
+
+
+def test_paper_checks_report_a_failure(monkeypatch, capsys):
+    def broken():
+        assert 1 + 1 == 3, "arithmetic is off"
+
+    module = _load_script(SCRIPT.parent / "run_paper_checks.py")
+    name = module.CHECKS[0][0]
+    monkeypatch.setattr(module, "CHECKS", [(name, broken)] + module.CHECKS[1:])
+    code, lines = _run_main(module, monkeypatch, capsys)
+    assert code == 1 and lines[-1] == "1 CHECKS FAILED"
+    assert lines[0].split()[:2] == ["FAIL", name]
+    assert "arithmetic is off" in lines[0]
+    assert all(line.startswith("PASS") for line in lines[1:-1])
