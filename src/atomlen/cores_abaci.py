@@ -4,13 +4,17 @@ higher-level cores, and the charge-orbit polynomial for atomic lengths.
 An abacus runner is stored co-finitely: below `threshold` every position
 holds a bead; `beads` lists the occupied positions above it.  The threshold
 is normalized to the first gap, which makes the encoding canonical and the
-charge equal to threshold + len(beads).
+charge equal to threshold + len(beads).  The rotation works on plain-int
+beta-numbers instead (James-Kerber 1981, 2.7), counting the positions and
+runners it fills against ATOMLEN_BUDGET.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import budget
 from .errors import (BadEll, BadIndex, BadLength, DomainViolation,
                      InvariantViolation, NotInDs)
 from .quadratic_forms import (ConstrainedDomain, FormSpec, UniversalityReport,
@@ -19,14 +23,13 @@ from .quadratic_forms import (ConstrainedDomain, FormSpec, UniversalityReport,
                               universality_scan)
 
 Partition = tuple[int, ...]
-MultiPartition = tuple[Partition, ...]
 
 
 def as_partition(parts) -> Partition:
-    out = tuple(int(p) for p in parts if int(p) != 0)
-    if any(p < 0 for p in out):
+    out = tuple(p for p in map(int, parts) if p)
+    if out and min(out) < 0:
         raise BadLength(f"negative part in {parts}")
-    if any(out[i] < out[i + 1] for i in range(len(out) - 1)):
+    if out != tuple(sorted(out, reverse=True)):
         raise BadLength(f"parts not weakly decreasing: {parts}")
     return out
 
@@ -155,32 +158,16 @@ class BetaAbacus:
             occupied.add(g)
 
 
-def normalize_runner(threshold: int, occupied_above) -> BetaAbacus:
-    """Canonical runner from any threshold and explicit positions >= it."""
-    occ = sorted(set(occupied_above))
-    t = threshold
-    while occ and occ[0] == t:
-        occ.pop(0)
-        t += 1
-    return BetaAbacus(t, tuple(occ))
-
-
 def beta_set(parts: Partition, s: int) -> BetaAbacus:
     """Charged beta-set: positions part_j - j + s, j = 1, 2, ..., padded by
     every position below s - len(parts)."""
-    parts = as_partition(parts)
-    m = len(parts)
-    positions = [parts[j - 1] - j + s for j in range(1, m + 1)]
-    return normalize_runner(s - m, positions)
+    return l_abacus((parts,), (s,)).runners[0]
 
 
 def partition_of(runner: BetaAbacus) -> Partition:
-    """Count the gaps to the left of each bead, largest bead first."""
-    parts = []
-    for b in sorted(runner.beads, reverse=True):
-        below = sum(1 for x in runner.beads if x < b)
-        parts.append(b - runner.threshold - below)
-    return as_partition(parts)
+    """Each bead b, with a beads below it, is a part b - threshold - a."""
+    t = runner.threshold
+    return tuple(b - t - a for a, b in enumerate(runner.beads))[::-1]
 
 
 def is_n_core_abacus(runner: BetaAbacus, n: int) -> bool:
@@ -196,22 +183,13 @@ class LAbacus:
 
     runners: tuple[BetaAbacus, ...]
 
-    @property
-    def level(self) -> int:
-        return len(self.runners)
-
-    @property
-    def multicharge(self) -> tuple[int, ...]:
-        return tuple(r.charge for r in self.runners)
-
-    def to_multipartition(self) -> MultiPartition:
-        return tuple(partition_of(r) for r in self.runners)
-
     def render(self) -> str:
         """Top runner printed first, position ruler underneath."""
         lo = min(r.threshold for r in self.runners) - 2
         hi = max(r.beads[-1] if r.beads else r.threshold
                  for r in self.runners) + 2
+        budget.check(len(self.runners) * (hi - lo + 1),
+                     what="abacus rendering")
         width = max(len(str(p)) for p in range(lo, hi + 1))
         rows = []
         for runner in reversed(self.runners):
@@ -221,60 +199,79 @@ class LAbacus:
         return "\n".join(rows + [ruler])
 
 
-def l_abacus(multipartition, charges) -> LAbacus:
+def _beta_numbers(multipartition, charges) -> list[tuple[int, list[int]]]:
+    """Per component: the first gap s - len(parts) of its charged beta-set
+    and the beads part_j - j + s above it, largest first."""
     charges = tuple(int(c) for c in charges)
     if len(multipartition) != len(charges):
         raise BadLength("level and number of charges differ")
-    return LAbacus(tuple(beta_set(p, s) for p, s in zip(multipartition, charges)))
+    out = []
+    for parts, s in zip(multipartition, charges):
+        parts = as_partition(parts)
+        out.append((s - len(parts),
+                    [p - j + s for j, p in enumerate(parts, 1)]))
+    return out
+
+
+def l_abacus(multipartition, charges) -> LAbacus:
+    return LAbacus(tuple(BetaAbacus(t, tuple(reversed(beads)))
+                         for t, beads in _beta_numbers(multipartition,
+                                                       charges)))
 
 
 # ---------------------------------------------------------------------------
 # The rotation bijection
 # ---------------------------------------------------------------------------
 
-def _block_range(runners, width: int) -> tuple[int, int]:
-    lo_all = min(r.threshold for r in runners)
-    hi_all = max(r.beads[-1] + 1 if r.beads else r.threshold for r in runners)
-    return lo_all // width - 1, (hi_all - 1) // width + 1
-
-
-def _transpose(runners: tuple[BetaAbacus, ...], width: int) -> tuple[BetaAbacus, ...]:
-    """Cut a k-runner abacus into blocks of `width` positions and transpose
-    each: the bead on runner i (0-based) at position q*width + j lands on
-    runner j at position q*k + i."""
-    k = len(runners)
-    q_min, q_max = _block_range(runners, width)
-    out = []
-    for j in range(width):
-        occupied = []
-        for q in range(q_min, q_max + 1):
-            p_old = q * width + j
-            for i in range(k):
-                if runners[i].occupied(p_old):
-                    occupied.append(q * k + i)
-        out.append(normalize_runner(q_min * k, occupied))
-    return tuple(out)
-
-
 def _rotate(multipartition, charges, width: int):
     """Reverse the runners, transpose the blocks, reverse again.  Width n is
-    phi; width l undoes it, since transposing twice is the identity."""
-    runners = l_abacus(multipartition, charges).runners[::-1]
-    out = LAbacus(_transpose(runners, width)[::-1])
-    return out.to_multipartition(), out.multicharge
+    phi; width l undoes it, since transposing twice is the identity.
+
+    Position p = q*width + j of runner i (after the reversal) lands on
+    runner j at q*k + i.  Every runner is full below block q0, so every image
+    is full below base = q0*k.  Listing what lies above base, the m-th lowest
+    position p has p - base - m gaps below it: that is its part (0 on the
+    full prefix), and the charge is base plus the number listed."""
+    runners = _beta_numbers(multipartition, charges)[::-1]
+    k = len(runners)
+    q0 = min(t for t, _ in runners) // width
+    budget.check(width + sum(t - q0 * width + len(b) for t, b in runners),
+                 what="abacus rotation")
+    cols = [[] for _ in range(width)]
+    for i, (t, beads) in enumerate(runners):
+        q, r = divmod(t, width)
+        full = range(q0 * k + i, q * k + i, k)
+        for col in cols[:r]:
+            col.extend(full)
+            col.append(q * k + i)
+        for col in cols[r:]:
+            col.extend(full)
+        for b in beads:
+            q, j = divmod(b, width)
+            cols[j].append(q * k + i)
+    base = q0 * k
+    out_parts, out_charges = [], []
+    for col in reversed(cols):
+        col.sort()
+        gaps = [p - base - m for m, p in enumerate(col)]
+        out_parts.append(tuple(gaps[bisect_right(gaps, 0):][::-1]))
+        out_charges.append(base + len(col))
+    return tuple(out_parts), tuple(out_charges)
 
 
 def phi(multipartition, charges, n: int):
     """Rectangle-rotation bijection from level-l charged multipartitions to
     level-n ones.  The rotated runner order is reversed on output; the total
-    charge is preserved."""
+    charge is preserved.  Bead q*n + j of runner i goes straight to runner j
+    at q*l + i."""
     if n < 2:
         raise BadLength(f"need n >= 2, got {n}")
     return _rotate(multipartition, charges, n)
 
 
 def phi_inverse(multipartition, charges, ell: int):
-    """Inverse of phi: the same reverse-transpose-reverse with width l."""
+    """Inverse of phi: the same reverse-transpose-reverse on beta-numbers,
+    with width l."""
     if ell < 1:
         raise BadEll(f"need level >= 1, got {ell}")
     return _rotate(multipartition, charges, ell)

@@ -173,6 +173,37 @@ def test_core_json_and_render(capsys):
     assert lines[-1].split() == [str(p) for p in range(-4, 5)]
 
 
+def test_core_over_the_budget_exits_two(capsys, monkeypatch):
+    # the rotation counts the positions it maps and the runners it fills:
+    # about 10^12 and 10^9 here
+    huge = ("core", "--npartition", "1;1", "--charges", "0,1000000000000",
+            "--n", "3")
+    wide = ("core", "--npartition", ";", "--charges", "0,0", "--n",
+            "1000000000")
+    for argv in (huge, huge + ("--render",), wide):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "abacus rotation" in err and "over the budget" in err
+    # --render sweeps the same span and is counted on its own
+    monkeypatch.setenv("ATOMLEN_BUDGET", "1500")
+    spread = ("core", "--npartition", "1;1", "--charges", "0,1000", "--n",
+              "3")
+    assert run(capsys, *spread)[0] == 0
+    code, out, err = run(capsys, *spread, "--render")
+    assert code == 2 and out == "" and "abacus rendering" in err
+
+
+def test_core_readme_command_fits_a_small_budget(capsys, monkeypatch):
+    core = ("core", "--npartition", "3,1;2,1", "--charges", "0,0", "--n", "3")
+    extras = ((), ("--render",), ("--json",))
+    expected = [run(capsys, *core, *extra) for extra in extras]
+    monkeypatch.setenv("ATOMLEN_BUDGET", "20")
+    for extra, (code, out, err) in zip(extras, expected):
+        assert code == 0 and err == ""
+        assert run(capsys, *core, *extra) == (code, out, err)
+
+
 def test_hall_example(capsys):
     code, out, _ = run(capsys, "hall", "--mod", "4", "--d", "3,0,2,3")
     assert code == 0
@@ -242,6 +273,29 @@ def test_scan_deltaC_exit_codes(capsys, n, radius, expected):
     code, _, _ = run(capsys, "scan", "--form", "deltaC", "--n", str(n),
                      "--max-k", "40", "--radius", str(radius))
     assert code == expected
+
+
+@pytest.mark.parametrize("argv, witnessed", [
+    (("--form", "rho", "--n", "4", "--max-k", "200", "--radius", "20"),
+     "186/201"),
+    (("--form", "Q-delta", "--n", "4", "--max-k", "200", "--radius", "30"),
+     "186/201"),
+    (("--form", "q-free", "--n", "4", "--max-k", "300", "--radius", "20"),
+     "278/301"),
+    (("--form", "go", "--n", "3", "--max-k", "150", "--radius", "25"),
+     "84/151"),
+    (("--form", "lattice", "--type", "D2", "--n", "3", "--max-k", "100",
+      "--radius", "25"), "86/101"),
+    (("--form", "lattice", "--type", "B1", "--n", "3", "--max-k", "100",
+      "--radius", "25"), "94/101"),
+], ids=["rho-4", "Q-delta-4", "q-free-4", "go-3", "lattice-D2-3",
+        "lattice-B1-3"])
+def test_scan_misses_below_the_theorem_rank_exit_zero(capsys, argv,
+                                                      witnessed):
+    # rho/Q-delta/q-free are guaranteed from n = 5, go and lattice from n = 4
+    code, out, _ = run(capsys, "scan", *argv)
+    assert code == 0
+    assert f"witnesses {witnessed}" in out
 
 
 def test_scan_ps_needs_ell(capsys):

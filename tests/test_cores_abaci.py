@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from atomlen import affine_permutations as ap
 from atomlen import cores_abaci as ca
 from atomlen import quadratic_forms as qf
-from atomlen.errors import BadEll, BadIndex, BadLength, DomainViolation, NotInDs
+from atomlen.errors import (AtomlenError, BadEll, BadIndex, BadLength,
+                            DomainViolation, NotInDs)
 
 from test_affine_permutations import random_window_strategy
 
@@ -22,6 +23,97 @@ def weight_specs(draw, max_n=7):
     ell = draw(st.integers(1, n))
     charges = tuple(sorted(draw(st.integers(0, n - 1)) for _ in range(ell)))
     return ca.WeightSpec(n, ell, charges)
+
+
+# ---------------------------------------------------------------------------
+# The runner-record rotation engine, kept as the differential oracle for the
+# bead-arithmetic one in cores_abaci: every position of every block is probed
+# on BetaAbacus records.
+# ---------------------------------------------------------------------------
+
+def normalize_runner(threshold: int, occupied_above) -> ca.BetaAbacus:
+    """Canonical runner from any threshold and explicit positions >= it."""
+    occ = sorted(set(occupied_above))
+    t = threshold
+    while occ and occ[0] == t:
+        occ.pop(0)
+        t += 1
+    return ca.BetaAbacus(t, tuple(occ))
+
+
+def old_beta_set(parts, s: int) -> ca.BetaAbacus:
+    """Charged beta-set: positions part_j - j + s, j = 1, 2, ..., padded by
+    every position below s - len(parts)."""
+    parts = ca.as_partition(parts)
+    m = len(parts)
+    positions = [parts[j - 1] - j + s for j in range(1, m + 1)]
+    return normalize_runner(s - m, positions)
+
+
+def old_partition_of(runner: ca.BetaAbacus):
+    """Count the gaps to the left of each bead, largest bead first."""
+    parts = []
+    for b in sorted(runner.beads, reverse=True):
+        below = sum(1 for x in runner.beads if x < b)
+        parts.append(b - runner.threshold - below)
+    return ca.as_partition(parts)
+
+
+def old_l_abacus(multipartition, charges) -> tuple[ca.BetaAbacus, ...]:
+    charges = tuple(int(c) for c in charges)
+    if len(multipartition) != len(charges):
+        raise BadLength("level and number of charges differ")
+    return tuple(old_beta_set(p, s) for p, s in zip(multipartition, charges))
+
+
+def _block_range(runners, width: int) -> tuple[int, int]:
+    lo_all = min(r.threshold for r in runners)
+    hi_all = max(r.beads[-1] + 1 if r.beads else r.threshold for r in runners)
+    return lo_all // width - 1, (hi_all - 1) // width + 1
+
+
+def _transpose(runners, width: int):
+    """Cut a k-runner abacus into blocks of `width` positions and transpose
+    each: the bead on runner i (0-based) at position q*width + j lands on
+    runner j at position q*k + i."""
+    k = len(runners)
+    q_min, q_max = _block_range(runners, width)
+    out = []
+    for j in range(width):
+        occupied = []
+        for q in range(q_min, q_max + 1):
+            p_old = q * width + j
+            for i in range(k):
+                if runners[i].occupied(p_old):
+                    occupied.append(q * k + i)
+        out.append(normalize_runner(q_min * k, occupied))
+    return tuple(out)
+
+
+def old_rotate(multipartition, charges, width: int):
+    """Reverse the runners, transpose the blocks, reverse again."""
+    runners = old_l_abacus(multipartition, charges)[::-1]
+    out = _transpose(runners, width)[::-1]
+    return tuple(old_partition_of(r) for r in out), tuple(r.charge for r in out)
+
+
+def old_phi(multipartition, charges, n: int):
+    if n < 2:
+        raise BadLength(f"need n >= 2, got {n}")
+    return old_rotate(multipartition, charges, n)
+
+
+def old_phi_inverse(multipartition, charges, ell: int):
+    if ell < 1:
+        raise BadEll(f"need level >= 1, got {ell}")
+    return old_rotate(multipartition, charges, ell)
+
+
+def old_ns_core_of(multipartition, charges, n: int):
+    level = len(multipartition)
+    _, sn = old_phi(multipartition, charges, n)
+    core = old_phi_inverse(((),) * n, sn, level)
+    return core, tuple(reversed(sn))
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +153,7 @@ def test_strip_to_core_is_a_core_of_smaller_size(lam, n):
 # ---------------------------------------------------------------------------
 
 def test_symbol_example():
-    runner = ca.normalize_runner(-3, [-3, -2, -1, 2, 3, 5, 7])
+    runner = normalize_runner(-3, [-3, -2, -1, 2, 3, 5, 7])
     assert runner.threshold == 0 and runner.beads == (2, 3, 5, 7)
     assert runner.charge == 4
     assert runner.charge_push_left() == 4
@@ -140,6 +232,61 @@ def test_phi_round_trip_and_charge_sum(lc, n):
     assert len(ln) == n and len(sn) == n
     assert sum(sn) == sum(charges)
     assert ca.phi_inverse(ln, sn, len(lam)) == (lam, charges)
+
+
+@st.composite
+def rotation_inputs(draw, broken=False):
+    """Level 1-6, charges -6..6 and a width -1..8, which covers the invalid
+    n <= 1 of phi and l <= 0 of phi_inverse; `broken` adds one fault: a
+    charge too few or too many, or an unsorted or negative component."""
+    level = draw(st.integers(1, 6))
+    lam = [draw(partitions) for _ in range(level)]
+    charges = [draw(st.integers(-6, 6)) for _ in range(level)]
+    if broken:
+        fault = draw(st.sampled_from(["drop", "extra", "unsorted",
+                                      "negative"]))
+        if fault == "drop":
+            charges.pop()
+        elif fault == "extra":
+            charges.append(0)
+        else:
+            at = draw(st.integers(0, level - 1))
+            lam[at] = (1, 2) if fault == "unsorted" else (2, -1)
+    return tuple(lam), tuple(charges), draw(st.integers(-1, 8))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AtomlenError as exc:
+        return type(exc), str(exc)
+
+
+ROTATIONS = ((ca.phi, old_phi), (ca.phi_inverse, old_phi_inverse),
+             (ca.ns_core_of, old_ns_core_of))
+
+
+@given(rotation_inputs())
+@settings(max_examples=300)
+def test_rotation_matches_the_runner_record_engine(args):
+    lam, charges, width = args
+    for new, old in ROTATIONS:
+        assert _outcome(new, lam, charges, width) == \
+            _outcome(old, lam, charges, width)
+    if width >= 2:
+        ln, sn = ca.phi(lam, charges, width)
+        assert ca.phi_inverse(ln, sn, len(lam)) == \
+            old_phi_inverse(ln, sn, len(lam)) == (lam, charges)
+
+
+@given(rotation_inputs(broken=True))
+@settings(max_examples=200)
+def test_rotation_errors_match_the_runner_record_engine(args):
+    lam, charges, width = args
+    for new, old in ROTATIONS:
+        got = _outcome(new, lam, charges, width)
+        assert isinstance(got[0], type)
+        assert got == _outcome(old, lam, charges, width)
 
 
 def test_ns_core_worked_example():
