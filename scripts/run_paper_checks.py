@@ -112,21 +112,29 @@ def criterion_05_delta_scans():
             f"at rank 4 ({len(rep4.misses)} missed), {elapsed:.1f}s")
 
 
+# a zero-sum vector mod 26 on which a backtracking search runs for minutes
+HALL_HARD = (9, 21, 21, 25, 20, 19, 0, 17, 0, 20, 4, 12, 23, 17, 3, 14, 0,
+             24, 13, 19, 21, 13, 8, 11, 13, 17)
+
+
 def criterion_06_hall_sumsets():
     for n in range(2, 7):
         assert ss.verify_sumset_equality("A", n).equal, n
     assert len(ss.zero_sum_subgroup(6, 6)) == 7776
+    cases = [(26, HALL_HARD)]
     for seed in (1, 29):
         rng = random.Random(seed)
         for _ in range(1000):
-            m = rng.randint(2, 12)
+            m = rng.randint(2, 64)
             d = [rng.randrange(m) for _ in range(m - 1)]
-            d.append((-sum(d)) % m)
-            a, b = ss.hall_decompose(m, d)
-            assert sorted(a) == list(range(m)) == sorted(b), (m, d)
-            assert all((y - x) % m == e for x, y, e in zip(a, b, d)), (m, d)
+            cases.append((m, d + [-sum(d) % m]))
+    for m, d in cases:
+        a, b = ss.hall_decompose(m, d)
+        assert sorted(a) == list(range(m)) == sorted(b), (m, d)
+        assert all((y - x) % m == e for x, y, e in zip(a, b, d)), (m, d)
     return ("orbit difference sets equal the zero-sum subgroup for n=2..6 "
-            "(|H_6| = 7776); 2000 random decompositions verified")
+            "(|H_6| = 7776); 2000 random decompositions (m = 2..64) and "
+            "the hard m=26 case verified")
 
 
 def criterion_07_type_c_sumsets():

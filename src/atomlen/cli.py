@@ -100,11 +100,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_hall(args) -> int:
     d = _parse_csv_ints(args.d)
-    try:
-        a, b = sumsets.hall_decompose(args.mod, d)
-    except SearchFailed as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    a, b = sumsets.hall_decompose(args.mod, d)
     payload = {"mod": args.mod, "d": list(d), "a": list(a), "b": list(b)}
     text = (f"a {','.join(map(str, a))}\n"
             f"b {','.join(map(str, b))}")
@@ -139,9 +135,9 @@ def _parse_multipartition(text: str):
 def _cmd_core(args) -> int:
     lam = _parse_multipartition(args.npartition)
     charges = _parse_csv_ints(args.charges)
-    (core_lam, core_charges), multicharge = cores_abaci.ns_core_of(
-        lam, charges, args.n)
     quotient, sn = cores_abaci.phi(lam, charges, args.n)
+    (core_lam, core_charges), multicharge = cores_abaci._phi_core(
+        sn, len(lam))
     payload = {
         "n": args.n,
         "input": [list(p) for p in lam], "charges": list(charges),

@@ -284,10 +284,12 @@ def ns_core_of(multipartition, charges, n: int):
     multicharge is reported in bottom-to-top runner order, i.e. the reverse
     of the phi output order, matching the worked example.
     """
-    level = len(multipartition)
-    _, sn = phi(multipartition, charges, n)
-    core = phi_inverse(((),) * n, sn, level)
-    return core, tuple(reversed(sn))
+    return _phi_core(phi(multipartition, charges, n)[1], len(multipartition))
+
+
+def _phi_core(sn, level: int):
+    """ns_core_of from the level-n charges sn of a phi result."""
+    return phi_inverse(((),) * len(sn), sn, level), tuple(reversed(sn))
 
 
 def is_ns_core(multipartition, charges, n: int) -> bool:

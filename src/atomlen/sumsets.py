@@ -29,9 +29,13 @@ class OrbitSet:
 def hall_decompose(m: int, d) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Enumeration pair (a, b) of Z/mZ with b_i - a_i = d_i for all i.
 
-    Exists for every zero-sum d-vector; found by backtracking (columns left
-    to right, unused a-values tried in ascending order, so the output is
-    deterministic).  Every dead end of the search counts against the budget.
+    Hall's exchange chain (M. Hall, Proc. AMS 3 (1952)), from a = b = id:
+    to set d_k, k < last, positions k and last free their b-values; k takes
+    a_k and a_k + d_k, and each position whose b-value is taken takes the
+    free a-value and its own difference, until a freed b-value is taken and
+    last gets the rest.  The displaced positions follow one orbit of the
+    permutation j -> where[a_k + d_k + a_last - a_j], so a chain has under m
+    steps: O(m^2) in all, each counted against the budget.
     """
     d = tuple(x % m for x in d)
     if len(d) != m:
@@ -39,36 +43,33 @@ def hall_decompose(m: int, d) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if sum(d) % m != 0:
         raise BadSum(f"differences sum to {sum(d) % m} mod {m}, not 0")
 
-    a = [0] * m
-    used_a = bytearray(m)
-    used_b = bytearray(m)
-    dead_ends = 0
-
-    def rec(i: int) -> bool:
-        nonlocal dead_ends
-        if i == m:
-            return True
-        for v in range(m):
-            if used_a[v]:
-                continue
-            w = (v + d[i]) % m
-            if used_b[w]:
-                continue
-            used_a[v] = used_b[w] = 1
-            a[i] = v
-            if rec(i + 1):
-                return True
-            used_a[v] = used_b[w] = 0
-        dead_ends += 1
-        if not dead_ends & 1023:
-            budget.check(dead_ends, what=f"Hall decomposition mod {m} "
-                                         f"(dead ends)")
-        return False
-
-    if not rec(0):
-        raise SearchFailed(f"no decomposition for zero-sum d={d} mod {m}")
-    b = tuple((v + di) % m for v, di in zip(a, d))
-    return tuple(a), b
+    a, b, where = list(range(m)), list(range(m)), list(range(m))
+    last, steps = m - 1, 0
+    for k in range(last):
+        if not d[k]:
+            continue
+        spares = (b[k], b[last])
+        i, want, u, spare = k, d[k], a[k], a[last]
+        for _ in range(m):
+            y = (u + want) % m
+            j = where[y]
+            a[i], b[i], where[y] = u, y, i
+            steps += 1
+            if not steps & 1023:
+                budget.check(steps, what=f"Hall decomposition mod {m} "
+                                         f"(exchange steps)")
+            if y in spares:   # last's b-value is a spare, never looked up
+                a[last] = spare
+                b[last] = spares[1] if y == spares[0] else spares[0]
+                break
+            i, want, u, spare = j, (b[j] - a[j]) % m, spare, a[j]
+        else:
+            raise InvariantViolation(
+                f"Hall exchange chain for d_{k} mod {m} revisits a position")
+    if (len(set(a)) != m or len(set(b)) != m
+            or any((y - x) % m != e for x, y, e in zip(a, b, d))):
+        raise InvariantViolation(f"Hall pair for d={d} mod {m} does not check")
+    return tuple(a), tuple(b)
 
 
 def _check_homogeneous(vectors) -> tuple[int, int]:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import time
 from unittest import mock
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomlen import cli, finite_weyl
+from atomlen import cli, cores_abaci, finite_weyl
 from atomlen import quadratic_forms as qf
 from atomlen.cli import main
 
@@ -137,12 +138,35 @@ def test_budget_errors_exit_two(capsys, monkeypatch):
 
 
 def test_hall_over_the_budget_exits_two(capsys, monkeypatch):
-    monkeypatch.setenv("ATOMLEN_BUDGET", "100000")
-    d = ",".join(map(str, (9, 21, 21, 25, 20, 19, 0, 17, 0, 20, 4, 12, 23,
-                           17, 3, 14, 0, 24, 13, 19, 21, 13, 8, 11, 13, 17)))
-    code, out, err = run(capsys, "hall", "--mod", "26", "--d", d)
+    # Hall's exchange chain takes 158 steps on this m=26 vector, which the
+    # backtracking search could not finish; a random m=300 vector takes
+    # 24,336 steps
+    monkeypatch.setenv("ATOMLEN_BUDGET", "1000")
+    hard = (9, 21, 21, 25, 20, 19, 0, 17, 0, 20, 4, 12, 23, 17, 3, 14, 0, 24,
+            13, 19, 21, 13, 8, 11, 13, 17)
+    code, out, err = run(capsys, "hall", "--mod", "26", "--d",
+                         ",".join(map(str, hard)), "--json")
+    doc = json.loads(out)
+    assert code == 0 and err == ""
+    assert sorted(doc["a"]) == list(range(26)) == sorted(doc["b"])
+    assert all((y - x) % 26 == e for x, y, e in zip(doc["a"], doc["b"], hard))
+    rng = random.Random(300)
+    d = [rng.randrange(300) for _ in range(299)]
+    d.append(-sum(d) % 300)
+    monkeypatch.setenv("ATOMLEN_BUDGET", "10000")
+    code, out, err = run(capsys, "hall", "--mod", "300", "--d",
+                         ",".join(map(str, d)))
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "over the budget" in err
+    assert "exchange steps" in err
+
+
+def test_hall_reads_negative_differences(capsys):
+    code, out, err = run(capsys, "hall", "--mod", "3", "--d=-1,-2,3")
+    assert code == 0 and err == ""
+    a, b = (list(map(int, line.split()[1].split(",")))
+            for line in out.splitlines())
+    assert [(y - x) % 3 for x, y in zip(a, b)] == [2, 1, 0]
 
 
 def test_core_worked_example(capsys):
@@ -192,6 +216,17 @@ def test_core_over_the_budget_exits_two(capsys, monkeypatch):
     assert run(capsys, *spread)[0] == 0
     code, out, err = run(capsys, *spread, "--render")
     assert code == 2 and out == "" and "abacus rendering" in err
+
+
+def test_core_rotates_once_each_way(capsys, monkeypatch):
+    # phi gives the quotient and the level-n charges; the core is the one
+    # rotation back from those charges
+    widths, rotate = [], cores_abaci._rotate
+    monkeypatch.setattr(cores_abaci, "_rotate", lambda mp, charges, width: (
+        widths.append(width) or rotate(mp, charges, width)))
+    assert run(capsys, "core", "--npartition", "3,1;2,1", "--charges", "0,0",
+               "--n", "3")[0] == 0
+    assert widths == [3, 2]
 
 
 def test_core_readme_command_fits_a_small_budget(capsys, monkeypatch):

@@ -5,9 +5,73 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atomlen import budget
 from atomlen import sumsets as ss
 from atomlen.errors import (AtomlenError, BadLength, BadSum, BudgetExceeded,
                             NotPrime, SearchFailed)
+
+
+def backtrack_hall_decompose(m: int, d) -> tuple[tuple[int, ...],
+                                                tuple[int, ...]]:
+    """Enumeration pair (a, b) of Z/mZ with b_i - a_i = d_i for all i.
+
+    Exists for every zero-sum d-vector; found by backtracking (columns left
+    to right, unused a-values tried in ascending order, so the output is
+    deterministic).  Every dead end of the search counts against the budget.
+    """
+    d = tuple(x % m for x in d)
+    if len(d) != m:
+        raise BadLength(f"need {m} differences, got {len(d)}")
+    if sum(d) % m != 0:
+        raise BadSum(f"differences sum to {sum(d) % m} mod {m}, not 0")
+
+    a = [0] * m
+    used_a = bytearray(m)
+    used_b = bytearray(m)
+    dead_ends = 0
+
+    def rec(i: int) -> bool:
+        nonlocal dead_ends
+        if i == m:
+            return True
+        for v in range(m):
+            if used_a[v]:
+                continue
+            w = (v + d[i]) % m
+            if used_b[w]:
+                continue
+            used_a[v] = used_b[w] = 1
+            a[i] = v
+            if rec(i + 1):
+                return True
+            used_a[v] = used_b[w] = 0
+        dead_ends += 1
+        if not dead_ends & 1023:
+            budget.check(dead_ends, what=f"Hall decomposition mod {m} "
+                                         f"(dead ends)")
+        return False
+
+    if not rec(0):
+        raise SearchFailed(f"no decomposition for zero-sum d={d} mod {m}")
+    b = tuple((v + di) % m for v, di in zip(a, d))
+    return tuple(a), b
+
+
+def assert_hall_pair(m, d, pair):
+    a, b = pair
+    assert sorted(a) == list(range(m)) == sorted(b), (m, d)
+    assert all((y - x) % m == e % m for x, y, e in zip(a, b, d)), (m, d)
+
+
+def random_zero_sum(m, seed):
+    rng = random.Random(seed)
+    d = [rng.randrange(m) for _ in range(m - 1)]
+    return d + [-sum(d) % m]
+
+
+def zero_sum_vectors(m):
+    for head in itertools.product(range(m), repeat=m - 1):
+        yield head + (-sum(head) % m,)
 
 
 def test_hall_worked_example():
@@ -33,10 +97,33 @@ def test_hall_rejects_bad_input():
 def test_hall_decompose_random_zero_sum(m, data):
     d = [data.draw(st.integers(0, m - 1)) for _ in range(m - 1)]
     d.append((-sum(d)) % m)
-    a, b = ss.hall_decompose(m, d)
-    assert sorted(a) == list(range(m))
-    assert sorted(b) == list(range(m))
-    assert all((y - x) % m == e for x, y, e in zip(a, b, d))
+    assert_hall_pair(m, d, ss.hall_decompose(m, d))
+    assert_hall_pair(m, d, backtrack_hall_decompose(m, d))
+
+
+def test_hall_every_zero_sum_vector_up_to_six():
+    for m in range(1, 7):
+        for d in zero_sum_vectors(m):
+            assert_hall_pair(m, d, ss.hall_decompose(m, d))
+            assert_hall_pair(m, d, backtrack_hall_decompose(m, d))
+
+
+@given(st.integers(1, 128), st.data())
+@settings(max_examples=60, deadline=None)
+def test_hall_decompose_large_moduli(m, data):
+    d = data.draw(st.lists(st.integers(-3 * m, 3 * m), min_size=m - 1,
+                           max_size=m - 1))
+    d.append(-sum(d))
+    assert_hall_pair(m, d, ss.hall_decompose(m, d))
+
+
+def test_hall_exchange_chains_stay_within_m_squared_steps(monkeypatch):
+    # at most m - 1 coordinates, each repaired by fewer than m exchanges
+    for m in (16, 40, 100):
+        monkeypatch.setenv("ATOMLEN_BUDGET", str((m - 1) ** 2))
+        for seed in range(20):
+            d = random_zero_sum(m, seed)
+            assert_hall_pair(m, d, ss.hall_decompose(m, d))
 
 
 def test_difference_and_sum_sets_basics():
@@ -217,16 +304,29 @@ def test_budget_guard(monkeypatch):
     assert ss.verify_sumset_equality("A", 4).equal
 
 
-# m=26 runs for minutes without a budget; n=8 needs over 1024 dead ends
+# m=26 runs for minutes in the backtracking oracle and takes 158 exchange
+# steps; n=8 needs over 1024 dead ends
 HALL_HARD = (9, 21, 21, 25, 20, 19, 0, 17, 0, 20, 4, 12, 23, 17, 3, 14, 0,
              24, 13, 19, 21, 13, 8, 11, 13, 17)
 C_HARD = (3, 2, 15, 0, 0, 2, 2, 13)
 
 
+def test_hall_exchange_steps_are_budgeted(monkeypatch):
+    # the oracle's dead-end budget stopped HALL_HARD; the chain does not
+    # reach its first check, while m=300 takes 24,336 steps
+    monkeypatch.setenv("ATOMLEN_BUDGET", "1000")
+    assert_hall_pair(26, HALL_HARD, ss.hall_decompose(26, HALL_HARD))
+    big = random_zero_sum(300, 300)
+    monkeypatch.setenv("ATOMLEN_BUDGET", "10000")
+    with pytest.raises(BudgetExceeded,
+                       match=r"Hall decomposition mod 300 \(exchange steps\)"):
+        ss.hall_decompose(300, big)
+    monkeypatch.setenv("ATOMLEN_BUDGET", "25000")
+    assert_hall_pair(300, big, ss.hall_decompose(300, big))
+
+
 def test_backtracking_dead_ends_are_budgeted(monkeypatch):
     monkeypatch.setenv("ATOMLEN_BUDGET", "1000")
-    with pytest.raises(BudgetExceeded, match="Hall decomposition mod 26"):
-        ss.hall_decompose(26, HALL_HARD)
     with pytest.raises(BudgetExceeded, match="difference witness mod 17"):
         ss.c_difference_witness(8, C_HARD)
     monkeypatch.delenv("ATOMLEN_BUDGET")
