@@ -27,6 +27,15 @@ finds first, so witnesses are deterministic.  Tables are built over an
 increasing radius schedule 1, 2, 4, ..., R, each for the targets still
 missing, so small witnesses are found first while "not found" still
 certifies exhaustion of the full radius-R box.
+
+Misses cost no walk.  Folding the first coordinate's candidates into the
+table of the other coordinates gives one reachability row: the bitset of
+every offset value a whole vector of the box reaches.  Only the targets on
+that row are walked, and since the tables are exact such a walk cannot fail
+(one that did would raise InvariantViolation).  A target below the least
+value of the box is off the row at once.  Integer targets are turned into
+table offsets in plain integers; Fraction arithmetic is kept for targets on
+the half grid.
 """
 from __future__ import annotations
 
@@ -257,16 +266,18 @@ class FormSpec:
     denom: int
     virtual_last: bool = False
 
-    def evaluate(self, t):
+    def numerator(self, t) -> int:
+        """denom * value(t), an exact integer."""
         t = tuple(t)
         if len(t) != self.nvars:
             raise BadLength(f"{self.form_id} takes {self.nvars} variables")
         if self.virtual_last:
             t = t + (-sum(t),)
-        num = self.quad * sum(v * v for v in t)
-        num += sum(b * v for b, v in zip(self.lin, t))
-        num += self.const
-        val = Fraction(num, self.denom)
+        return (self.quad * sum(v * v for v in t)
+                + sum(b * v for b, v in zip(self.lin, t)) + self.const)
+
+    def evaluate(self, t):
+        val = Fraction(self.numerator(t), self.denom)
         return int(val) if val.denominator == 1 else val
 
 
@@ -381,6 +392,13 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
                     layer[state] = layer.get(state, 0) | b
         tables[i] = layer
 
+    # reach: bitset of the offset values whole vectors reach, the first
+    # coordinate folded into tables[1]
+    reach = 0
+    for v, off, wc, cap in cands[0]:
+        if off <= top:
+            reach |= tables[1].get(((total - v) & fold, full - wc), 0) << off
+
     def walk(rem):
         vec, psum, used = [], 0, 0
         for i in range(n):
@@ -398,8 +416,12 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
 
     out = {}
     for K in targets:
-        hit = walk(K - base)
-        if hit is not None:
+        if K >= base and reach >> (K - base) & 1:
+            hit = walk(K - base)
+            if hit is None:
+                raise InvariantViolation(
+                    f"the table reaches {K} on {domain.label} but no walk "
+                    f"does")
             out[K] = hit
     return out
 
@@ -413,8 +435,12 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
     """Witness or None for each target, in order: the first domain vector in
     the fixed search order with form value exactly k.
 
-    None is not a proof of non-representability, only exhaustion of the
-    radius box.  Every witness is re-evaluated and member-checked.
+    Targets may be ints or Fractions; negative ones and those whose scaled
+    value denom*k - const is not an integer are misses without a search.
+    Each radius of the schedule walks only the targets on its reachability
+    row.  None is not a proof of non-representability, only exhaustion of
+    the radius box.  Every witness is re-evaluated in integers (its
+    numerator must be denom*k) and member-checked.
     """
     if radius < 0:
         raise DomainViolation(f"radius must be >= 0, got {radius}")
@@ -425,7 +451,7 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
             f"coordinate {form.virtual_last} vs {domain.projected}")
     nums = {}
     for k in targets:
-        knum = form.denom * Fraction(k) - form.const
+        knum = form.denom * k - form.const
         if k >= 0 and knum.denominator == 1:
             nums[k] = int(knum)
     found = {}
@@ -441,7 +467,7 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
         if hit is not None:
             if domain.projected:
                 hit = hit[:-1]
-            if form.evaluate(hit) != k:
+            if form.numerator(hit) != form.denom * k:
                 raise InvariantViolation(
                     f"witness {hit} evaluates to {form.evaluate(hit)}, "
                     f"wanted {k}")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from atomlen import quadratic_forms as qf
 from atomlen.cores_abaci import WeightSpec, refined_size_form
-from atomlen.errors import BudgetExceeded, DomainViolation
+from atomlen.errors import BadLength, BudgetExceeded, DomainViolation
 
 from test_affine_permutations import random_window_strategy
 
@@ -461,10 +461,13 @@ def _brute_force_first(form, lit, k, radius):
 @settings(max_examples=120, deadline=None)
 def test_engine_matches_brute_force(data):
     # independent oracle for the table engine: at small radius, its witness
-    # must be the first one a plain box enumeration meets in the same order
+    # must be the first one a plain box enumeration meets in the same order.
+    # One represent_all call per case takes negative targets, targets below
+    # the least form value on the radius box (no walk may start there) and,
+    # on the A2even lattice, whose norms lie on the half grid, Fractions
     kind = data.draw(st.sampled_from(
         ["delta", "core-size", "deltaC", "euclid-D", "window", "charges",
-         "q-free", "projected", "refined", "C1", "B1"]))
+         "q-free", "projected", "refined", "C1", "B1", "A2even"]))
     if kind == "delta":
         n = data.draw(st.integers(2, 4))
         form, (dom, lit) = qf.form_Q(n), with_oracle(qf.domain_Delta, n)
@@ -510,6 +513,24 @@ def test_engine_matches_brute_force(data):
     assert hit == _brute_force_first(form, lit, k, radius)
     if hit is not None:
         assert all(abs(v) <= radius for v in hit)
+    box = itertools.product(range(-radius, radius + 1), repeat=form.nvars)
+    least = min(form.evaluate(v) for v in box)
+    targets = [-5, -1] + list(range(math.ceil(least))) + list(range(16))
+    if form.form_id == "norm[A2even]":
+        targets += [Fraction(j, 2) for j in range(-2, 16)]
+    targets = data.draw(st.permutations(targets))
+    hits = qf.represent_all(form, dom, targets, radius)
+    assert hits == [_brute_force_first(form, lit, k, radius) for k in targets]
+
+
+def test_batch_targets_below_the_box_minimum_are_misses():
+    # on the radius-2 box P(3) is at least 1/2, so target 0 lies below every
+    # table value; at radius 3 the identity window reaches it
+    form, dom = qf.form_P(3), qf.domain_D(3)
+    targets = [0, 3, -1, 1]
+    assert qf.represent_all(form, dom, targets, 2) == [None] * 4
+    assert qf.represent_all(form, dom, targets, 3) == [
+        (1, 2, 3), (2, 3, 1), None, (1, 3, 2)]
 
 
 # Witnesses of the depth-first engine this table engine replaced, recorded
@@ -540,6 +561,59 @@ def test_pinned_witnesses(form, dom, k, radius, witness):
     assert qf.represent(form, dom, k, 1) is None
     report = qf.universality_scan(form, dom, k, radius, min_k=k)
     assert report.entries[0].witness == witness
+
+
+def _P_anywhere(t):
+    """eval_P's formula, without its window-only integrality check."""
+    n = len(t)
+    return Fraction(6 * sum(v * v for v in t)
+                    - 12 * sum(i * v for i, v in enumerate(t, 1))
+                    + n * (n + 1) * (2 * n + 1), 12)
+
+
+def _Ps_anywhere(spec):
+    """eval_Ps's polynomial, off the charge orbit too."""
+    return lambda t: (Fraction(spec.n, 2 * spec.ell) * sum(v * v for v in t)
+                      - sum((i - 1) * v for i, v in enumerate(t, 1))
+                      - spec.normalizing_constant())
+
+
+def _lattice_norm(tag):
+    return lambda t: Fraction(sum(v * v for v in t), qf.LATTICE_DENOM[tag])
+
+
+# (form, the paper's value map where one exists apart from FormSpec)
+FORM_VALUES = [
+    *((qf.form_P(n), _P_anywhere) for n in (1, 2, 5)),
+    *((qf.form_Q(n), qf.eval_Q) for n in (1, 3, 6)),
+    *((qf.form_q(m), qf.eval_q) for m in (1, 2, 4)),
+    *((qf.form_euclidean(n), _lattice_norm("D2")) for n in (1, 4)),
+    *((qf.form_core_size(n), None) for n in (2, 5)),
+    *((qf.form_lattice_norm(tag, 3), _lattice_norm(tag))
+      for tag in qf.LATTICE_TAGS),
+    *((refined_size_form(n), None) for n in (2, 5)),
+    *((WeightSpec(n, ell, ch).form(), _Ps_anywhere(WeightSpec(n, ell, ch)))
+      for n, ell, ch in ((5, 3, (2, 2, 4)), (4, 2, (0, 1)), (3, 1, (2,)))),
+]
+
+
+@pytest.mark.parametrize("form,value", FORM_VALUES,
+                         ids=lambda v: getattr(v, "form_id", None))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_numerator_is_denom_times_value(form, value, data):
+    t = data.draw(st.lists(st.integers(-50, 50), min_size=form.nvars,
+                           max_size=form.nvars))
+    num = form.numerator(t)
+    assert type(num) is int
+    assert num == form.denom * form.evaluate(t)
+    if value is not None:
+        assert Fraction(num, form.denom) == value(t)
+
+
+def test_numerator_rejects_a_wrong_arity():
+    with pytest.raises(BadLength, match=r"^Q takes 3 variables$"):
+        qf.form_Q(3).numerator((0, 0))
 
 
 def test_represent_all_matches_represent():
