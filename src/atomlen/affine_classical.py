@@ -3,7 +3,7 @@ Euclidean scans, the lattice table for the classical affine families, and the
 large-rank universality thresholds."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .affine_permutations import AffinePermutation, make_affine
@@ -13,8 +13,7 @@ from .quadratic_forms import (LATTICE_DENOM, LATTICE_TAGS, UniversalityReport,
                               form_lattice_norm, member, universality_scan)
 
 
-@dataclass(frozen=True)
-class TypeCAffineElement:
+class TypeCAffineElement(namedtuple("TypeCAffineElement", "n window")):
     """Element of the affine hyperoctahedral group, reduced window form.
 
     The reduced window (w(1), ..., w(n)) extends to a full window of rank
@@ -22,15 +21,14 @@ class TypeCAffineElement:
     w(2n+1-i) = 2n+1 - w(i).
     """
 
-    n: int
-    window: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = 2 * self.n + 1
-        if len(self.window) != self.n:
-            raise BadLength(f"reduced window needs {self.n} entries")
+    def __new__(cls, n, window):
+        m = 2 * n + 1
+        if len(window) != n:
+            raise BadLength(f"reduced window needs {n} entries")
         classes = set()
-        for v in self.window:
+        for v in window:
             r = v % m
             if r == 0:
                 raise MirrorViolation(
@@ -38,8 +36,9 @@ class TypeCAffineElement:
             c = min(r, m - r)
             if c in classes:
                 raise MirrorViolation(
-                    f"entries of {self.window} clash up to sign mod {m}")
+                    f"entries of {window} clash up to sign mod {m}")
             classes.add(c)
+        return tuple.__new__(cls, (n, window))
 
 
 def lift_to_A(e: TypeCAffineElement) -> AffinePermutation:
@@ -48,7 +47,7 @@ def lift_to_A(e: TypeCAffineElement) -> AffinePermutation:
     m = 2 * n + 1
     full = list(e.window)
     for j in range(n + 1, 2 * n + 1):
-        full.append(m - e.window[m - j - 1])
+        full.append(m - full[m - j - 1])
     full.append(m)
     return make_affine(m, tuple(full))
 
@@ -97,19 +96,18 @@ _TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class AffineLatticeSpec:
+class AffineLatticeSpec(namedtuple("AffineLatticeSpec", "tag n")):
     """One row of the lattice table: translation lattice, norm convention
     and Coxeter number of a classical affine family."""
 
-    tag: str
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tag not in LATTICE_TAGS:
-            raise DomainViolation(f"unknown affine type tag {self.tag!r}")
-        if self.n < 1:
-            raise BadLength(f"rank must be positive, got {self.n}")
+    def __new__(cls, tag, n):
+        if tag not in LATTICE_TAGS:
+            raise DomainViolation(f"unknown affine type tag {tag!r}")
+        if n < 1:
+            raise BadLength(f"rank must be positive, got {n}")
+        return tuple.__new__(cls, (tag, n))
 
     @property
     def finite_series(self) -> str:

@@ -9,18 +9,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BadLength, BadSum, InvariantViolation, RankMismatch, ResidueClash
 from .quadratic_forms import eval_P
 
 
-@dataclass(frozen=True)
-class AffinePermutation:
+class AffinePermutation(namedtuple("AffinePermutation", "n window")):
     """Window-notation element of the affine symmetric group of rank n."""
 
-    n: int
-    window: tuple[int, ...]
+    __slots__ = ()
 
     def __call__(self, i: int) -> int:
         return apply(self, i)
@@ -29,23 +27,19 @@ class AffinePermutation:
         return format_window(self.window)
 
 
-@dataclass(frozen=True)
-class FinitePermutation:
+class FinitePermutation(namedtuple("FinitePermutation", "n images")):
     """Permutation of {1, ..., n}, stored by its image tuple."""
 
-    n: int
-    images: tuple[int, ...]
+    __slots__ = ()
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
 
-@dataclass(frozen=True)
-class TranslationVector:
+class TranslationVector(namedtuple("TranslationVector", "n coords")):
     """Element x of the type A root lattice (integer coordinates, sum 0)."""
 
-    n: int
-    coords: tuple[int, ...]
+    __slots__ = ()
 
     def norm2(self) -> int:
         return sum(c * c for c in self.coords)
@@ -76,25 +70,27 @@ def identity(n: int) -> AffinePermutation:
 
 def apply(w: AffinePermutation, i: int) -> int:
     """Image of any integer i under the periodic extension of the window."""
-    j = (i - 1) % w.n  # 0-based column
-    k = (i - 1 - j) // w.n
-    return w.window[j] + k * w.n
+    n = w.n
+    j = (i - 1) % n  # 0-based column
+    k = (i - 1 - j) // n
+    return w.window[j] + k * n
 
 
 def compose(u: AffinePermutation, v: AffinePermutation) -> AffinePermutation:
     """(u o v)(i) = u(v(i))."""
     if u.n != v.n:
         raise RankMismatch(f"cannot compose ranks {u.n} and {v.n}")
-    return AffinePermutation(u.n, tuple(apply(u, v.window[i]) for i in range(u.n)))
+    return AffinePermutation(u.n, tuple(apply(u, x) for x in v.window))
 
 
 def inverse(w: AffinePermutation) -> AffinePermutation:
-    win = [0] * w.n
+    n = w.n
+    win = [0] * n
     for j, wj in enumerate(w.window, start=1):
         # w(j + kn) = i  with  i = wj + kn;  invert column by column
-        r = (wj - 1) % w.n
+        r = (wj - 1) % n
         win[r] = j + (r + 1 - wj)  # k*n = (r+1) - wj
-    return AffinePermutation(w.n, tuple(win))
+    return AffinePermutation(n, tuple(win))
 
 
 def decompose(w: AffinePermutation) -> tuple[TranslationVector, FinitePermutation]:
@@ -105,30 +101,29 @@ def decompose(w: AffinePermutation) -> tuple[TranslationVector, FinitePermutatio
     """
     wbar, y = decompose_right(w)
     x = [0] * w.n
-    for i in range(w.n):
-        x[wbar.images[i] - 1] = y.coords[i]
+    for p, yi in zip(wbar.images, y.coords):
+        x[p - 1] = yi
     return TranslationVector(w.n, tuple(x)), wbar
 
 
 def decompose_right(w: AffinePermutation) -> tuple[FinitePermutation, TranslationVector]:
     """Dual split w = wbar . t_y: wbar(i) is the window entry reduced to
     {1, ..., n} and y_i = (w(i) - wbar(i)) / n."""
-    images = []
-    y = []
-    for i in range(w.n):
-        r = (w.window[i] - 1) % w.n + 1
+    n, images, y = w.n, [], []
+    for v in w.window:
+        r = (v - 1) % n + 1
         images.append(r)
-        y.append((w.window[i] - r) // w.n)
-    return FinitePermutation(w.n, tuple(images)), TranslationVector(w.n, tuple(y))
+        y.append((v - r) // n)
+    return FinitePermutation(n, tuple(images)), TranslationVector(n, tuple(y))
 
 
 def recompose(x: TranslationVector, wbar: FinitePermutation) -> AffinePermutation:
     """Window of t_x . wbar."""
     if x.n != wbar.n:
         raise RankMismatch(f"ranks differ: {x.n} vs {wbar.n}")
-    n = x.n
-    win = tuple(wbar.images[i] + n * x.coords[wbar.images[i] - 1] for i in range(n))
-    return AffinePermutation(n, win)
+    n, coords = x.n, x.coords
+    return AffinePermutation(n, tuple(p + n * coords[p - 1]
+                                      for p in wbar.images))
 
 
 def entropy(w: AffinePermutation) -> int:

@@ -11,7 +11,7 @@ runners it fills against ATOMLEN_BUDGET.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import budget
@@ -115,22 +115,21 @@ def strip_to_core(parts: Partition, n: int) -> Partition:
 # Beta-sets and runners
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BetaAbacus:
+class BetaAbacus(namedtuple("BetaAbacus", "threshold beads")):
     """One runner: all positions < threshold occupied, plus `beads` above.
 
     Normalized so the threshold is the first unoccupied position, hence the
     beads form a sorted tuple of positions > threshold.
     """
 
-    threshold: int
-    beads: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.beads != tuple(sorted(set(self.beads))):
+    def __new__(cls, threshold, beads):
+        if beads != tuple(sorted(set(beads))):
             raise BadLength("beads must be sorted and distinct")
-        if self.beads and self.beads[0] <= self.threshold:
+        if beads and beads[0] <= threshold:
             raise BadLength("beads must lie above the threshold")
+        return tuple.__new__(cls, (threshold, beads))
 
     def occupied(self, pos: int) -> bool:
         return pos < self.threshold or pos in self.beads
@@ -177,11 +176,10 @@ def is_n_core_abacus(runner: BetaAbacus, n: int) -> bool:
     return all(runner.occupied(b - n) for b in runner.beads)
 
 
-@dataclass(frozen=True)
-class LAbacus:
+class LAbacus(namedtuple("LAbacus", "runners")):
     """Stack of runners, bottom (index 0) to top."""
 
-    runners: tuple[BetaAbacus, ...]
+    __slots__ = ()
 
     def render(self) -> str:
         """Top runner printed first, position ruler underneath."""
@@ -319,24 +317,22 @@ def multipartition_size(multipartition) -> int:
 # Charge orbits and the atomic-length polynomial
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightSpec:
+class WeightSpec(namedtuple("WeightSpec", "n ell charges")):
     """Level-l dominant weight datum: 0 <= s_1 <= ... <= s_l < n."""
 
-    n: int
-    ell: int
-    charges: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (1 <= self.ell <= self.n):
-            raise BadEll(f"need 1 <= level <= n, got {self.ell} vs {self.n}")
-        if len(self.charges) != self.ell:
+    def __new__(cls, n, ell, charges):
+        if not (1 <= ell <= n):
+            raise BadEll(f"need 1 <= level <= n, got {ell} vs {n}")
+        if len(charges) != ell:
             raise BadLength("number of charges must equal the level")
-        c = self.charges
-        if any(not (0 <= v < self.n) for v in c):
-            raise BadIndex(f"charges must lie in [0, {self.n}), got {c}")
-        if any(c[i] > c[i + 1] for i in range(self.ell - 1)):
+        c = charges
+        if any(not (0 <= v < n) for v in c):
+            raise BadIndex(f"charges must lie in [0, {n}), got {c}")
+        if any(c[i] > c[i + 1] for i in range(ell - 1)):
             raise BadLength(f"charges must be sorted increasingly, got {c}")
+        return tuple.__new__(cls, (n, ell, charges))
 
     @property
     def sprime(self) -> tuple[int, ...]:
@@ -357,13 +353,13 @@ class WeightSpec:
                 - sum((i - 1) * v for i, v in enumerate(sp, 1)))
 
     def form(self) -> FormSpec:
-        const = -2 * self.ell * self.normalizing_constant()
+        n, ell = self.n, self.ell
+        const = -2 * ell * self.normalizing_constant()
         if const.denominator != 1:
             raise InvariantViolation("normalizing constant has bad denominator")
-        return FormSpec(f"Ps[n={self.n},l={self.ell}]", self.n, self.n,
-                        tuple(-2 * self.ell * (i - 1)
-                              for i in range(1, self.n + 1)),
-                        int(const), 2 * self.ell)
+        return FormSpec(f"Ps[n={n},l={ell}]", n, n,
+                        tuple(-2 * ell * (i - 1) for i in range(1, n + 1)),
+                        int(const), 2 * ell)
 
 
 def truncated_constant_closed_form(n: int, ell: int) -> Fraction:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,16 +21,15 @@ from .errors import (BadEll, BadIndex, BadLength, InvariantViolation,
 SERIES = ("A", "B", "C", "D")
 
 
-@dataclass(frozen=True)
-class FiniteType:
-    series: str
-    n: int
+class FiniteType(namedtuple("FiniteType", "series n")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.series not in SERIES:
-            raise BadIndex(f"unknown series {self.series!r}")
-        if self.n < 1 or (self.series == "D" and self.n < 2):
-            raise BadLength(f"rank {self.n} invalid for series {self.series}")
+    def __new__(cls, series, n):
+        if series not in SERIES:
+            raise BadIndex(f"unknown series {series!r}")
+        if n < 1 or (series == "D" and n < 2):
+            raise BadLength(f"rank {n} invalid for series {series}")
+        return tuple.__new__(cls, (series, n))
 
     @property
     def dim(self) -> int:
@@ -44,33 +43,32 @@ class FiniteType:
         return 2 ** self.n * math.factorial(self.n)
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(namedtuple("SignedPermutation", "type perm signs")):
     """w(e_i) = signs_i * e_{perm_i}; series A forces all signs positive,
     series D an even number of negative ones."""
 
-    type: FiniteType
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        d = self.type.dim
-        if sorted(self.perm) != list(range(1, d + 1)):
-            raise BadIndex(f"perm {self.perm} is not a permutation of 1..{d}")
-        if any(s not in (1, -1) for s in self.signs) or len(self.signs) != d:
-            raise BadIndex(f"bad sign vector {self.signs}")
-        if self.type.series == "A" and any(s != 1 for s in self.signs):
+    def __new__(cls, type, perm, signs):
+        d, series = type.dim, type.series
+        if sorted(perm) != list(range(1, d + 1)):
+            raise BadIndex(f"perm {perm} is not a permutation of 1..{d}")
+        if any(s not in (1, -1) for s in signs) or len(signs) != d:
+            raise BadIndex(f"bad sign vector {signs}")
+        if series == "A" and any(s != 1 for s in signs):
             raise BadIndex("series A has no sign changes")
-        if self.type.series == "D" and self.signs.count(-1) % 2:
+        if series == "D" and signs.count(-1) % 2:
             raise BadIndex("series D needs an even number of sign changes")
+        return tuple.__new__(cls, (type, perm, signs))
 
     def act(self, v):
         """Image of a vector in epsilon coordinates."""
-        if len(v) != self.type.dim:
-            raise RankMismatch(f"vector of length {len(v)} for {self.type}")
+        t, perm, signs = self
+        if len(v) != t.dim:
+            raise RankMismatch(f"vector of length {len(v)} for {t}")
         out = [Fraction(0)] * len(v)
-        for i, (p, s) in enumerate(zip(self.perm, self.signs)):
-            out[p - 1] = s * v[i]
+        for p, s, x in zip(perm, signs, v):
+            out[p - 1] = s * x
         return tuple(out)
 
 
@@ -83,14 +81,14 @@ def enumerate_group(t: FiniteType):
     """All group elements; permutations in lexicographic order, sign vectors
     in binary order within each permutation."""
     budget.check(t.order(), what=f"enumeration of W({t.series}{t.n})")
-    d = t.dim
+    d, series = t.dim, t.series
     for perm in itertools.permutations(range(1, d + 1)):
-        if t.series == "A":
+        if series == "A":
             yield SignedPermutation(t, perm, (1,) * d)
             continue
         for mask in range(2 ** d):
             signs = tuple(-1 if mask >> i & 1 else 1 for i in range(d))
-            if t.series == "D" and signs.count(-1) % 2:
+            if series == "D" and signs.count(-1) % 2:
                 continue
             yield SignedPermutation(t, perm, signs)
 
@@ -99,10 +97,10 @@ def w0_action(t: FiniteType) -> SignedPermutation:
     """Longest element: coordinate reversal in series A, minus the identity
     in B and C, and in D minus the identity when the rank is even, else the
     sign change on the first n-1 coordinates."""
-    d = t.dim
-    if t.series == "A":
+    d, series = t.dim, t.series
+    if series == "A":
         return SignedPermutation(t, tuple(range(d, 0, -1)), (1,) * d)
-    if t.series in ("B", "C") or t.n % 2 == 0:
+    if series in ("B", "C") or t.n % 2 == 0:
         return SignedPermutation(t, tuple(range(1, d + 1)), (-1,) * d)
     return SignedPermutation(t, tuple(range(1, d + 1)), (-1,) * (d - 1) + (1,))
 
@@ -135,18 +133,18 @@ def simple_roots(t: FiniteType) -> tuple[tuple[Fraction, ...], ...]:
 
 def fundamental_weight_eps(t: FiniteType, i: int) -> tuple[Fraction, ...]:
     """Fundamental weight in epsilon coordinates (Bourbaki numbering)."""
-    n, d = t.n, t.dim
+    series, n = t.series, t.n
     if not 1 <= i <= n:
         raise BadIndex(f"weight index {i} out of range for rank {n}")
-    if t.series == "A":
-        base = [Fraction(1)] * i + [Fraction(0)] * (d - i)
+    if series == "A":
+        base = [Fraction(1)] * i + [Fraction(0)] * (n + 1 - i)
         shift = Fraction(i, n + 1)
         return tuple(b - shift for b in base)
-    if t.series == "B":
+    if series == "B":
         if i < n:
             return tuple([Fraction(1)] * i + [Fraction(0)] * (n - i))
         return tuple([Fraction(1, 2)] * n)
-    if t.series == "C":
+    if series == "C":
         return tuple([Fraction(1)] * i + [Fraction(0)] * (n - i))
     if i <= n - 2:
         return tuple([Fraction(1)] * i + [Fraction(0)] * (n - i))
@@ -255,10 +253,10 @@ def _check_ell(t: FiniteType, ell: int) -> None:
 def truncated_staircase_eps(t: FiniteType, ell: int) -> tuple[Fraction, ...]:
     """Sum of the last ell fundamental weights, epsilon coordinates."""
     _check_ell(t, ell)
+    n = t.n
     out = [Fraction(0)] * t.dim
-    for i in range(t.n - ell + 1, t.n + 1):
-        w = fundamental_weight_eps(t, i)
-        out = [a + b for a, b in zip(out, w)]
+    for i in range(n - ell + 1, n + 1):
+        out = [a + b for a, b in zip(out, fundamental_weight_eps(t, i))]
     return tuple(out)
 
 
@@ -280,12 +278,12 @@ def b_bound(t: FiniteType, ell: int) -> int:
     """Closed-form maximum of the truncated atomic length (value at the
     longest element)."""
     _check_ell(t, ell)
-    n = t.n
-    if t.series == "A":
+    series, n = t.series, t.n
+    if series == "A":
         num = ell * (ell + 1) * (3 * n - 2 * ell + 2)
-    elif t.series == "B":
+    elif series == "B":
         num = 3 * n * (n + 1) * (2 * ell - 1) - 2 * ell * (ell * ell - 1)
-    elif t.series == "C":
+    elif series == "C":
         num = (6 * n * n - 1) * ell - ell * ell * (2 * ell - 3)
     else:
         num = 2 * (ell - 1) * (3 * n * n - 3 * n - ell * (ell - 2))
@@ -327,13 +325,9 @@ def saturation_predicted(t: FiniteType, ell: int) -> bool:
     return ell <= t.n
 
 
-@dataclass(frozen=True)
-class SaturationResult:
-    type: FiniteType
-    ell: int
-    bound: int
-    image: tuple[int, ...]
-    is_interval: bool
+class SaturationResult(namedtuple("SaturationResult",
+                                  "type ell bound image is_interval")):
+    __slots__ = ()
 
     @property
     def missing(self) -> tuple[int, ...]:
@@ -361,14 +355,14 @@ def _image(t: FiniteType, ell: int, b: int) -> tuple[int, ...]:
     the sign sent to e_n does not change the value, so every sign vector
     has an even one with the same length and the signs stay unconstrained.
     """
-    d = t.dim
-    signs = (1,) if t.series == "A" else (1, -1)
+    series, n, d = t.series, t.n, t.dim
+    signs = (1,) if series == "A" else (1, -1)
     budget.check((1 << d) * d * len(signs) * (b + 1),
-                 what=f"saturation DP of {t.series}{t.n}")
+                 what=f"saturation DP of {series}{n}")
     rho = truncated_staircase_eps(t, ell)
-    u = _height_functional(t.series, t.n)
-    if t.series == "D" and u[-1] != 0:
-        raise InvariantViolation(f"height functional {u} of D{t.n} needs "
+    u = _height_functional(series, n)
+    if series == "D" and u[-1] != 0:
+        raise InvariantViolation(f"height functional {u} of D{n} needs "
                                  f"sign parity")
     terms = [[r * x for x in u] for r in rho]
     scale = math.lcm(*(q.denominator for row in terms for q in row))
@@ -398,7 +392,7 @@ def _image(t: FiniteType, ell: int, b: int) -> tuple[int, ...]:
         if frac or value < 0:
             raise InvariantViolation(
                 f"atomic length {Fraction(value * scale + frac, scale)} of "
-                f"{t.series}{t.n}, level {ell} is not a nonnegative integer")
+                f"{series}{n}, level {ell} is not a nonnegative integer")
         image.append(value)
     return tuple(image)
 
@@ -410,7 +404,6 @@ def saturation_check(t: FiniteType, ell: int) -> SaturationResult:
     identity and at the longest element are re-evaluated directly and must
     be its minimum 0 and maximum b.
     """
-    _check_ell(t, ell)
     b = b_bound(t, ell)
     image = _image(t, ell, b)
     if image[-1] > b:

@@ -39,7 +39,7 @@ the half grid.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -119,8 +119,10 @@ def map_pr_inv(x, n: int) -> tuple[int, ...]:
 # Constrained domains
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstrainedDomain:
+class ConstrainedDomain(namedtuple(
+        "ConstrainedDomain", "label n nvars caps sum_target mod shifts signed "
+        "step parity_even projected",
+        defaults=(None, 1, (), False, 1, False, False))):
     """A decidable subset of an integer lattice, in the form the search
     engine reads it.
 
@@ -133,24 +135,15 @@ class ConstrainedDomain:
     Empty shifts mean no shift.
     """
 
-    label: str
-    n: int
-    nvars: int
-    caps: tuple[int, ...]
-    sum_target: int | None = None
-    mod: int = 1
-    shifts: tuple[int, ...] = ()
-    signed: bool = False
-    step: int = 1
-    parity_even: bool = False
-    projected: bool = False
+    __slots__ = ()
 
     def dim(self) -> int:
         return self.nvars - self.projected
 
     def cls(self, i: int, v: int) -> int:
-        r = (v + self.shifts[i] if self.shifts else v) % self.mod
-        return min(r, self.mod - r) if self.signed else r
+        mod, shifts = self.mod, self.shifts
+        r = (v + shifts[i] if shifts else v) % mod
+        return min(r, mod - r) if self.signed else r
 
 
 def _distinct(label, n, sum_target, shifts):
@@ -166,7 +159,7 @@ def domain_Delta(n: int) -> ConstrainedDomain:
 
 
 def domain_X(n: int) -> ConstrainedDomain:
-    return replace(domain_Delta(n), label=f"X({n})", projected=True)
+    return domain_Delta(n)._replace(label=f"X({n})", projected=True)
 
 
 def domain_Q_full(n: int) -> ConstrainedDomain:
@@ -174,8 +167,8 @@ def domain_Q_full(n: int) -> ConstrainedDomain:
 
 
 def domain_Z_full(dim: int) -> ConstrainedDomain:
-    return replace(domain_Q_full(dim + 1), label=f"Z^{dim}", n=dim,
-                   projected=True)
+    return domain_Q_full(dim + 1)._replace(label=f"Z^{dim}", n=dim,
+                                           projected=True)
 
 
 def domain_DeltaC(n: int) -> ConstrainedDomain:
@@ -228,18 +221,19 @@ def member(domain: ConstrainedDomain, v) -> bool:
     v = tuple(v)
     if len(v) != domain.dim():
         return False
-    S = domain.sum_target
+    S, step = domain.sum_target, domain.step
+    caps, cls = domain.caps, domain.cls
     if domain.projected:
         v += (S - sum(v),)
     if S is not None and sum(v) != S:
         return False
-    if any(x % domain.step for x in v) or domain.parity_even and sum(v) % 2:
+    if any(x % step for x in v) or domain.parity_even and sum(v) % 2:
         return False
-    used = [0] * len(domain.caps)
+    used = [0] * len(caps)
     for i, x in enumerate(v):
-        c = domain.cls(i, x)
+        c = cls(i, x)
         used[c] += 1
-        if used[c] > domain.caps[c]:
+        if used[c] > caps[c]:
             return False
     return True
 
@@ -248,8 +242,9 @@ def member(domain: ConstrainedDomain, v) -> bool:
 # Forms as integer-scaled diagonal data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FormSpec:
+class FormSpec(namedtuple("FormSpec",
+                          "form_id nvars quad lin const denom virtual_last",
+                          defaults=(False,))):
     """value(t) = (quad * sum(t^2) + sum(lin_i t_i) + const) / denom.
 
     nvars is the visible arity.  Forms flagged virtual_last are evaluated on
@@ -258,13 +253,7 @@ class FormSpec:
     which is the half norm on the zero-sum lattice in one more variable).
     """
 
-    form_id: str
-    nvars: int
-    quad: int
-    lin: tuple[int, ...]
-    const: int
-    denom: int
-    virtual_last: bool = False
+    __slots__ = ()
 
     def numerator(self, t) -> int:
         """denom * value(t), an exact integer."""
@@ -351,9 +340,9 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
 
     # Per coordinate, in spiral order: (value, term minus the coordinate's
     # least term, class weight, class capacity).
-    cands, base = [], 0
+    cands, base, projected = [], 0, domain.projected
     for i in range(n):
-        if domain.projected and i == n - 1:
+        if projected and i == n - 1:
             values = range(S - i * h, S + i * h + 1)
         else:
             values = range(-h, h + 1, step)
@@ -449,9 +438,9 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
             f"form {form.form_id} cannot be searched on {domain.label}: "
             f"arity {form.nvars} vs dimension {domain.dim()}, forced last "
             f"coordinate {form.virtual_last} vs {domain.projected}")
-    nums = {}
+    nums, denom, const = {}, form.denom, form.const
     for k in targets:
-        knum = form.denom * k - form.const
+        knum = denom * k - const
         if k >= 0 and knum.denominator == 1:
             nums[k] = int(knum)
     found = {}
@@ -461,13 +450,13 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
             break
         found.update(_witnesses_at_radius(form.quad, form.lin, pending,
                                           domain, r))
-    hits = []
+    hits, projected = [], domain.projected
     for k in targets:
         hit = found.get(nums.get(k))
         if hit is not None:
-            if domain.projected:
+            if projected:
                 hit = hit[:-1]
-            if form.numerator(hit) != form.denom * k:
+            if form.numerator(hit) != denom * k:
                 raise InvariantViolation(
                     f"witness {hit} evaluates to {form.evaluate(hit)}, "
                     f"wanted {k}")
@@ -560,25 +549,21 @@ def _obstruction(form: FormSpec, k: int, moduli) -> tuple[int, int] | None:
 # Reports and scans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReportEntry:
-    target: object                 # int, or Fraction on the half grid
-    status: str                    # witness | not-found | obstructed
-    witness: tuple[int, ...] | None = None
-    modulus: int | None = None
-    residue: int | None = None
+class ReportEntry(namedtuple("ReportEntry",
+                             "target status witness modulus residue",
+                             defaults=(None, None, None))):
+    """target: int, or Fraction on the half grid; status: witness |
+    not-found | obstructed."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UniversalityReport:
-    form: str
-    domain: str
-    n: int
-    max_k: int
-    radius: int
-    grid: str                      # "int" | "half"
-    entries: tuple[ReportEntry, ...]
-    min_k: int = 0
+class UniversalityReport(namedtuple(
+        "UniversalityReport", "form domain n max_k radius grid entries min_k",
+        defaults=(0,))):
+    """grid: "int" | "half"."""
+
+    __slots__ = ()
 
     @property
     def misses(self) -> tuple[ReportEntry, ...]:

@@ -4,23 +4,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from . import budget
 from .errors import (BadLength, BadSum, InvariantViolation, NotPrime,
                      SearchFailed)
 
 
-@dataclass(frozen=True)
-class OrbitSet:
+class OrbitSet(namedtuple("OrbitSet", "family n modulus elements")):
     """Explicit orbit of (1, ..., n) in (Z/mZ)^n under a family of
     coordinate symmetries: "A" permutes coordinates, "C" also flips signs."""
 
-    family: str
-    n: int
-    modulus: int
-    elements: frozenset[tuple[int, ...]]
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -216,13 +211,9 @@ def zero_sum_subgroup(n: int, m: int) -> frozenset[tuple[int, ...]]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class SumsetCertificate:
-    family: str
-    n: int
-    modulus: int
-    equal: bool
-    missing: tuple[tuple[int, ...], ...]
+class SumsetCertificate(namedtuple("SumsetCertificate",
+                                   "family n modulus equal missing")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "n": self.n, "modulus": self.modulus,

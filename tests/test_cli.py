@@ -3,6 +3,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 from unittest import mock
 
@@ -85,6 +87,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_loads_no_dataclasses():
+    """The records are named tuples, so importing the CLI in a bare
+    interpreter pulls in neither dataclasses nor inspect."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import atomlen.cli; "
+            "print(atomlen.cli.__file__); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    path, loaded = out.stdout.splitlines()
+    assert os.path.samefile(os.path.dirname(path),
+                            os.path.join(src, "atomlen"))
+    assert loaded == "[]"
 
 
 def test_entropy_text(capsys):

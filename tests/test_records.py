@@ -1,0 +1,79 @@
+"""The library's records are immutable named tuples: validated ones check
+their arguments on construction, every one is built by position or keyword,
+keeps its defaults, refuses field assignment and prints as Name(field=...)."""
+import pytest
+
+from atomlen import quadratic_forms as qf
+from atomlen.affine_classical import AffineLatticeSpec, TypeCAffineElement
+from atomlen.cores_abaci import BetaAbacus, WeightSpec
+from atomlen.errors import (BadIndex, BadLength, DomainViolation,
+                            MirrorViolation)
+from atomlen.finite_weyl import FiniteType, SignedPermutation
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: FiniteType("E", 4), BadIndex, "unknown series 'E'"),
+    (lambda: SignedPermutation(FiniteType("D", 3), (1, 2, 3), (-1, 1, 1)),
+     BadIndex, "series D needs an even number of sign changes"),
+    (lambda: WeightSpec(5, 3, (2, 4, 2)), BadLength,
+     "charges must be sorted increasingly, got (2, 4, 2)"),
+    (lambda: BetaAbacus(3, (5, 4)), BadLength,
+     "beads must be sorted and distinct"),
+    (lambda: TypeCAffineElement(2, (1, 4)), MirrorViolation,
+     "entries of (1, 4) clash up to sign mod 5"),
+    (lambda: AffineLatticeSpec("E8", 4), DomainViolation,
+     "unknown affine type tag 'E8'"),
+])
+def test_validated_records_reject_invalid_arguments(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_validated_records_take_keywords():
+    t = FiniteType(series="C", n=3)
+    w = SignedPermutation(type=t, perm=(2, 1, 3), signs=(1, -1, 1))
+    assert w == SignedPermutation(t, (2, 1, 3), (1, -1, 1))
+    assert WeightSpec(n=5, ell=2, charges=(1, 3)).charges == (1, 3)
+    assert BetaAbacus(threshold=0, beads=(2,)).charge == 1
+    assert TypeCAffineElement(n=2, window=(1, 2)).window == (1, 2)
+    assert AffineLatticeSpec(tag="C1", n=4).coxeter_number == 8
+
+
+@pytest.mark.parametrize("record, field", [
+    (FiniteType("B", 4), "n"),
+    (qf.form_q(2), "virtual_last"),
+    (qf.domain_Delta(3), "label"),
+    (qf.ReportEntry(1, "witness", (1,)), "status"),
+])
+def test_fields_cannot_be_assigned(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+
+
+def test_keyword_construction_and_defaults():
+    entry = qf.ReportEntry(target=3, status="not-found")
+    assert (entry.witness, entry.modulus, entry.residue) == (None, None, None)
+    report = qf.UniversalityReport(form="Q", domain="Delta(3)", n=3, max_k=0,
+                                   radius=1, grid="int", entries=(entry,))
+    assert report.min_k == 0 and report.misses == (entry,)
+    domain = qf.ConstrainedDomain("L", 2, 2, (2,))
+    assert (domain.sum_target, domain.mod, domain.shifts, domain.signed,
+            domain.step, domain.parity_even, domain.projected) == (
+        None, 1, (), False, 1, False, False)
+    assert qf.FormSpec("Q", 2, 1, (0, 0), 0, 2).virtual_last is False
+
+
+def test_replaced_domains_keep_their_fields():
+    assert qf.domain_X(4)._asdict() == {
+        "label": "X(4)", "n": 4, "nvars": 4, "caps": (1, 1, 1, 1),
+        "sum_target": 0, "mod": 4, "shifts": (1, 2, 3, 4), "signed": False,
+        "step": 1, "parity_even": False, "projected": True}
+    assert qf.domain_Z_full(3)._asdict() == {
+        "label": "Z^3", "n": 3, "nvars": 4, "caps": (4,), "sum_target": 0,
+        "mod": 1, "shifts": (), "signed": False, "step": 1,
+        "parity_even": False, "projected": True}
+
+
+def test_repr_names_the_fields():
+    assert repr(FiniteType("B", 4)) == "FiniteType(series='B', n=4)"
