@@ -53,19 +53,15 @@ def hook_lengths(parts: Partition) -> tuple[tuple[int, ...], ...]:
         for i in range(len(parts)))
 
 
-def is_n_core_hooks(parts: Partition, n: int, *, divisible: bool = False) -> bool:
-    """No hook of length n; with divisible=True, no hook divisible by n.
+def is_n_core_hooks(parts: Partition, n: int) -> bool:
+    """No hook of length n.
 
-    The two variants agree (a hook of length kn forces one of length n);
-    the tests exercise that classical equivalence.
+    Equivalently no hook length divisible by n (a hook of length kn forces
+    one of length n); the tests check that classical equivalence.
     """
     if n < 2:
         raise BadLength(f"need n >= 2, got {n}")
-    for row in hook_lengths(parts):
-        for h in row:
-            if (h % n == 0) if divisible else (h == n):
-                return False
-    return True
+    return all(h != n for row in hook_lengths(parts) for h in row)
 
 
 def remove_rim_hook(parts: Partition, row: int, col: int) -> Partition:
@@ -415,16 +411,6 @@ def scan_truncated_weight(n: int, ell: int, max_k: int,
     """Universality scan for the staircase weight of level l."""
     spec = WeightSpec(n, ell, tuple(range(ell)))
     return universality_scan(spec.form(), spec.domain(), max_k, radius)
-
-
-def refined_go_form(n: int) -> FormSpec:
-    """Size polynomial on the distinct-residue orbit, shifted to vanish at
-    (0, 1, ..., n-1); the shift equals binomial(n+2, 4)."""
-    num = n * (n - 1) * (2 * n - 1) * (n + 2)
-    if num % 6:
-        raise InvariantViolation("refined constant is not integral")
-    return FormSpec(f"refined-go[{n}]", n, n,
-                    tuple(2 * (i - 1) for i in range(1, n + 1)), -num // 6, 2)
 
 
 def refined_size_form(n: int) -> FormSpec:

@@ -263,8 +263,11 @@ def truncated_staircase_eps(t: FiniteType, ell: int) -> tuple[Fraction, ...]:
 def atomic_length_finite(t: FiniteType, ell: int, w: SignedPermutation) -> int:
     """Height of rho_ell - w(rho_ell); a nonnegative integer on every
     group element."""
-    _check_ell(t, ell)
-    rho = truncated_staircase_eps(t, ell)
+    return _length(t, truncated_staircase_eps(t, ell), w)
+
+
+def _length(t: FiniteType, rho, w: SignedPermutation) -> int:
+    """Height of rho - w(rho) for a staircase weight rho already built."""
     moved = w.act(rho)
     diff = tuple(a - b for a, b in zip(rho, moved))
     h = height_eps(t, diff)
@@ -342,8 +345,9 @@ class SaturationResult(namedtuple("SaturationResult",
                 "missing": list(self.missing)}
 
 
-def _image(t: FiniteType, ell: int, b: int) -> tuple[int, ...]:
-    """Sorted image of the truncated atomic length over the whole group.
+def _image(t: FiniteType, ell: int, rho) -> tuple[int, ...]:
+    """Sorted image of the truncated atomic length over the whole group,
+    for the staircase weight rho of level ell.
 
     With h = <u, .> the height functional, the element w(e_i) = s_i e_pi(i)
     has length h(rho) - sum_i s_i rho_i u_pi(i).  A DP over the source
@@ -357,9 +361,6 @@ def _image(t: FiniteType, ell: int, b: int) -> tuple[int, ...]:
     """
     series, n, d = t.series, t.n, t.dim
     signs = (1,) if series == "A" else (1, -1)
-    budget.check((1 << d) * d * len(signs) * (b + 1),
-                 what=f"saturation DP of {series}{n}")
-    rho = truncated_staircase_eps(t, ell)
     u = _height_functional(series, n)
     if series == "D" and u[-1] != 0:
         raise InvariantViolation(f"height functional {u} of D{n} needs "
@@ -401,16 +402,22 @@ def saturation_check(t: FiniteType, ell: int) -> SaturationResult:
     """Test whether the atomic length image is the full interval [0, b].
 
     The image comes from the subset DP of _image; the values at the
-    identity and at the longest element are re-evaluated directly and must
-    be its minimum 0 and maximum b.
+    identity and at the longest element are re-evaluated directly through
+    the height functional and must be its minimum 0 and maximum b.  The
+    staircase weight is built once for all three.
     """
     b = b_bound(t, ell)
-    image = _image(t, ell, b)
+    # the DP of _image: 2^d masks, d targets, 2 signs (1 for A), b+1 values
+    d = t.dim
+    budget.check((1 << d) * d * (1 if t.series == "A" else 2) * (b + 1),
+                 what=f"saturation DP of {t.series}{t.n}")
+    rho = truncated_staircase_eps(t, ell)
+    image = _image(t, ell, rho)
     if image[-1] > b:
         raise InvariantViolation(
             f"value {image[-1]} above the closed-form bound {b}")
-    ends = (atomic_length_finite(t, ell, identity_element(t)),
-            atomic_length_finite(t, ell, w0_action(t)))
+    ends = (_length(t, rho, identity_element(t)),
+            _length(t, rho, w0_action(t)))
     if ends != (0, b) or (image[0], image[-1]) != ends:
         raise InvariantViolation(
             f"image of {t.series}{t.n}, level {ell} spans "

@@ -526,9 +526,9 @@ def attained_classes(form: FormSpec, m: int) -> frozenset[int]:
         f"attained_classes does not support form {form.form_id!r}")
 
 
-def _obstruction(form: FormSpec, k: int, moduli) -> tuple[int, int] | None:
-    """First modulus in moduli certifying that k is in a missed class, if
-    any.
+def _obstruction(form: FormSpec, k: int) -> tuple[int, int] | None:
+    """First modulus of DEFAULT_OBSTRUCTION_MODULI certifying that k is in a
+    missed class, if any.
 
     Every modulus is tried, however large: one whose residue table is over
     the budget raises BudgetExceeded instead of being skipped.
@@ -539,7 +539,7 @@ def _obstruction(form: FormSpec, k: int, moduli) -> tuple[int, int] | None:
     if arity >= 4:
         return None  # universal from four variables on: no class is missed
     base = form_q(arity)
-    for m in moduli:
+    for m in DEFAULT_OBSTRUCTION_MODULI:
         if k % m not in attained_classes(base, m):
             return m, k % m
     return None
@@ -617,17 +617,17 @@ def _target_text(k):
     return str(int(k))
 
 
-def _missed(form: FormSpec, k, moduli) -> ReportEntry:
+def _missed(form: FormSpec, k) -> ReportEntry:
     if isinstance(k, int) or k.denominator == 1:
-        obs = _obstruction(form, int(k), moduli)
+        obs = _obstruction(form, int(k))
         if obs is not None:
             return ReportEntry(k, "obstructed", None, obs[0], obs[1])
     return ReportEntry(k, "not-found")
 
 
 def universality_scan(form: FormSpec, domain: ConstrainedDomain, max_k: int,
-                      radius: int, *, min_k: int = 0, grid: str = "int",
-                      moduli=DEFAULT_OBSTRUCTION_MODULI) -> UniversalityReport:
+                      radius: int, *, min_k: int = 0,
+                      grid: str = "int") -> UniversalityReport:
     """Represent every target in [min_k, max_k] (or the half-integer grid)
     and attach modular obstructions to missed targets where certifiable."""
     if grid == "half":
@@ -636,6 +636,6 @@ def universality_scan(form: FormSpec, domain: ConstrainedDomain, max_k: int,
         targets = list(range(min_k, max_k + 1))
     hits = represent_all(form, domain, targets, radius)
     entries = [ReportEntry(k, "witness", hit) if hit is not None
-               else _missed(form, k, moduli) for k, hit in zip(targets, hits)]
+               else _missed(form, k) for k, hit in zip(targets, hits)]
     return UniversalityReport(form.form_id, domain.label, domain.n, max_k,
                               radius, grid, tuple(entries), min_k)

@@ -1,5 +1,5 @@
-"""Difference and sum sets in finite abelian groups, Hall decompositions,
-and the permutation / signed-permutation orbit sumsets."""
+"""Hall decompositions of Z/mZ, the difference-set identities of the
+permutation and signed-permutation orbits, and signed difference witnesses."""
 from __future__ import annotations
 
 import itertools
@@ -9,16 +9,6 @@ from collections import Counter, namedtuple
 from . import budget
 from .errors import (BadLength, BadSum, InvariantViolation, NotPrime,
                      SearchFailed)
-
-
-class OrbitSet(namedtuple("OrbitSet", "family n modulus elements")):
-    """Explicit orbit of (1, ..., n) in (Z/mZ)^n under a family of
-    coordinate symmetries: "A" permutes coordinates, "C" also flips signs."""
-
-    __slots__ = ()
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
 
 def hall_decompose(m: int, d) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -65,76 +55,6 @@ def hall_decompose(m: int, d) -> tuple[tuple[int, ...], tuple[int, ...]]:
             or any((y - x) % m != e for x, y, e in zip(a, b, d))):
         raise InvariantViolation(f"Hall pair for d={d} mod {m} does not check")
     return tuple(a), tuple(b)
-
-
-def _check_homogeneous(vectors) -> tuple[int, int]:
-    vectors = list(vectors)
-    if not vectors:
-        raise BadLength("empty set")
-    length = len(vectors[0])
-    if any(len(v) != length for v in vectors):
-        raise BadLength("vectors of mixed lengths")
-    return len(vectors), length
-
-
-def difference_set(A, m: int) -> frozenset[tuple[int, ...]]:
-    """Exact set {a - a' mod m}."""
-    A = [tuple(v) for v in A]
-    size, _ = _check_homogeneous(A)
-    budget.check(size * size, what="pairwise differences")
-    out = set()
-    for a in A:
-        for b in A:
-            out.add(tuple((x - y) % m for x, y in zip(a, b)))
-    return frozenset(out)
-
-
-def sumset(A, m: int) -> frozenset[tuple[int, ...]]:
-    """Exact set {a + a' mod m}."""
-    A = [tuple(v) for v in A]
-    size, _ = _check_homogeneous(A)
-    budget.check(size * size, what="pairwise sums")
-    out = set()
-    for a in A:
-        for b in A:
-            out.add(tuple((x + y) % m for x, y in zip(a, b)))
-    return frozenset(out)
-
-
-def _orbit(family: str, n: int, modulus: int | None):
-    """Modulus m, start vector e = (1, ..., n) mod m, and the orbit of e as
-    a stream: the vectors whose canonical form is e's (see below).
-
-    Defaults: modulus n for family A, 2n+1 for family C.  At the default
-    modulus the orbit size must be n! (A) or 2^n n! (C); check_size checks
-    a count against that.
-    """
-    if family not in ("A", "C"):
-        raise BadLength(f"unknown family {family!r}")
-    default = n if family == "A" else 2 * n + 1
-    m = default if modulus is None else modulus
-    e = tuple(i % m for i in range(1, n + 1))
-    cls = _canonical(family, e, m)
-    budget.check(_class_size(family, cls, m) * n,
-                 what=f"orbit of {family}{n} mod {m}")
-
-    def check_size(size: int) -> None:
-        expected = math.factorial(n) << (n if family == "C" else 0)
-        if m == default and size != expected:
-            raise SearchFailed(
-                f"orbit {family},{n} mod {m} has size {size}, "
-                f"expected {expected}")
-
-    return m, e, _class_members(family, cls, m), check_size
-
-
-def build_orbit(family: str, n: int, modulus: int | None = None) -> OrbitSet:
-    """Orbit of (1, ..., n) under coordinate permutations ("A"), plus sign
-    flips ("C"), listed explicitly (see _orbit)."""
-    m, _, members, check_size = _orbit(family, n, modulus)
-    orbit = OrbitSet(family, n, m, frozenset(members))
-    check_size(len(orbit))
-    return orbit
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +115,6 @@ def _target_classes(family: str, n: int, m: int):
             yield head + (last,)
 
 
-def zero_sum_subgroup(n: int, m: int) -> frozenset[tuple[int, ...]]:
-    """All vectors in (Z/mZ)^n with coordinate sum 0; size m^(n-1)."""
-    budget.check(m ** (n - 1), what="zero-sum subgroup enumeration")
-    out = []
-
-    def rec(prefix, s):
-        if len(prefix) == n - 1:
-            out.append(tuple(prefix + [(-s) % m]))
-            return
-        for v in range(m):
-            rec(prefix + [v], s + v)
-
-    rec([], 0)
-    return frozenset(out)
-
-
 class SumsetCertificate(namedtuple("SumsetCertificate",
                                    "family n modulus equal missing")):
     __slots__ = ()
@@ -228,6 +132,8 @@ def verify_sumset_equality(family: str, n: int,
     Family A: orbit minus itself must be the zero-sum subgroup of (Z/nZ)^n.
     Family C: orbit minus itself must be all of (Z/(2n+1)Z)^n (or of the
     overridden modulus group).  The certificate lists missing elements.
+    The default modulus is n (A) or 2n+1 (C); there the orbit of
+    e = (1, ..., n) mod m must have n! (A) or 2^n n! (C) vectors.
 
     The orbit O = W.e is an orbit of a group W acting linearly, so
     O - O = W.{w.e - e}: it is the union of the orbits of the |O| vectors
@@ -235,11 +141,19 @@ def verify_sumset_equality(family: str, n: int,
     target's orbits are the zero-sum multisets from Z/m (A) or all
     multisets of +/- classes 0..m//2 (C), and only the orbits that are
     not hit are expanded into explicit missing vectors.  The orbit is
-    streamed, never stored: memory grows with the number of classes.
+    streamed as the members of e's class, never stored: memory grows with
+    the number of classes.
     """
-    m, e, members, check_size = _orbit(family, n, modulus)
+    if family not in ("A", "C"):
+        raise BadLength(f"unknown family {family!r}")
+    default = n if family == "A" else 2 * n + 1
+    m = default if modulus is None else modulus
+    e = tuple(i % m for i in range(1, n + 1))
+    cls = _canonical(family, e, m)
+    budget.check(_class_size(family, cls, m) * n,
+                 what=f"orbit of {family}{n} mod {m}")
     hit, size = set(), 0
-    for o in members:
+    for o in _class_members(family, cls, m):
         hit.add(_canonical(family, tuple((x - y) % m for x, y in zip(o, e)),
                            m))
         size += 1
@@ -247,7 +161,10 @@ def verify_sumset_equality(family: str, n: int,
         # differences always live in the target group for family A by the
         # zero-sum invariant; anything else is a bug
         raise SearchFailed(f"difference set escapes target for {family},{n}")
-    check_size(size)
+    expected = math.factorial(n) << (n if family == "C" else 0)
+    if m == default and size != expected:
+        raise SearchFailed(f"orbit {family},{n} mod {m} has size {size}, "
+                           f"expected {expected}")
     group = m ** n if family == "C" else m ** (n - 1)
     absent = group - sum(_class_size(family, c, m) for c in hit)
     classes = (math.comb(m // 2 + n, n) if family == "C"

@@ -239,6 +239,21 @@ def test_saturation_exactness_invariants(monkeypatch):
             fw.saturation_check(td, 2)
 
 
+def test_saturation_check_builds_the_staircase_once(monkeypatch):
+    # one weight serves the DP and both end-point re-evaluations
+    builds = []
+    real = fw.truncated_staircase_eps
+
+    def counted(t, ell):
+        builds.append((t, ell))
+        return real(t, ell)
+
+    monkeypatch.setattr(fw, "truncated_staircase_eps", counted)
+    t = fw.FiniteType("B", 4)
+    assert fw.saturation_check(t, 4).is_interval
+    assert builds == [(t, 4)]
+
+
 def test_saturation_result_serialization():
     res = fw.saturation_check(fw.FiniteType("B", 2), 2)
     doc = res.to_json_dict()

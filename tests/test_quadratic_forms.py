@@ -309,21 +309,23 @@ def test_residue_table_budget_counts_dp_work(monkeypatch):
 
 
 def test_obstruction_tries_every_modulus(monkeypatch):
-    # 14 and 30 are attained mod 300; the large modulus is tried, not
-    # skipped, and mod 16 certifies both misses
+    # 14 and 30 are obstructed mod 16 on q(3); a budget just under the
+    # mod-16 residue table raises instead of skipping that modulus
     form, dom = qf.form_q(3), qf.domain_Z_full(3)
-    rep = qf.universality_scan(form, dom, 40, 10, moduli=(300, 16))
+    rep = qf.universality_scan(form, dom, 40, 10)
     assert [(e.target, e.status, e.modulus, e.residue)
             for e in rep.misses] == [(14, "obstructed", 16, 14),
                                      (30, "obstructed", 16, 14)]
-    rep = qf.universality_scan(form, dom, 40, 10, moduli=(300,))
-    assert [(e.target, e.status) for e in rep.misses] == [
-        (14, "not-found"), (30, "not-found")]
+    work = 16 + 16 * 16 + 16 * 16
     qf._attained_q.cache_clear()
-    monkeypatch.setenv("ATOMLEN_BUDGET", str(300 + 2 * 300 * 300 - 1))
+    monkeypatch.setenv("ATOMLEN_BUDGET", str(work - 1))
     with pytest.raises(BudgetExceeded,
-                       match=r"residue table of q\(3\) mod 300"):
-        qf.universality_scan(form, dom, 40, 10, moduli=(300,))
+                       match=r"residue table of q\(3\) mod 16"):
+        qf.universality_scan(form, dom, 14, 10, min_k=14)
+    monkeypatch.setenv("ATOMLEN_BUDGET", str(work))
+    rep = qf.universality_scan(form, dom, 14, 10, min_k=14)
+    assert [(e.target, e.status, e.modulus) for e in rep.entries] == [
+        (14, "obstructed", 16)]
 
 
 # (k, modulus, residue) of every obstructed target, recorded from the
