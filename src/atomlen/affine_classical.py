@@ -110,10 +110,6 @@ class AffineLatticeSpec(namedtuple("AffineLatticeSpec", "tag n")):
         return tuple.__new__(cls, (tag, n))
 
     @property
-    def finite_series(self) -> str:
-        return _TABLE[self.tag][0]
-
-    @property
     def coxeter_number(self) -> int:
         return _TABLE[self.tag][1](self.n)
 

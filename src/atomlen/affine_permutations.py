@@ -41,9 +41,6 @@ class TranslationVector(namedtuple("TranslationVector", "n coords")):
 
     __slots__ = ()
 
-    def norm2(self) -> int:
-        return sum(c * c for c in self.coords)
-
 
 def make_affine(n: int, window) -> AffinePermutation:
     """Validate a window and wrap it.

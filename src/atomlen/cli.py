@@ -4,7 +4,8 @@ subcommand with deterministic text or JSON output.
 Exit codes: 0 when the computation finished and every theorem-backed check
 passed, 1 when a report misses a value that the invoked theorem guarantees,
 2 for invalid input (including a computation over the budget), 3 for an
-internal error; every error is one line on stderr, never a traceback.
+internal error or a broken internal invariant; every error is one line on
+stderr, never a traceback.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import sys
 from . import affine_classical, affine_permutations, cores_abaci, finite_weyl
 from . import quadratic_forms as qf
 from . import sumsets
-from .errors import AtomlenError, SearchFailed
+from .errors import AtomlenError, InvariantViolation, SearchFailed
 
 SCAN_FORMS = ("rho", "Q-delta", "q-free", "Ps", "trunc", "refined-go", "go",
               "deltaC", "lattice")
@@ -278,10 +279,12 @@ def main(argv=None) -> int:
     except SearchFailed as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except AtomlenError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except Exception as exc:  # a bug, not a verdict: keep it off codes 0-2
+    except Exception as exc:
+        if isinstance(exc, AtomlenError) and \
+                not isinstance(exc, InvariantViolation):
+            print(str(exc), file=sys.stderr)
+            return 2
+        # a bug or a broken invariant, not a verdict: keep it off codes 0-2
         detail = " ".join(str(exc).split())
         print(f"atomlen {args.command}: internal error: "
               f"{type(exc).__name__}: {detail}", file=sys.stderr)

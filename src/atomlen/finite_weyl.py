@@ -3,8 +3,8 @@ arithmetic, truncated-staircase atomic lengths, their closed-form maxima,
 and exact saturation checks by a subset DP over signed permutations.
 
 Groups act on epsilon coordinates (dimension n+1 for series A, n otherwise)
-by signed permutations; heights are read off after an exact change of basis
-to simple-root coordinates.
+by signed permutations; the height of a root-span vector is its pairing with
+the closed-form sum of the fundamental coweights.
 """
 from __future__ import annotations
 
@@ -153,91 +153,22 @@ def fundamental_weight_eps(t: FiniteType, i: int) -> tuple[Fraction, ...]:
     return tuple([Fraction(1, 2)] * n)
 
 
-def omega_in_roots(t: FiniteType, i: int) -> tuple[Fraction, ...]:
-    """Expansion of a fundamental weight on the simple roots, per the four
-    classical closed forms."""
-    n = t.n
-    if not 1 <= i <= n:
-        raise BadIndex(f"weight index {i} out of range for rank {n}")
-    if t.series == "A":
-        return tuple(Fraction(j * (n - i + 1), n + 1) if j <= i
-                     else Fraction(i * (n - j + 1), n + 1)
-                     for j in range(1, n + 1))
-    if t.series == "B":
-        if i < n:
-            return tuple(Fraction(min(j, i)) for j in range(1, n + 1))
-        return tuple(Fraction(j, 2) for j in range(1, n + 1))
-    if t.series == "C":
-        out = [Fraction(min(j, i)) for j in range(1, n + 1)]
-        out[n - 1] = Fraction(i, 2)
-        return tuple(out)
-    # series D
-    if i <= n - 2:
-        out = [Fraction(min(j, i)) for j in range(1, n - 1)]
-        return tuple(out + [Fraction(i, 2), Fraction(i, 2)])
-    half = [Fraction(j, 2) for j in range(1, n - 1)]
-    if i == n - 1:
-        return tuple(half + [Fraction(n, 4), Fraction(n - 2, 4)])
-    return tuple(half + [Fraction(n - 2, 4), Fraction(n, 4)])
-
-
-def height_of_weight(t: FiniteType, i: int) -> Fraction:
-    return sum(omega_in_roots(t, i))
-
-
-def _solve(rows, rhs):
-    """Exact Gauss-Jordan solve of rows . x = rhs: one solution (free
-    unknowns zero, None if the system is inconsistent) and the rank."""
-    width = len(rows[0])
-    m = [list(row) + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    for c in range(width):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-    if any(row[width] != 0 for row in m[len(pivots):]):
-        return None, len(pivots)
-    x = [Fraction(0)] * width
-    for row, c in zip(m, pivots):
-        x[c] = row[width]
-    return tuple(x), len(pivots)
-
-
 @lru_cache(maxsize=None)
 def _height_functional(series: str, n: int) -> tuple[Fraction, ...]:
-    """Vector u with <u, v> = height of v for v in the root span: a solution
-    of u . alpha_j = 1 for every simple root (underdetermined for series A,
-    where any solution works on the sum-zero root span)."""
-    roots = simple_roots(FiniteType(series, n))
-    u, rank = _solve(roots, [1] * n)
-    if rank < n:
-        raise InvariantViolation("simple roots are not independent")
-    return u
+    """Vector u with <u, v> = height of v for v in the root span: the sum of
+    the fundamental coweights in epsilon coordinates, u_i = d - i (series A
+    and D), d - i + 1 (B) or d - i + 1/2 (C) over d coordinates, so that
+    u . alpha_j = 1 for every simple root.  Series A ends in u_d = 0; any
+    shift of u along (1, ..., 1) agrees on the sum-zero root span."""
+    d = n + 1 if series == "A" else n
+    shift = {"A": 0, "B": 1, "C": Fraction(1, 2), "D": 0}[series]
+    return tuple(Fraction(d - i) + shift for i in range(1, d + 1))
 
 
 def height_eps(t: FiniteType, v) -> Fraction:
     """Height of a root-span vector given in epsilon coordinates."""
     u = _height_functional(t.series, t.n)
     return sum(a * b for a, b in zip(u, v))
-
-
-def root_coordinates(t: FiniteType, v) -> tuple[Fraction, ...]:
-    """Exact coordinates of v on the simple-root basis."""
-    roots = simple_roots(t)
-    coeffs, rank = _solve(list(zip(*roots)), v)
-    if rank < t.n:
-        raise InvariantViolation("degenerate simple roots")
-    if coeffs is None:
-        raise InvariantViolation(f"{v} is outside the root span")
-    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomlen import cli, cores_abaci, finite_weyl
+from atomlen import cli, cores_abaci, finite_weyl, sumsets
 from atomlen import quadratic_forms as qf
 from atomlen.cli import main
+from atomlen.errors import InvariantViolation
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -421,6 +422,17 @@ def test_internal_error_is_exit_three(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err == ("atomlen entropy: internal error: RuntimeError: "
                    "unexpected state\n")
+
+
+def test_broken_invariant_is_exit_three(capsys, monkeypatch):
+    # InvariantViolation subclasses AtomlenError, yet it is a bug, not input
+    def broken(m, d):
+        raise InvariantViolation("Hall pair\ndoes not check")
+    monkeypatch.setattr(sumsets, "hall_decompose", broken)
+    code, out, err = run(capsys, "hall", "--mod", "4", "--d", "3,0,2,3")
+    assert code == 3 and out == ""
+    assert err == ("atomlen hall: internal error: InvariantViolation: "
+                   "Hall pair does not check\n")
 
 
 def test_threshold(capsys):

@@ -37,28 +37,44 @@ def test_group_orders():
         assert len(list(fw.enumerate_group(t))) == t.order()
 
 
-@given(types_and_levels(max_n=6))
-def test_omega_expansions_match_epsilon_coordinates(te):
-    t, _ = te
-    roots = fw.simple_roots(t)
-    for i in range(1, t.n + 1):
-        coeffs = fw.omega_in_roots(t, i)
-        recon = tuple(sum(c * r[k] for c, r in zip(coeffs, roots))
-                      for k in range(t.dim))
-        assert recon == fw.fundamental_weight_eps(t, i)
-        assert fw.height_eps(t, recon) == sum(coeffs)
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def test_coroot_sum_and_weights_match_simple_roots():
+    for series in fw.SERIES:
+        for n in range(2 if series == "D" else 1, 11):
+            t = fw.FiniteType(series, n)
+            roots = fw.simple_roots(t)
+            u = fw._height_functional(series, n)
+            assert [_dot(u, alpha) for alpha in roots] == [1] * n, t
+            for i in range(1, n + 1):
+                omega = fw.fundamental_weight_eps(t, i)
+                # <omega_i, alpha_j^vee>, alpha^vee = 2 alpha / (alpha, alpha)
+                assert [2 * _dot(omega, alpha) / _dot(alpha, alpha)
+                        for alpha in roots] == \
+                    [int(i == j) for j in range(1, n + 1)], (t, i)
+                if series == "A":
+                    assert sum(omega) == 0, (t, i)
 
 
 def test_height_closed_forms():
     t = fw.FiniteType("A", 5)
     for i in range(1, 6):
-        assert fw.height_of_weight(t, i) == Fraction(i * (5 - i + 1), 2)
+        assert fw.height_eps(t, fw.fundamental_weight_eps(t, i)) == \
+            Fraction(i * (5 - i + 1), 2)
     tb = fw.FiniteType("B", 4)
-    assert fw.height_of_weight(tb, 4) == Fraction(4 * 5, 4)
+    assert fw.height_eps(tb, fw.fundamental_weight_eps(tb, 4)) == \
+        Fraction(4 * 5, 4)
     t1 = fw.FiniteType("A", 1)
-    assert fw.omega_in_roots(t1, 1) == (Fraction(1, 2),)
+    assert fw.height_eps(t1, fw.fundamental_weight_eps(t1, 1)) == \
+        Fraction(1, 2)
     with pytest.raises(BadIndex):
-        fw.omega_in_roots(tb, 5)
+        fw.fundamental_weight_eps(tb, 5)
+    # series A: pinned to the solution ending in 0, not any vector that
+    # differs from it along (1, ..., 1)
+    for n in range(1, 9):
+        assert fw._height_functional("A", n) == tuple(range(n, -1, -1))
 
 
 @given(types_and_levels())
@@ -69,27 +85,6 @@ def test_height_is_linear(te):
     v = fw.fundamental_weight_eps(t, t.n)
     s = tuple(a + b for a, b in zip(u, v))
     assert fw.height_eps(t, s) == fw.height_eps(t, u) + fw.height_eps(t, v)
-
-
-def test_root_coordinates_are_exact():
-    t = fw.FiniteType("C", 3)
-    v = fw.fundamental_weight_eps(t, 3)
-    coords = fw.root_coordinates(t, v)
-    assert coords == fw.omega_in_roots(t, 3)
-    # series A: the epsilon vectors off the sum-zero hyperplane
-    with pytest.raises(InvariantViolation, match="outside the root span"):
-        fw.root_coordinates(fw.FiniteType("A", 3), (1, 0, 0, 0))
-
-
-def test_dependent_roots_are_rejected(monkeypatch):
-    t = fw.FiniteType("B", 2)
-    one = Fraction(1)
-    monkeypatch.setattr(fw, "simple_roots",
-                        lambda t: ((one, -one), (-one, one)))
-    with pytest.raises(InvariantViolation, match="not independent"):
-        fw._height_functional.__wrapped__("B", 2)
-    with pytest.raises(InvariantViolation, match="degenerate"):
-        fw.root_coordinates(t, (1, -1))
 
 
 def test_atomic_length_examples():
@@ -103,8 +98,9 @@ def test_b_bound_examples():
     assert fw.b_bound(fw.FiniteType("A", 3), 3) == 10
     assert fw.b_bound(fw.FiniteType("A", 3), 1) == 3
     ta = fw.FiniteType("A", 3)
-    assert fw.b_bound(ta, 1) == fw.height_of_weight(ta, 3) + \
-        fw.height_of_weight(ta, 1)
+    assert fw.b_bound(ta, 1) == \
+        fw.height_eps(ta, fw.fundamental_weight_eps(ta, 3)) + \
+        fw.height_eps(ta, fw.fundamental_weight_eps(ta, 1))
     with pytest.raises(BadEll):
         fw.b_bound(fw.FiniteType("B", 3), 4)
     with pytest.raises(BadEll):
