@@ -8,9 +8,9 @@ from fractions import Fraction
 
 from .affine_permutations import AffinePermutation, make_affine
 from .errors import BadLength, DomainViolation, MirrorViolation
-from .quadratic_forms import (LATTICE_DENOM, LATTICE_TAGS, UniversalityReport,
-                              domain_DeltaC, domain_M, form_euclidean,
-                              form_lattice_norm, member, universality_scan)
+from .quadratic_forms import (ConstrainedDomain, FormSpec, UniversalityReport,
+                              domain_DeltaC, form_euclidean, member,
+                              universality_scan)
 
 
 class TypeCAffineElement(namedtuple("TypeCAffineElement", "n window")):
@@ -84,21 +84,24 @@ def scan_deltaC(n: int, max_k: int, radius: int) -> UniversalityReport:
 # Lattice table for the classical affine families
 # ---------------------------------------------------------------------------
 
-# tag -> (underlying finite series, coxeter h, half-integer-valued flag);
-# the norm denominators are quadratic_forms.LATTICE_DENOM
+# tag -> (underlying finite series, coxeter h, half-integer-valued flag,
+# norm denominator on ||x||_2^2).  The translation lattice is 2Z^n for C1,
+# the even-sum lattice for B1, D1 and A2odd, and Z^n for A2even and D2.
 _TABLE = {
-    "B1": ("B", lambda n: 2 * n, False),
-    "C1": ("C", lambda n: 2 * n, False),
-    "D1": ("D", lambda n: 2 * n - 2, False),
-    "A2odd": ("C", lambda n: 2 * n - 1, False),
-    "A2even": ("C", lambda n: 2 * n + 1, True),
-    "D2": ("B", lambda n: n + 1, False),
+    "B1": ("B", lambda n: 2 * n, False, 2),
+    "C1": ("C", lambda n: 2 * n, False, 4),
+    "D1": ("D", lambda n: 2 * n - 2, False, 2),
+    "A2odd": ("C", lambda n: 2 * n - 1, False, 2),
+    "A2even": ("C", lambda n: 2 * n + 1, True, 2),
+    "D2": ("B", lambda n: n + 1, False, 1),
 }
+LATTICE_TAGS = tuple(_TABLE)
 
 
 class AffineLatticeSpec(namedtuple("AffineLatticeSpec", "tag n")):
-    """One row of the lattice table: translation lattice, norm convention
-    and Coxeter number of a classical affine family."""
+    """One row of the lattice table: translation lattice (domain), the
+    half-norm map under the row's norm convention (form) and Coxeter number
+    of a classical affine family."""
 
     __slots__ = ()
 
@@ -117,17 +120,16 @@ class AffineLatticeSpec(namedtuple("AffineLatticeSpec", "tag n")):
     def half_grid(self) -> bool:
         return _TABLE[self.tag][2]
 
+    def domain(self) -> ConstrainedDomain:
+        tag, n = self.tag, self.n
+        if tag == "C1":  # every coordinate even: odd class 1 has capacity 0
+            return ConstrainedDomain(f"M[{tag}]({n})", n, n, (n, 0), mod=2)
+        return ConstrainedDomain(f"M[{tag}]({n})", n, n, (n,),
+                                 parity_even=tag in ("B1", "D1", "A2odd"))
 
-def lattice_member(spec: AffineLatticeSpec, x) -> bool:
-    return member(domain_M(spec.tag, spec.n), tuple(x))
-
-
-def half_norm(spec: AffineLatticeSpec, x) -> Fraction:
-    """Value of the translation-part map under the row's norm convention."""
-    x = tuple(x)
-    if len(x) != spec.n:
-        raise BadLength(f"need {spec.n} coordinates")
-    return Fraction(sum(v * v for v in x), LATTICE_DENOM[spec.tag])
+    def form(self) -> FormSpec:
+        return FormSpec(f"norm[{self.tag}]", 1, (0,) * self.n, 0,
+                        _TABLE[self.tag][3])
 
 
 def norm_universality_scan(spec: AffineLatticeSpec, max_k: int,
@@ -135,8 +137,7 @@ def norm_universality_scan(spec: AffineLatticeSpec, max_k: int,
     """Witness every target in [0, max_k] (half-integer grid where the map
     is half-integer valued) on the row's lattice."""
     grid = "half" if spec.half_grid else "int"
-    return universality_scan(form_lattice_norm(spec.tag, spec.n),
-                             domain_M(spec.tag, spec.n), max_k, radius,
+    return universality_scan(spec.form(), spec.domain(), max_k, radius,
                              grid=grid)
 
 

@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=NONNEGATIVE, required=True)
     p.add_argument("--ell", type=int, help="level, for Ps/trunc")
     p.add_argument("--s", help="charge vector for Ps, comma-separated")
-    p.add_argument("--type", choices=qf.LATTICE_TAGS,
+    p.add_argument("--type", choices=affine_classical.LATTICE_TAGS,
                    help="affine type tag, for lattice")
 
     p = add("hall", _cmd_hall, help="difference-vector decomposition")
@@ -263,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--saturate", action="store_true")
 
     p = add("threshold", _cmd_threshold, help="large-rank threshold of a type")
-    p.add_argument("--type", choices=qf.LATTICE_TAGS, required=True)
+    p.add_argument("--type", choices=affine_classical.LATTICE_TAGS,
+                   required=True)
 
     return parser
 

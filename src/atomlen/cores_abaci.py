@@ -353,7 +353,7 @@ class WeightSpec(namedtuple("WeightSpec", "n ell charges")):
         const = -2 * ell * self.normalizing_constant()
         if const.denominator != 1:
             raise InvariantViolation("normalizing constant has bad denominator")
-        return FormSpec(f"Ps[n={n},l={ell}]", n, n,
+        return FormSpec(f"Ps[n={n},l={ell}]", n,
                         tuple(-2 * ell * (i - 1) for i in range(1, n + 1)),
                         int(const), 2 * ell)
 
@@ -421,7 +421,7 @@ def refined_size_form(n: int) -> FormSpec:
     c0 = 2 * const
     if c0.denominator != 1:
         raise InvariantViolation("size constant is not integral")
-    return FormSpec(f"refined-go-size[{n}]", n, n,
+    return FormSpec(f"refined-go-size[{n}]", n,
                     tuple(2 * (i - 1) for i in range(1, n + 1)), int(c0), 2)
 
 

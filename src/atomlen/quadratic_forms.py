@@ -7,11 +7,13 @@ solves
 
 over the vectors of a constrained domain inside a radius box.  One frozen
 record per domain (ConstrainedDomain) serves both membership and search: an
-optional fixed coordinate sum, a coordinate stride, an even-sum condition,
-and residue classes with capacities (distinct residues, distinct +/-
-classes, or a fixed residue multiset).  A projected domain drops its last
-coordinate, which the sum forces; the search leaves that coordinate
+optional fixed coordinate sum, an even-sum condition, and residue classes
+with capacities (distinct residues, distinct +/- classes, a fixed residue
+multiset, or a class no coordinate may use).  A projected domain drops its
+last coordinate, which the sum forces; the search leaves that coordinate
 unbounded.  member checks exactly the conditions the engine enumerates.
+A form always reads the full vector, so it pairs with any domain of its
+arity, projected or not.
 
 One table answers every target of a scan at one radius.  For each suffix of
 coordinates it maps (suffix sum, filter state) to a big-int bitset of the
@@ -46,7 +48,6 @@ from functools import lru_cache
 from . import budget
 from .errors import BadLength, DomainViolation, InvariantViolation
 
-S15 = frozenset({1, 2, 3, 5, 6, 7, 10, 14, 15})
 S290 = frozenset({1, 2, 3, 5, 6, 7, 10, 13, 14, 15, 17, 19, 21, 22, 23, 26,
                   29, 30, 31, 34, 35, 37, 42, 58, 93, 110, 145, 203, 290})
 
@@ -121,18 +122,17 @@ def map_pr_inv(x, n: int) -> tuple[int, ...]:
 
 class ConstrainedDomain(namedtuple(
         "ConstrainedDomain", "label n nvars caps sum_target mod shifts signed "
-        "step parity_even projected",
-        defaults=(None, 1, (), False, 1, False, False))):
+        "parity_even projected",
+        defaults=(None, 1, (), False, False, False))):
     """A decidable subset of an integer lattice, in the form the search
     engine reads it.
 
     The full vector has nvars coordinates.  Coordinate i with value v falls
     in class (v + shifts[i]) % mod, folded to min(r, mod - r) when signed;
     a member uses class c at most caps[c] times, and the caps add up to
-    nvars.  A member also has coordinate sum sum_target (when set), every
-    coordinate a multiple of step, and an even sum under parity_even.  A
-    projected domain omits the last coordinate, which its sum forces.
-    Empty shifts mean no shift.
+    nvars.  A member also has coordinate sum sum_target (when set) and an
+    even sum under parity_even.  A projected domain omits the last
+    coordinate, which its sum forces.  Empty shifts mean no shift.
     """
 
     __slots__ = ()
@@ -192,14 +192,6 @@ def domain_Os(n: int) -> ConstrainedDomain:
     return _distinct(f"Os({n})", n, n * (n - 1) // 2, ())
 
 
-def domain_M(tag: str, n: int) -> ConstrainedDomain:
-    if tag not in LATTICE_TAGS:
-        raise DomainViolation(f"unknown lattice tag {tag!r}")
-    return ConstrainedDomain(f"M[{tag}]({n})", n, n, (n,),
-                             step=2 if tag == "C1" else 1,
-                             parity_even=tag in ("B1", "D1", "A2odd"))
-
-
 def conjugate_charges(n: int, ell: int, charges) -> tuple[int, ...]:
     """Weakly increasing length-n conjugate of the charge tuple.
 
@@ -217,17 +209,16 @@ def conjugate_charges(n: int, ell: int, charges) -> tuple[int, ...]:
 
 def member(domain: ConstrainedDomain, v) -> bool:
     """Exact membership test: lift a projected vector by its forced last
-    coordinate, then check sum, step, parity and class counts."""
+    coordinate, then check sum, parity and class counts."""
     v = tuple(v)
     if len(v) != domain.dim():
         return False
-    S, step = domain.sum_target, domain.step
-    caps, cls = domain.caps, domain.cls
+    S, caps, cls = domain.sum_target, domain.caps, domain.cls
     if domain.projected:
         v += (S - sum(v),)
     if S is not None and sum(v) != S:
         return False
-    if any(x % step for x in v) or domain.parity_even and sum(v) % 2:
+    if domain.parity_even and sum(v) % 2:
         return False
     used = [0] * len(caps)
     for i, x in enumerate(v):
@@ -242,26 +233,22 @@ def member(domain: ConstrainedDomain, v) -> bool:
 # Forms as integer-scaled diagonal data
 # ---------------------------------------------------------------------------
 
-class FormSpec(namedtuple("FormSpec",
-                          "form_id nvars quad lin const denom virtual_last",
-                          defaults=(False,))):
-    """value(t) = (quad * sum(t^2) + sum(lin_i t_i) + const) / denom.
-
-    nvars is the visible arity.  Forms flagged virtual_last are evaluated on
-    nvars coordinates plus a last one forced to make the sum zero, and pair
-    with projected domains (used for the form with all pairwise products,
-    which is the half norm on the zero-sum lattice in one more variable).
-    """
+class FormSpec(namedtuple("FormSpec", "form_id quad lin const denom")):
+    """value(t) = (quad * sum(t^2) + sum(lin_i t_i) + const) / denom, on
+    len(lin) variables: a domain's full vector, forced last coordinate
+    included."""
 
     __slots__ = ()
+
+    @property
+    def nvars(self) -> int:
+        return len(self.lin)
 
     def numerator(self, t) -> int:
         """denom * value(t), an exact integer."""
         t = tuple(t)
         if len(t) != self.nvars:
             raise BadLength(f"{self.form_id} takes {self.nvars} variables")
-        if self.virtual_last:
-            t = t + (-sum(t),)
         return (self.quad * sum(v * v for v in t)
                 + sum(b * v for b, v in zip(self.lin, t)) + self.const)
 
@@ -271,38 +258,29 @@ class FormSpec(namedtuple("FormSpec",
 
 
 def form_P(n: int) -> FormSpec:
-    return FormSpec("P", n, 1, tuple(-2 * i for i in range(1, n + 1)),
+    return FormSpec("P", 1, tuple(-2 * i for i in range(1, n + 1)),
                     n * (n + 1) * (2 * n + 1) // 6, 2)
 
 
 def form_Q(n: int) -> FormSpec:
-    return FormSpec("Q", n, 1, (0,) * n, 0, 2)
+    return FormSpec("Q", 1, (0,) * n, 0, 2)
 
 
-def form_q(nvars: int) -> FormSpec:
-    return FormSpec("q", nvars, 1, (0,) * (nvars + 1), 0, 2, virtual_last=True)
+def form_q(d: int) -> FormSpec:
+    """The all-pairwise-products form of d variables, as the half norm of
+    the zero-sum vector in d + 1 variables that a projected domain (X, Z^d)
+    completes; eval_q is its value on the d visible coordinates."""
+    return FormSpec("q", 1, (0,) * (d + 1), 0, 2)
 
 
 def form_euclidean(n: int) -> FormSpec:
-    return FormSpec("euclidean", n, 1, (0,) * n, 0, 1)
+    return FormSpec("euclidean", 1, (0,) * n, 0, 1)
 
 
 def form_core_size(n: int) -> FormSpec:
     """Size polynomial of classical cores on the zero-sum lattice."""
-    return FormSpec("core-size", n, n,
+    return FormSpec("core-size", n,
                     tuple(2 * (i - 1) for i in range(1, n + 1)), 0, 2)
-
-
-# lattice row tag -> norm denominator on ||x||_2^2
-LATTICE_DENOM = {"B1": 2, "C1": 4, "D1": 2, "A2odd": 2, "A2even": 2, "D2": 1}
-LATTICE_TAGS = tuple(LATTICE_DENOM)
-
-
-def form_lattice_norm(tag: str, n: int) -> FormSpec:
-    """The half-norm map of the lattice row, under its norm convention."""
-    if tag not in LATTICE_TAGS:
-        raise DomainViolation(f"unknown lattice tag {tag!r}")
-    return FormSpec(f"norm[{tag}]", n, 1, (0,) * n, 0, LATTICE_DENOM[tag])
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +299,7 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
     """First full vector of the domain, in the fixed search order, with
     A*sum(t^2) + sum(B*t) == K inside the radius box, for every K in targets
     that has one."""
-    n, S, step = domain.nvars, domain.sum_target, domain.step
+    n, S = domain.nvars, domain.sum_target
     cls, caps = domain.cls, domain.caps
     if sum(caps) != n:
         raise DomainViolation(f"the classes of {domain.label} do not cover "
@@ -336,20 +314,19 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
     # under parity_even, else 0; "& fold" reduces a sum to its key
     fold = -1 if S is not None else (1 if domain.parity_even else 0)
     total = S or 0
-    h = radius // step * step
 
     # Per coordinate, in spiral order: (value, term minus the coordinate's
     # least term, class weight, class capacity).
     cands, base, projected = [], 0, domain.projected
     for i in range(n):
         if projected and i == n - 1:
-            values = range(S - i * h, S + i * h + 1)
+            values = range(S - i * radius, S + i * radius + 1)
         else:
-            values = range(-h, h + 1, step)
+            values = range(-radius, radius + 1)
         terms = [A * v * v + B[i] * v for v in values]
         low = min(terms)
         base += low
-        center = step * ((A * step - B[i]) // (2 * A * step))
+        center = (A - B[i]) // (2 * A)
         row = [(v, t - low, weights[c], caps[c])
                for v, t in zip(values, terms) for c in (cls(i, v),) if caps[c]]
         row.sort(key=lambda e: (abs(e[0] - center), e[0] < center))
@@ -373,7 +350,7 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
                 if f // wc % (cap + 1) == cap:
                     continue
                 s = (key + v) & fold
-                if S is not None and abs(S - s) > i * h:
+                if S is not None and abs(S - s) > i * radius:
                     continue  # the i bounded prefix coordinates fall short
                 b = (bits << off) & mask
                 if b:
@@ -429,15 +406,15 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
     Each radius of the schedule walks only the targets on its reachability
     row.  None is not a proof of non-representability, only exhaustion of
     the radius box.  Every witness is re-evaluated in integers (its
-    numerator must be denom*k) and member-checked.
+    numerator must be denom*k) and member-checked; a projected domain's
+    witness then drops its forced last coordinate.
     """
     if radius < 0:
         raise DomainViolation(f"radius must be >= 0, got {radius}")
-    if (form.nvars, form.virtual_last) != (domain.dim(), domain.projected):
+    if form.nvars != domain.nvars:
         raise DomainViolation(
             f"form {form.form_id} cannot be searched on {domain.label}: "
-            f"arity {form.nvars} vs dimension {domain.dim()}, forced last "
-            f"coordinate {form.virtual_last} vs {domain.projected}")
+            f"arity {form.nvars} vs {domain.nvars} coordinates")
     nums, denom, const = {}, form.denom, form.const
     for k in targets:
         knum = denom * k - const
@@ -454,12 +431,12 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
     for k in targets:
         hit = found.get(nums.get(k))
         if hit is not None:
-            if projected:
-                hit = hit[:-1]
             if form.numerator(hit) != denom * k:
                 raise InvariantViolation(
                     f"witness {hit} evaluates to {form.evaluate(hit)}, "
                     f"wanted {k}")
+            if projected:
+                hit = hit[:-1]
             if not member(domain, hit):
                 raise InvariantViolation(
                     f"witness {hit} escaped {domain.label}")
@@ -478,7 +455,7 @@ def represent(form: FormSpec, domain: ConstrainedDomain, k, radius: int):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _attained_q(nvars: int, m: int) -> frozenset[int]:
+def _attained_q(arity: int, m: int) -> frozenset[int]:
     """Classes mod m attained by the all-pairwise-products form.
 
     q has integer coefficients, so coordinates mod m decide q mod m.
@@ -489,12 +466,12 @@ def _attained_q(nvars: int, m: int) -> frozenset[int]:
     """
     full = (1 << m) - 1
     layer, work = {0: 1}, 0
-    for i in range(nvars):
+    for i in range(arity):
         work += len(layer) * m
-        budget.check(work, what=f"residue table of q({nvars}) mod {m}")
+        budget.check(work, what=f"residue table of q({arity}) mod {m}")
         nxt = {}
         for s, bits in layer.items():
-            if i == nvars - 1:
+            if i == arity - 1:
                 steps = ((0, d) for d in {v * (v + s) % m for v in range(m)})
             else:
                 steps = (((s + v) % m, v * (v + s) % m) for v in range(m))
@@ -510,20 +487,16 @@ def attained_classes(form: FormSpec, m: int) -> frozenset[int]:
     P and Q on their window and zero-sum domains.
 
     Exact: a DP over the coordinates mod m (see _attained_q), about
-    arity * m^2 steps.  P and Q use the exact reduction to q in one variable
-    less (same value sets, hence same classes).  Other forms raise
-    DomainViolation.
+    arity * m^2 steps.  Each of the three reads nvars coordinates and takes
+    the values of q in nvars - 1 variables (P and Q through the maps C and
+    pr), so the classes are those of q.  Other forms raise DomainViolation.
     """
     if m < 1:
         raise DomainViolation(f"modulus must be >= 1, got {m}")
-    if m == 1:
-        return frozenset({0})
-    if form.form_id == "q":
-        return _attained_q(form.nvars, m)
-    if form.form_id in ("P", "Q"):
-        return _attained_q(form.nvars - 1, m)
-    raise DomainViolation(
-        f"attained_classes does not support form {form.form_id!r}")
+    if form.form_id not in ("P", "Q", "q"):
+        raise DomainViolation(
+            f"attained_classes does not support form {form.form_id!r}")
+    return _attained_q(form.nvars - 1, m)
 
 
 def _obstruction(form: FormSpec, k: int) -> tuple[int, int] | None:
@@ -535,12 +508,10 @@ def _obstruction(form: FormSpec, k: int) -> tuple[int, int] | None:
     """
     if form.form_id not in ("P", "Q", "q"):
         return None
-    arity = form.nvars if form.form_id == "q" else form.nvars - 1
-    if arity >= 4:
+    if form.nvars - 1 >= 4:
         return None  # universal from four variables on: no class is missed
-    base = form_q(arity)
     for m in DEFAULT_OBSTRUCTION_MODULI:
-        if k % m not in attained_classes(base, m):
+        if k % m not in attained_classes(form, m):
             return m, k % m
     return None
 
@@ -594,7 +565,7 @@ class UniversalityReport(namedtuple(
                  f"min_k={self.min_k} max_k={self.max_k} "
                  f"radius={self.radius} grid={self.grid}"]
         for e in self.entries:
-            k = _target_text(e.target)
+            k = _target_json(e.target)
             if e.status == "witness":
                 lines.append(f"k={k} witness {','.join(map(str, e.witness))}")
             elif e.status == "obstructed":
@@ -608,13 +579,10 @@ class UniversalityReport(namedtuple(
 
 
 def _target_json(k):
-    return int(k) if isinstance(k, int) or (isinstance(k, Fraction) and k.denominator == 1) else f"{k.numerator}/{k.denominator}"
-
-
-def _target_text(k):
+    """An int target as an int, one on the half grid as "p/q"."""
     if isinstance(k, Fraction) and k.denominator != 1:
         return f"{k.numerator}/{k.denominator}"
-    return str(int(k))
+    return int(k)
 
 
 def _missed(form: FormSpec, k) -> ReportEntry:

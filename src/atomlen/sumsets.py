@@ -160,11 +160,12 @@ def verify_sumset_equality(family: str, n: int,
     if family == "A" and any(sum(c) % m for c in hit):
         # differences always live in the target group for family A by the
         # zero-sum invariant; anything else is a bug
-        raise SearchFailed(f"difference set escapes target for {family},{n}")
+        raise InvariantViolation(
+            f"difference set escapes target for {family},{n}")
     expected = math.factorial(n) << (n if family == "C" else 0)
     if m == default and size != expected:
-        raise SearchFailed(f"orbit {family},{n} mod {m} has size {size}, "
-                           f"expected {expected}")
+        raise InvariantViolation(f"orbit {family},{n} mod {m} has size "
+                                 f"{size}, expected {expected}")
     group = m ** n if family == "C" else m ** (n - 1)
     absent = group - sum(_class_size(family, c, m) for c in hit)
     classes = (math.comb(m // 2 + n, n) if family == "C"

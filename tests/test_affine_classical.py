@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from atomlen import affine_classical as ac
 from atomlen import affine_permutations as ap
+from atomlen.quadratic_forms import member
 from atomlen.errors import DomainViolation, MirrorViolation
 
 
@@ -65,18 +66,18 @@ def test_scan_deltaC_small():
 
 def test_lattice_membership_and_norms():
     b1 = ac.AffineLatticeSpec("B1", 4)
-    assert ac.lattice_member(b1, (1, 1, 0, 0))
-    assert not ac.lattice_member(b1, (1, 0, 0, 0))
-    assert ac.half_norm(b1, (1, 1, 0, 0)) == 1
+    assert member(b1.domain(), (1, 1, 0, 0))
+    assert not member(b1.domain(), (1, 0, 0, 0))
+    assert b1.form().evaluate((1, 1, 0, 0)) == 1
     c1 = ac.AffineLatticeSpec("C1", 4)
-    assert not ac.lattice_member(c1, (1, 0, 0, 0))
-    assert ac.lattice_member(c1, (2, 0, 0, 0))
-    assert ac.half_norm(c1, (2, 0, 0, 0)) == 1
+    assert not member(c1.domain(), (1, 0, 0, 0))
+    assert member(c1.domain(), (2, 0, 0, 0))
+    assert c1.form().evaluate((2, 0, 0, 0)) == 1
     a2 = ac.AffineLatticeSpec("A2even", 4)
-    assert ac.lattice_member(a2, (1, 0, 0, 0))
-    assert ac.half_norm(a2, (1, 0, 0, 0)) == Fraction(1, 2)
+    assert member(a2.domain(), (1, 0, 0, 0))
+    assert a2.form().evaluate((1, 0, 0, 0)) == Fraction(1, 2)
     d2 = ac.AffineLatticeSpec("D2", 4)
-    assert ac.half_norm(d2, (1, 1, 0, 0)) == 2
+    assert d2.form().evaluate((1, 1, 0, 0)) == 2
 
 
 def test_coxeter_numbers():
@@ -94,8 +95,8 @@ def test_norm_scans_all_rows():
         assert rep.all_witnessed, tag
         assert rep.grid == ("half" if tag == "A2even" else "int")
         for e in rep.entries:
-            assert ac.lattice_member(spec, e.witness)
-            assert ac.half_norm(spec, e.witness) == e.target
+            assert member(spec.domain(), e.witness)
+            assert spec.form().evaluate(e.witness) == e.target
 
 
 def test_half_grid_values():
@@ -129,9 +130,9 @@ def test_rank4_slice_bound_values():
 def test_half_norm_value_grid(tag, x):
     spec = ac.AffineLatticeSpec(tag, 4)
     x = tuple(x)
-    if not ac.lattice_member(spec, x):
+    if not member(spec.domain(), x):
         return
-    v = ac.half_norm(spec, x)
+    v = spec.form().evaluate(x)
     if tag == "A2even":
         assert (2 * v).denominator == 1   # half-integer grid
     else:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomlen import cli, cores_abaci, finite_weyl, sumsets
-from atomlen import quadratic_forms as qf
+from atomlen.affine_classical import LATTICE_TAGS
 from atomlen.cli import main
 from atomlen.errors import InvariantViolation
 
@@ -79,7 +79,7 @@ SCHEMAS = {
     "finite --saturate": exact_object(
         **FINITE_FIELDS, image_min=INT, image_max=INT,
         is_interval={"type": "boolean"}, missing=INTS),
-    "threshold": exact_object(type={"enum": list(qf.LATTICE_TAGS)}, n0=INT,
+    "threshold": exact_object(type={"enum": list(LATTICE_TAGS)}, n0=INT,
                               check_range=INT),
 }
 
@@ -435,6 +435,17 @@ def test_broken_invariant_is_exit_three(capsys, monkeypatch):
                    "Hall pair does not check\n")
 
 
+def test_broken_orbit_count_is_exit_three(capsys, monkeypatch):
+    # an orbit that lost a member breaks an invariant; no theorem failed
+    real = sumsets._class_members
+    monkeypatch.setattr(sumsets, "_class_members",
+                        lambda family, cls, m: list(real(family, cls, m))[1:])
+    code, out, err = run(capsys, "sumset", "--family", "A", "--n", "4")
+    assert code == 3 and out == ""
+    assert err == ("atomlen sumset: internal error: InvariantViolation: "
+                   "orbit A,4 mod 4 has size 23, expected 24\n")
+
+
 def test_threshold(capsys):
     code, out, _ = run(capsys, "threshold", "--type", "C1")
     assert code == 0 and out == "type=C1 n0=15\n"
@@ -514,7 +525,7 @@ def command_options(draw):
                 ("--n", n), ("--max-k", ints[0]), ("--radius", ints[1]),
                 ("--ell", ell),
                 ("--s", csv(map(str, draw(st.lists(SMALL, max_size=4))))),
-                ("--type", draw(st.sampled_from(qf.LATTICE_TAGS)))]
+                ("--type", draw(st.sampled_from(LATTICE_TAGS)))]
     elif command == "hall":
         opts = [("--mod", n), ("--d", draw(zero_sum(n)))]
     elif command == "sumset":
@@ -530,7 +541,7 @@ def command_options(draw):
                 ("--n", n), ("--ell", ints[0]),
                 (draw(st.sampled_from(["--bound", "--saturate"])), None)]
     elif command == "threshold":
-        opts = [("--type", draw(st.sampled_from(qf.LATTICE_TAGS)))]
+        opts = [("--type", draw(st.sampled_from(LATTICE_TAGS)))]
     else:
         opts = []
     return command, opts

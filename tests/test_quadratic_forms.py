@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomlen import quadratic_forms as qf
+from atomlen.affine_classical import LATTICE_TAGS, AffineLatticeSpec
 from atomlen.cores_abaci import WeightSpec, refined_size_form
 from atomlen.errors import BadLength, BudgetExceeded, DomainViolation
 
@@ -138,6 +139,12 @@ def _literal_M(v, tag, n):
     return True
 
 
+def lattice_domain(tag, n):
+    """The translation lattice of a lattice table row, as the engine reads
+    it."""
+    return AffineLatticeSpec(tag, n).domain()
+
+
 LITERAL = {
     qf.domain_D: _literal_D,
     qf.domain_Delta: _literal_Delta,
@@ -147,7 +154,7 @@ LITERAL = {
     qf.domain_DeltaC: _literal_DeltaC,
     qf.domain_Ds: _literal_Ds,
     qf.domain_Os: _literal_Os,
-    qf.domain_M: _literal_M,
+    lattice_domain: _literal_M,
 }
 
 
@@ -168,8 +175,8 @@ def domains_with_oracle(draw):
         ell = draw(st.integers(1, n))
         charges = sorted(draw(st.integers(0, n - 1)) for _ in range(ell))
         return with_oracle(ctor, n, ell, tuple(charges))
-    if ctor is qf.domain_M:
-        return with_oracle(ctor, draw(st.sampled_from(qf.LATTICE_TAGS)), n)
+    if ctor is lattice_domain:
+        return with_oracle(ctor, draw(st.sampled_from(LATTICE_TAGS)), n)
     return with_oracle(ctor, n)
 
 
@@ -199,7 +206,7 @@ def test_member_matches_literal_oracle(dom_lit, data):
     (qf.domain_Q_full, (3,)), (qf.domain_Z_full, (2,)),
     (qf.domain_DeltaC, (3,)), (qf.domain_Ds, (3, 2, (0, 1))),
     (qf.domain_Ds, (3, 3, (0, 2, 2))), (qf.domain_Os, (3,)),
-] + [(qf.domain_M, (tag, 3)) for tag in qf.LATTICE_TAGS],
+] + [(lattice_domain, (tag, 3)) for tag in LATTICE_TAGS],
     ids=lambda v: getattr(v, "__name__", None))
 def test_member_matches_literal_on_a_box(ctor, args):
     # exhaustive over a small box, wrong lengths included; the box holds
@@ -214,10 +221,8 @@ def test_member_matches_literal_on_a_box(ctor, args):
 
 
 def test_constant_sets():
-    assert qf.S15 == {1, 2, 3, 5, 6, 7, 10, 14, 15}
     assert len(qf.S290) == 29
     assert {1, 2, 3, 5, 290, 203, 145, 110} <= qf.S290
-    assert qf.S15 <= qf.S290 | {15}
     assert 15 in qf.S290
 
 
@@ -263,11 +268,12 @@ def test_attained_classes_via_window_forms():
         qf.form_q(3), 16)
     assert qf.attained_classes(qf.form_P(4), 16) == qf.attained_classes(
         qf.form_q(3), 16)
-    # obstructions are only ever looked up for these forms
-    for form in (qf.form_euclidean(3), qf.form_lattice_norm("D2", 3),
+    # obstructions are only ever looked up for these forms, at any modulus
+    for form in (qf.form_euclidean(3), AffineLatticeSpec("D2", 3).form(),
                  qf.form_core_size(3)):
-        with pytest.raises(DomainViolation):
-            qf.attained_classes(form, 4)
+        for m in (1, 4):
+            with pytest.raises(DomainViolation):
+                qf.attained_classes(form, m)
 
 
 @pytest.mark.parametrize("m,d", [(6, 3), (16, 4), (32, 16), (128, 32)])
@@ -295,6 +301,13 @@ def test_attained_classes_match_enumeration(nvars):
         # P(n) and Q(n) reduce to q(n - 1)
         for form in (qf.form_P(nvars + 1), qf.form_Q(nvars + 1)):
             assert qf.attained_classes(form, m) == classes, (form, m)
+
+
+def test_q_misses_no_class_from_four_variables_on():
+    # the ground for _obstruction's early return at arity >= 4
+    for arity in range(4, 7):
+        for m in qf.DEFAULT_OBSTRUCTION_MODULI:
+            assert qf._attained_q(arity, m) == frozenset(range(m)), (arity, m)
 
 
 def test_residue_table_budget_counts_dp_work(monkeypatch):
@@ -425,38 +438,50 @@ def test_represent_rejects_mismatched_pairing():
         qf.represent(qf.form_Q(4), qf.domain_Z_full(4), 3, 5)
 
 
-def test_virtual_last_form_needs_a_projected_domain():
-    # q(3) forces a fourth coordinate, so it pairs with X(4), never with the
-    # full four-coordinate Delta(4)
+def test_forms_pair_with_domains_of_equal_full_arity():
+    # q(3) reads four coordinates: it pairs with Delta(4) and with X(4),
+    # whose witness drops the forced fourth, never with Delta(3)
+    form = qf.form_q(3)
     with pytest.raises(DomainViolation, match="cannot be searched"):
-        qf.represent(qf.form_q(3), qf.domain_Delta(4), 2, 3)
-    assert qf.represent(qf.form_q(3), qf.domain_X(4), 2, 3) is not None
+        qf.represent(form, qf.domain_Delta(3), 2, 3)
+    full = qf.represent(form, qf.domain_Delta(4), 2, 3)
+    assert qf.member(qf.domain_Delta(4), full) and qf.eval_Q(full) == 2
+    visible = qf.represent(form, qf.domain_X(4), 2, 3)
+    assert qf.member(qf.domain_X(4), visible) and qf.eval_q(visible) == 2
 
 
 def test_q_values_are_half_norms_on_zero_sum_vectors():
-    # the defining identity behind the virtual-coordinate search
+    # the defining identity behind q's search on projected domains
     for x in ((1, 2, 3), (0, 0, 0), (-2, 5, 1), (7,)):
         lifted = x + (-sum(x),)
         assert qf.eval_q(x) == qf.eval_Q(lifted)
 
 
-def _brute_force_first(form, lit, k, radius):
+def _brute_force_first(form, dom, lit, k, radius):
     """First witness in the documented search order, by plain enumeration
     filtered with the literal membership test lit: radii 1, 2, 4, ..., R;
     within a radius, the box in lexicographic order, each coordinate
-    spiralling out from its rounded minimizer, positive offset first.  A
-    virtual last coordinate is forced, never enumerated."""
+    spiralling out from its rounded minimizer, positive offset first.  The
+    last coordinate of a projected domain is forced by its sum, never
+    enumerated, and the form reads it too."""
     radii = [r for r in (1, 2, 4, 8) if r < radius] + [radius]
     for r in radii:
         axes = []
-        for b in form.lin[:form.nvars]:
+        for b in form.lin[:dom.dim()]:
             c = math.floor(Fraction(-b, 2 * form.quad) + Fraction(1, 2))
             axes.append(sorted(range(-r, r + 1),
                                key=lambda t, c=c: (abs(t - c), t < c)))
         for v in itertools.product(*axes):
-            if lit(v) and form.evaluate(v) == k:
+            full = v + (dom.sum_target - sum(v),) if dom.projected else v
+            if lit(v) and form.evaluate(full) == k:
                 return v
     return None
+
+
+def _lattice_row(tag, n):
+    """Form, domain and literal membership test of a lattice table row."""
+    return (AffineLatticeSpec(tag, n).form(),
+            with_oracle(lattice_domain, tag, n))
 
 
 @given(st.data())
@@ -483,8 +508,7 @@ def test_engine_matches_brute_force(data):
                             with_oracle(qf.domain_DeltaC, n))
     elif kind == "euclid-D":
         n = data.draw(st.integers(1, 3))
-        form, (dom, lit) = (qf.form_lattice_norm("D2", n),
-                            with_oracle(qf.domain_M, "D2", n))
+        form, (dom, lit) = _lattice_row("D2", n)
     elif kind == "window":
         n = data.draw(st.integers(2, 3))
         form, (dom, lit) = qf.form_P(n), with_oracle(qf.domain_D, n)
@@ -507,12 +531,11 @@ def test_engine_matches_brute_force(data):
         form, (dom, lit) = refined_size_form(n), with_oracle(qf.domain_Os, n)
     else:
         n = data.draw(st.integers(1, 3))
-        form, (dom, lit) = (qf.form_lattice_norm(kind, n),
-                            with_oracle(qf.domain_M, kind, n))
+        form, (dom, lit) = _lattice_row(kind, n)
     radius = data.draw(st.integers(0, 3))
     k = data.draw(st.integers(0, 15))
     hit = qf.represent(form, dom, k, radius)
-    assert hit == _brute_force_first(form, lit, k, radius)
+    assert hit == _brute_force_first(form, dom, lit, k, radius)
     if hit is not None:
         assert all(abs(v) <= radius for v in hit)
     box = itertools.product(range(-radius, radius + 1), repeat=form.nvars)
@@ -522,7 +545,8 @@ def test_engine_matches_brute_force(data):
         targets += [Fraction(j, 2) for j in range(-2, 16)]
     targets = data.draw(st.permutations(targets))
     hits = qf.represent_all(form, dom, targets, radius)
-    assert hits == [_brute_force_first(form, lit, k, radius) for k in targets]
+    assert hits == [_brute_force_first(form, dom, lit, k, radius)
+                    for k in targets]
 
 
 def test_batch_targets_below_the_box_minimum_are_misses():
@@ -537,8 +561,8 @@ def test_batch_targets_below_the_box_minimum_are_misses():
 
 # Witnesses of the depth-first engine this table engine replaced, recorded
 # from it: one per filter kind, the off-centre minimizers of P, the forced
-# last coordinate, the stride and the parity lattice.  Each is first found
-# beyond radius 1.
+# last coordinate, the even-coordinate and the parity lattice.  Each is
+# first found beyond radius 1.
 PINNED_WITNESSES = [
     (qf.form_Q(5), qf.domain_Delta(5), 7, 10, (1, 2, -2, 1, -2)),
     (qf.form_Q(6), qf.domain_Delta(6), 50, 30, (0, 0, 1, -1, 7, -7)),
@@ -551,8 +575,10 @@ PINNED_WITNESSES = [
     (refined_size_form(5), qf.domain_Os(5), 60, 25, (1, -1, 2, 5, 3)),
     (WeightSpec(5, 3, (2, 2, 4)).form(), WeightSpec(5, 3, (2, 2, 4)).domain(),
      17, 20, (1, -3, 3, 4, 3)),
-    (qf.form_lattice_norm("C1", 3), qf.domain_M("C1", 3), 6, 25, (2, 2, 4)),
-    (qf.form_lattice_norm("B1", 3), qf.domain_M("B1", 3), 7, 25, (1, 2, 3)),
+    (AffineLatticeSpec("C1", 3).form(), lattice_domain("C1", 3), 6, 25,
+     (2, 2, 4)),
+    (AffineLatticeSpec("B1", 3).form(), lattice_domain("B1", 3), 7, 25,
+     (1, 2, 3)),
 ]
 
 
@@ -580,19 +606,24 @@ def _Ps_anywhere(spec):
                       - spec.normalizing_constant())
 
 
+# the paper's norm denominator on ||x||^2 of each lattice row
+NORM_DENOM = {"B1": 2, "C1": 4, "D1": 2, "A2odd": 2, "A2even": 2, "D2": 1}
+
+
 def _lattice_norm(tag):
-    return lambda t: Fraction(sum(v * v for v in t), qf.LATTICE_DENOM[tag])
+    return lambda t: Fraction(sum(v * v for v in t), NORM_DENOM[tag])
 
 
 # (form, the paper's value map where one exists apart from FormSpec)
 FORM_VALUES = [
     *((qf.form_P(n), _P_anywhere) for n in (1, 2, 5)),
     *((qf.form_Q(n), qf.eval_Q) for n in (1, 3, 6)),
-    *((qf.form_q(m), qf.eval_q) for m in (1, 2, 4)),
+    # q in m variables is the half norm of the zero-sum vector in m + 1
+    *((qf.form_q(m), qf.eval_Q) for m in (1, 2, 4)),
     *((qf.form_euclidean(n), _lattice_norm("D2")) for n in (1, 4)),
     *((qf.form_core_size(n), None) for n in (2, 5)),
-    *((qf.form_lattice_norm(tag, 3), _lattice_norm(tag))
-      for tag in qf.LATTICE_TAGS),
+    *((AffineLatticeSpec(tag, 3).form(), _lattice_norm(tag))
+      for tag in LATTICE_TAGS),
     *((refined_size_form(n), None) for n in (2, 5)),
     *((WeightSpec(n, ell, ch).form(), _Ps_anywhere(WeightSpec(n, ell, ch)))
       for n, ell, ch in ((5, 3, (2, 2, 4)), (4, 2, (0, 1)), (3, 1, (2,)))),

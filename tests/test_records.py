@@ -42,7 +42,7 @@ def test_validated_records_take_keywords():
 
 @pytest.mark.parametrize("record, field", [
     (FiniteType("B", 4), "n"),
-    (qf.form_q(2), "virtual_last"),
+    (qf.form_q(2), "lin"),
     (qf.domain_Delta(3), "label"),
     (qf.ReportEntry(1, "witness", (1,)), "status"),
 ])
@@ -59,20 +59,26 @@ def test_keyword_construction_and_defaults():
     assert report.min_k == 0 and report.misses == (entry,)
     domain = qf.ConstrainedDomain("L", 2, 2, (2,))
     assert (domain.sum_target, domain.mod, domain.shifts, domain.signed,
-            domain.step, domain.parity_even, domain.projected) == (
-        None, 1, (), False, 1, False, False)
-    assert qf.FormSpec("Q", 2, 1, (0, 0), 0, 2).virtual_last is False
+            domain.parity_even, domain.projected) == (
+        None, 1, (), False, False, False)
+    assert qf.FormSpec("Q", 1, (0, 0), 0, 2).nvars == 2
+    # every scan record field is a decision the engine reads: pinned, so
+    # that a new one is reviewed
+    assert qf.ConstrainedDomain._fields == (
+        "label", "n", "nvars", "caps", "sum_target", "mod", "shifts",
+        "signed", "parity_even", "projected")
+    assert qf.FormSpec._fields == ("form_id", "quad", "lin", "const", "denom")
 
 
 def test_replaced_domains_keep_their_fields():
     assert qf.domain_X(4)._asdict() == {
         "label": "X(4)", "n": 4, "nvars": 4, "caps": (1, 1, 1, 1),
         "sum_target": 0, "mod": 4, "shifts": (1, 2, 3, 4), "signed": False,
-        "step": 1, "parity_even": False, "projected": True}
+        "parity_even": False, "projected": True}
     assert qf.domain_Z_full(3)._asdict() == {
         "label": "Z^3", "n": 3, "nvars": 4, "caps": (4,), "sum_target": 0,
-        "mod": 1, "shifts": (), "signed": False, "step": 1,
-        "parity_even": False, "projected": True}
+        "mod": 1, "shifts": (), "signed": False, "parity_even": False,
+        "projected": True}
 
 
 def test_repr_names_the_fields():

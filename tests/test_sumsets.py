@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from atomlen import budget
 from atomlen import sumsets as ss
 from atomlen.errors import (AtomlenError, BadLength, BadSum, BudgetExceeded,
-                            NotPrime, SearchFailed)
+                            InvariantViolation, NotPrime, SearchFailed)
 
 
 def backtrack_hall_decompose(m: int, d) -> tuple[tuple[int, ...],
@@ -240,7 +240,7 @@ def test_orbit_size_is_checked_at_the_default_modulus(monkeypatch):
     real = ss._class_members
     monkeypatch.setattr(ss, "_class_members",
                         lambda family, cls, m: list(real(family, cls, m))[1:])
-    with pytest.raises(SearchFailed, match="expected 6"):
+    with pytest.raises(InvariantViolation, match="expected 6"):
         ss.verify_sumset_equality("A", 3)
 
 
@@ -258,7 +258,7 @@ def test_classes_and_missing_vectors_are_budgeted(monkeypatch):
 def test_difference_class_outside_the_target_is_an_error(monkeypatch):
     monkeypatch.setattr(ss, "_canonical",
                         lambda family, v, m: (1,) + (0,) * (len(v) - 1))
-    with pytest.raises(SearchFailed, match="escapes target"):
+    with pytest.raises(InvariantViolation, match="escapes target"):
         ss.verify_sumset_equality("A", 3)
 
 
