@@ -149,13 +149,13 @@ def rank4_slice_bound(tag: str, n: int) -> Fraction:
     """Maximum of the finite atomic length on the rank-(n-4) slice fixed by
     the translation part; halved for the family whose atomic length is
     half-integer valued."""
-    series = _TABLE[tag][0]
+    spec = AffineLatticeSpec(tag, n)
     m = n - 4
-    if series in ("B", "C"):
+    if _TABLE[tag][0] in ("B", "C"):
         b = Fraction(m * (m + 1) * (4 * m - 1), 6)
     else:
         b = Fraction(m * (m - 1) * (2 * m - 1), 3)
-    return b / 2 if tag == "A2even" else b
+    return b / 2 if spec.half_grid else b
 
 
 def intervals_overlap(tag: str, n: int) -> bool:

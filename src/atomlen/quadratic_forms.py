@@ -20,30 +20,35 @@ coordinates it maps (suffix sum, filter state) to a big-int bitset of the
 values that suffix can reach, up to the largest target.  The filter state
 counts, in mixed radix, the residue classes the suffix uses; the classes
 cover the coordinates exactly, so the state a prefix needs from its suffix
-is the full state minus its own.  A witness is read off by walking left to
-right and taking, at each coordinate, the first value in spiral order
-(outward from the coordinate's continuous minimizer, positive offset first)
-whose suffix state still has the bit it needs.  That is the first vector in
-the lexicographic spiral order, the one a depth-first search in that order
-finds first, so witnesses are deterministic.  Tables are built over an
+is the full state minus its own.  A coordinate's candidates are the values
+of the box within the largest target of its least term, so a wider box
+lists no more of them; a table takes them grouped by class, and one test
+skips a class the suffix already fills.  Tables are built over an
 increasing radius schedule 1, 2, 4, ..., R, each for the targets still
 missing, so small witnesses are found first while "not found" still
 certifies exhaustion of the full radius-R box.
 
-Misses cost no walk.  Folding the first coordinate's candidates into the
-table of the other coordinates gives one reachability row: the bitset of
-every offset value a whole vector of the box reaches.  Only the targets on
-that row are walked, and since the tables are exact such a walk cannot fail
-(one that did would raise InvariantViolation).  A target below the least
-value of the box is off the row at once.  Integer targets are turned into
-table offsets in plain integers; Fraction arithmetic is kept for targets on
-the half grid.
+Misses cost one bit test.  Folding the first coordinate's candidates into
+the table of the other coordinates gives one reachability row: the bitset
+of every offset value a whole vector of the box reaches.  The targets on
+that row are routed left to right together, grouped at each coordinate by
+the suffix state they need; those that share a state and a remaining
+offset travel together.  A state scans its candidates once in spiral order
+(outward from the coordinate's continuous minimizer, positive offset
+first), and each candidate takes, with one AND, every remaining offset its
+next state still reaches.  So each target takes the first vector in the
+lexicographic spiral order, the one a depth-first search in that order
+finds first, and witnesses are deterministic.  The tables are exact, so a
+target left without a value would raise InvariantViolation.  Integer
+targets are turned into table offsets in plain integers; Fraction
+arithmetic is kept for targets on the half grid.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from . import budget
 from .errors import BadLength, DomainViolation, InvariantViolation
@@ -315,81 +320,103 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
     fold = -1 if S is not None else (1 if domain.parity_even else 0)
     total = S or 0
 
-    # Per coordinate, in spiral order: (value, term minus the coordinate's
-    # least term, class weight, class capacity).
-    cands, base, projected = [], 0, domain.projected
+    # Per coordinate: its box and its least term, taken at the integer
+    # nearest the continuous minimizer -B/(2A), clamped to the box.
+    boxes, base = [], 0
     for i in range(n):
-        if projected and i == n - 1:
-            values = range(S - i * radius, S + i * radius + 1)
-        else:
-            values = range(-radius, radius + 1)
-        terms = [A * v * v + B[i] * v for v in values]
-        low = min(terms)
-        base += low
+        last = domain.projected and i == n - 1  # forced: S -/+ i * radius
+        lo, hi = (S - i * radius, S + i * radius) if last else (-radius, radius)
         center = (A - B[i]) // (2 * A)
-        row = [(v, t - low, weights[c], caps[c])
-               for v, t in zip(values, terms) for c in (cls(i, v),) if caps[c]]
-        row.sort(key=lambda e: (abs(e[0] - center), e[0] < center))
-        cands.append(row)
+        v = min(max(center, lo), hi)
+        low = A * v * v + B[i] * v
+        base += low
+        boxes.append((lo, hi, center, low))
     top = max(targets) - base
     if top < 0:
         return {}
     mask = (2 << top) - 1
+
+    # Per coordinate, in spiral order (outward from the minimizer, positive
+    # offset first): (value, term minus the least term, class weight, class
+    # capacity), for the values of the box whose offset is at most top,
+    # i.e. |2Av + B| <= isqrt(4A(top + low) + B^2).
+    rows = []
+    for i, (lo, hi, center, low) in enumerate(boxes):
+        b, a2 = B[i], 2 * A
+        s = isqrt(2 * a2 * (top + low) + b * b)
+        row = [(v, A * v * v + b * v - low, weights[c], caps[c])
+               for v in range(max(lo, -((s + b) // a2)),
+                              min(hi, (s - b) // a2) + 1)
+               for c in (cls(i, v),) if caps[c]]
+        row.sort(key=lambda e: (abs(e[0] - center), e[0] < center))
+        rows.append(row)
 
     # tables[i]: (suffix sum key, suffix filter state) -> bitset of the
     # offset values coordinates i..n-1 reach.  tables[0] is never needed.
     tables = [None] * n + [{(0, 0): 1}]
     work = 0
     for i in range(n - 1, 0, -1):
-        nxt, layer = tables[i + 1], {}
-        row = [e for e in cands[i] if e[1] <= top]
-        work += len(nxt) * len(row)
+        nxt, layer, by_class = tables[i + 1], {}, {}
+        work += len(nxt) * len(rows[i])
         budget.check(work, what="representation table")
+        for v, off, wc, cap in rows[i]:
+            by_class.setdefault((wc, cap), []).append((v, off))
+        # the suffix sums the i bounded prefix coordinates can complete (a
+        # sum key without a sum target is 0 or 1)
+        lo, hi = (S - i * radius, S + i * radius) if S is not None else (0, 1)
         for (key, f), bits in nxt.items():
-            for v, off, wc, cap in row:
+            for (wc, cap), vals in by_class.items():
                 if f // wc % (cap + 1) == cap:
                     continue
-                s = (key + v) & fold
-                if S is not None and abs(S - s) > i * radius:
-                    continue  # the i bounded prefix coordinates fall short
-                b = (bits << off) & mask
-                if b:
-                    state = (s, f + wc)
-                    layer[state] = layer.get(state, 0) | b
+                g = f + wc
+                for v, off in vals:
+                    s = (key + v) & fold
+                    if lo <= s <= hi:
+                        b = bits << off & mask
+                        if b:
+                            layer[s, g] = layer.get((s, g), 0) | b
         tables[i] = layer
 
     # reach: bitset of the offset values whole vectors reach, the first
     # coordinate folded into tables[1]
     reach = 0
-    for v, off, wc, cap in cands[0]:
-        if off <= top:
-            reach |= tables[1].get(((total - v) & fold, full - wc), 0) << off
+    for v, off, wc, cap in rows[0]:
+        reach |= tables[1].get(((total - v) & fold, full - wc), 0) << off
 
-    def walk(rem):
-        vec, psum, used = [], 0, 0
-        for i in range(n):
-            nxt = tables[i + 1]
-            for v, off, wc, cap in cands[i]:
-                if (off <= rem and used // wc % (cap + 1) < cap
-                        and nxt.get(((total - psum - v) & fold,
-                                     full - used - wc), 0) >> (rem - off) & 1):
-                    break
-            else:
-                return None
-            vec.append(v)
-            psum, used, rem = psum + v, used + wc, rem - off
-        return tuple(vec) if rem == 0 else None
-
-    out = {}
-    for K in targets:
-        if K >= base and reach >> (K - base) & 1:
-            hit = walk(K - base)
-            if hit is None:
+    # route the targets on the row; a group is the bitset of its remaining
+    # offsets and, per offset, the targets that travel together
+    vecs = {K: [] for K in targets if K >= base and reach >> (K - base) & 1}
+    if not vecs:
+        return {}
+    groups = {(total & fold, full): (sum(1 << (K - base) for K in vecs),
+                                     {K - base: [K] for K in vecs})}
+    for i in range(n):
+        nxt, moved = tables[i + 1], {}
+        for (key, f), (want, rems) in groups.items():
+            for v, off, wc, cap in rows[i]:
+                if not f // wc % (cap + 1):
+                    continue  # the prefix fills this class
+                state = ((key - v) & fold, f - wc)
+                take = nxt.get(state, 0) << off & want
+                if take:
+                    want ^= take
+                    bits, dest = moved.get(state, (0, {}))
+                    moved[state] = (bits | take >> off, dest)
+                    while take:
+                        r = take.bit_length() - 1
+                        take ^= 1 << r
+                        for K in rems[r]:
+                            vecs[K].append(v)
+                        dest.setdefault(r - off, []).extend(rems[r])
+                    if not want:
+                        break
+            if want:
+                K = rems[(want & -want).bit_length() - 1][0]
                 raise InvariantViolation(
-                    f"the table reaches {K} on {domain.label} but no walk "
+                    f"the table reaches {K} on {domain.label} but no route "
                     f"does")
-            out[K] = hit
-    return out
+        groups = moved
+    return {K: tuple(vec) for K, vec in vecs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +430,7 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
 
     Targets may be ints or Fractions; negative ones and those whose scaled
     value denom*k - const is not an integer are misses without a search.
-    Each radius of the schedule walks only the targets on its reachability
+    Each radius of the schedule routes only the targets on its reachability
     row.  None is not a proof of non-representability, only exhaustion of
     the radius box.  Every witness is re-evaluated in integers (its
     numerator must be denom*k) and member-checked; a projected domain's
@@ -598,6 +625,8 @@ def universality_scan(form: FormSpec, domain: ConstrainedDomain, max_k: int,
                       grid: str = "int") -> UniversalityReport:
     """Represent every target in [min_k, max_k] (or the half-integer grid)
     and attach modular obstructions to missed targets where certifiable."""
+    budget.check((2 if grid == "half" else 1) * (max_k - min_k) + 1,
+                 what="scan target list")
     if grid == "half":
         targets = [Fraction(j, 2) for j in range(2 * min_k, 2 * max_k + 1)]
     else:

@@ -123,6 +123,8 @@ def test_rank4_slice_bound_values():
     assert ac.rank4_slice_bound("B1", 15) == Fraction(11 * 12 * 43, 6)
     assert ac.rank4_slice_bound("A2even", 15) == Fraction(11 * 12 * 43, 12)
     assert ac.rank4_slice_bound("D1", 16) == Fraction(12 * 11 * 23, 3)
+    with pytest.raises(DomainViolation, match="unknown affine type tag"):
+        ac.rank4_slice_bound("E8", 5)
 
 
 @given(st.sampled_from(ac.LATTICE_TAGS), st.lists(st.integers(-6, 6),

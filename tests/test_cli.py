@@ -156,6 +156,22 @@ def test_budget_errors_exit_two(capsys, monkeypatch):
     assert code == 2 and out == "" and "over the budget" in err
 
 
+def test_scan_target_list_over_the_budget_exits_two(capsys, monkeypatch):
+    # the targets are counted before they are listed, twice as many on the
+    # half grid
+    code, out, err = run(capsys, "scan", "--form", "Q-delta", "--n", "3",
+                         "--max-k", "99999999999", "--radius", "3")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "scan target list" in err and "over the budget" in err
+    lattice = ("scan", "--form", "lattice", "--type", "A2even", "--n", "3",
+               "--max-k", "10", "--radius", "2")
+    monkeypatch.setenv("ATOMLEN_BUDGET", "20")
+    code, out, err = run(capsys, *lattice)
+    assert code == 2 and out == "" and "needs ~21 steps" in err
+    monkeypatch.setenv("ATOMLEN_BUDGET", "21")
+    assert run(capsys, *lattice)[0] == 0
+
+
 def test_hall_over_the_budget_exits_two(capsys, monkeypatch):
     # Hall's exchange chain takes 158 steps on this m=26 vector, which the
     # backtracking search could not finish; a random m=300 vector takes

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -649,11 +650,77 @@ def test_numerator_rejects_a_wrong_arity():
         qf.form_Q(3).numerator((0, 0))
 
 
+# One pair per domain kind of test_engine_matches_brute_force, at scan size.
+SCAN_SIZE_KINDS = {
+    "delta": (qf.form_Q(4), qf.domain_Delta(4)),
+    "core-size": (qf.form_core_size(4), qf.domain_Q_full(4)),
+    "deltaC": (qf.form_euclidean(3), qf.domain_DeltaC(3)),
+    "euclid-D": (AffineLatticeSpec("D2", 3).form(), lattice_domain("D2", 3)),
+    "window": (qf.form_P(4), qf.domain_D(4)),
+    "charges": (WeightSpec(4, 2, (1, 3)).form(),
+                WeightSpec(4, 2, (1, 3)).domain()),
+    "q-free": (qf.form_q(3), qf.domain_Z_full(3)),
+    "projected": (qf.form_q(3), qf.domain_X(4)),
+    "refined": (refined_size_form(4), qf.domain_Os(4)),
+    **{tag: (AffineLatticeSpec(tag, 3).form(), lattice_domain(tag, 3))
+       for tag in ("C1", "B1", "A2even")},
+}
+
+
+def _share_a_route(dom, radius, u, v):
+    """Whether two witnesses come from one radius of the schedule and leave
+    different prefixes for one suffix: from there on they need the same
+    suffix state and remaining offset, so one batch routes them together."""
+    def lifted_and_radius(w):
+        # a projected domain's forced coordinate lies within (nvars - 1) * r
+        # of the sum
+        forced = (dom.sum_target - sum(w),) if dom.projected else ()
+        return w + forced, next(
+            r for r in qf._radius_schedule(radius)
+            if all(abs(t) <= r for t in w)
+            and all(abs(t - dom.sum_target) <= (dom.nvars - 1) * r
+                    for t in forced))
+    (u, ru), (v, rv) = lifted_and_radius(u), lifted_and_radius(v)
+    return ru == rv and any(u[:i] != v[:i] and u[i:] == v[i:]
+                            for i in range(1, len(u)))
+
+
 def test_represent_all_matches_represent():
+    # a batch call routes its targets together, grouped by suffix state and
+    # remaining offset; a one-target call routes its target alone
     form, dom = qf.form_P(4), qf.domain_D(4)
     targets = [30, 0, 14, -1, 7, 30, 110]
     assert qf.represent_all(form, dom, targets, 12) == [
         qf.represent(form, dom, k, 12) for k in targets]
+    # targets 1 and 2 on Delta(4) take the prefixes (0, 0) and (1, -1), of
+    # equal sum and classes, and then share one group at coordinate 2
+    form, dom = qf.form_Q(4), qf.domain_Delta(4)
+    hits = qf.represent_all(form, dom, [2, 1], 8)
+    assert hits == [(1, -1, 1, -1), (0, 0, 1, -1)]
+    assert hits == [qf.represent(form, dom, k, 8) for k in (2, 1)]
+    assert _share_a_route(dom, 8, *hits)
+
+
+@pytest.mark.parametrize("kind", SCAN_SIZE_KINDS)
+def test_batch_routing_matches_one_target_calls_at_scan_size(kind):
+    form, dom = SCAN_SIZE_KINDS[kind]
+    targets = list(range(-2, 60))
+    if form.form_id == "norm[A2even]":
+        targets += [Fraction(j, 2) for j in range(1, 60, 2)]
+    random.Random(kind).shuffle(targets)
+    hits = qf.represent_all(form, dom, targets, 8)
+    assert hits == [qf.represent(form, dom, k, 8) for k in targets]
+    found = [h for h in hits if h is not None]
+    assert any(_share_a_route(dom, 8, u, v)
+               for u, v in itertools.combinations(found, 2))
+
+
+def test_a_box_wider_than_the_value_window_gives_the_same_entries():
+    # a coordinate lists only the values within the largest target of its
+    # least term, so radius 10^6 lists what radius 20000 does
+    form, dom = qf.form_Q(3), qf.domain_Delta(3)
+    far = qf.universality_scan(form, dom, 5, 10 ** 6)
+    assert far.entries == qf.universality_scan(form, dom, 5, 20000).entries
 
 
 def test_table_over_budget_raises(monkeypatch):
