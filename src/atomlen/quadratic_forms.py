@@ -26,7 +26,9 @@ lists no more of them; a table takes them grouped by class, and one test
 skips a class the suffix already fills.  Tables are built over an
 increasing radius schedule 1, 2, 4, ..., R, each for the targets still
 missing, so small witnesses are found first while "not found" still
-certifies exhaustion of the full radius-R box.
+certifies exhaustion of the full radius-R box.  The schedule stops at a box
+that holds every value window with no minimizer clamped: a larger box
+lists the same candidates.
 
 Misses cost one bit test.  Folding the first coordinate's candidates into
 the table of the other coordinates gives one reachability row: the bitset
@@ -300,10 +302,11 @@ def _radius_schedule(radius: int) -> list[int]:
     return out + [radius]
 
 
-def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
+def _witnesses_at_radius(A, B, targets, domain, radius) -> tuple[dict, bool]:
     """First full vector of the domain, in the fixed search order, with
     A*sum(t^2) + sum(B*t) == K inside the radius box, for every K in targets
-    that has one."""
+    that has one; and whether the box holds every coordinate's value window
+    with no minimizer clamped, so that no larger box reaches more."""
     n, S = domain.nvars, domain.sum_target
     cls, caps = domain.cls, domain.caps
     if sum(caps) != n:
@@ -322,31 +325,33 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
 
     # Per coordinate: its box and its least term, taken at the integer
     # nearest the continuous minimizer -B/(2A), clamped to the box.
-    boxes, base = [], 0
+    boxes, base, clamped = [], 0, False
     for i in range(n):
         last = domain.projected and i == n - 1  # forced: S -/+ i * radius
         lo, hi = (S - i * radius, S + i * radius) if last else (-radius, radius)
         center = (A - B[i]) // (2 * A)
         v = min(max(center, lo), hi)
+        clamped |= v != center
         low = A * v * v + B[i] * v
         base += low
         boxes.append((lo, hi, center, low))
     top = max(targets) - base
     if top < 0:
-        return {}
+        return {}, not clamped
     mask = (2 << top) - 1
 
     # Per coordinate, in spiral order (outward from the minimizer, positive
     # offset first): (value, term minus the least term, class weight, class
     # capacity), for the values of the box whose offset is at most top,
     # i.e. |2Av + B| <= isqrt(4A(top + low) + B^2).
-    rows = []
+    rows, closed = [], not clamped
     for i, (lo, hi, center, low) in enumerate(boxes):
         b, a2 = B[i], 2 * A
         s = isqrt(2 * a2 * (top + low) + b * b)
+        wlo, whi = -((s + b) // a2), (s - b) // a2
+        closed &= lo <= wlo and whi <= hi
         row = [(v, A * v * v + b * v - low, weights[c], caps[c])
-               for v in range(max(lo, -((s + b) // a2)),
-                              min(hi, (s - b) // a2) + 1)
+               for v in range(max(lo, wlo), min(hi, whi) + 1)
                for c in (cls(i, v),) if caps[c]]
         row.sort(key=lambda e: (abs(e[0] - center), e[0] < center))
         rows.append(row)
@@ -387,7 +392,7 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
     # offsets and, per offset, the targets that travel together
     vecs = {K: [] for K in targets if K >= base and reach >> (K - base) & 1}
     if not vecs:
-        return {}
+        return {}, closed
     groups = {(total & fold, full): (sum(1 << (K - base) for K in vecs),
                                      {K - base: [K] for K in vecs})}
     for i in range(n):
@@ -416,7 +421,7 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
                     f"the table reaches {K} on {domain.label} but no route "
                     f"does")
         groups = moved
-    return {K: tuple(vec) for K, vec in vecs.items()}
+    return {K: tuple(vec) for K, vec in vecs.items()}, closed
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +436,11 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
     Targets may be ints or Fractions; negative ones and those whose scaled
     value denom*k - const is not an integer are misses without a search.
     Each radius of the schedule routes only the targets on its reachability
-    row.  None is not a proof of non-representability, only exhaustion of
-    the radius box.  Every witness is re-evaluated in integers (its
-    numerator must be denom*k) and member-checked; a projected domain's
-    witness then drops its forced last coordinate.
+    row, and it stops at a box that holds every value window.  None is not
+    a proof of non-representability, only exhaustion of the radius box.
+    Every witness is re-evaluated in integers (its numerator must be
+    denom*k) and member-checked; a projected domain's witness then drops
+    its forced last coordinate.
     """
     if radius < 0:
         raise DomainViolation(f"radius must be >= 0, got {radius}")
@@ -452,8 +458,11 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
         pending = set(nums.values()) - found.keys()
         if not pending:
             break
-        found.update(_witnesses_at_radius(form.quad, form.lin, pending,
-                                          domain, r))
+        witnesses, closed = _witnesses_at_radius(form.quad, form.lin,
+                                                 pending, domain, r)
+        found.update(witnesses)
+        if closed:
+            break
     hits, projected = [], domain.projected
     for k in targets:
         hit = found.get(nums.get(k))
@@ -487,26 +496,37 @@ def _attained_q(arity: int, m: int) -> frozenset[int]:
 
     q has integer coefficients, so coordinates mod m decide q mod m.
     Appending v to a prefix of sum s adds v^2 + v*s to q, so a DP over the
-    coordinates keeps, per prefix sum mod m, the classes of q mod m as an
-    m-bit int; appending v rotates that int.  The last coordinate needs
-    no sum state: it rotates by each distinct increment into state 0.
+    coordinates keeps, per prefix sum t mod m, the classes of q mod m as an
+    m-bit int: the prefixes of sum t are those of sum s with v = t - s
+    appended, whose int rotates by t*(t - s).  q(-x) = q(x), so a layer is
+    equal at t and -t: it computes t <= m/2 and mirrors it.  The last
+    coordinate needs no sum state: it rotates by each distinct increment,
+    and s and -s add the same ones, so it visits only s <= m/2.
     """
-    full = (1 << m) - 1
-    layer, work = {0: 1}, 0
-    for i in range(arity):
-        work += len(layer) * m
-        budget.check(work, what=f"residue table of q({arity}) mod {m}")
+    if not arity:
+        return frozenset({0})
+    full, half = (1 << m) - 1, range(m // 2 + 1)
+    layer, work, what = {0: 1}, 0, f"residue table of q({arity}) mod {m}"
+    for _ in range(arity - 1):
+        work += len(layer) * len(half)
+        budget.check(work, what=what)
         nxt = {}
-        for s, bits in layer.items():
-            if i == arity - 1:
-                steps = ((0, d) for d in {v * (v + s) % m for v in range(m)})
-            else:
-                steps = (((s + v) % m, v * (v + s) % m) for v in range(m))
-            for t, d in steps:
-                nxt[t] = nxt.get(t, 0) | ((bits << d | bits >> (m - d))
-                                          & full)
+        for t in half:
+            acc = 0
+            for s, bits in layer.items():
+                d = t * (t - s) % m
+                acc |= bits << d | bits >> (m - d)
+            nxt[t] = nxt[-t % m] = acc & full
         layer = nxt
-    return frozenset(c for c in range(m) if layer[0] >> c & 1)
+    sums = [s for s in half if s in layer]
+    work += len(sums) * m
+    budget.check(work, what=what)
+    acc = 0
+    for s in sums:
+        bits = layer[s]
+        for d in {v * (v + s) % m for v in range(m)}:
+            acc |= bits << d | bits >> (m - d)
+    return frozenset(c for c in range(m) if acc >> c & 1)
 
 
 def attained_classes(form: FormSpec, m: int) -> frozenset[int]:
@@ -514,7 +534,7 @@ def attained_classes(form: FormSpec, m: int) -> frozenset[int]:
     P and Q on their window and zero-sum domains.
 
     Exact: a DP over the coordinates mod m (see _attained_q), about
-    arity * m^2 steps.  Each of the three reads nvars coordinates and takes
+    arity * m^2 / 2 steps.  Each of the three reads nvars coordinates and takes
     the values of q in nvars - 1 variables (P and Q through the maps C and
     pr), so the classes are those of q.  Other forms raise DomainViolation.
     """
@@ -526,20 +546,24 @@ def attained_classes(form: FormSpec, m: int) -> frozenset[int]:
     return _attained_q(form.nvars - 1, m)
 
 
-def _obstruction(form: FormSpec, k: int) -> tuple[int, int] | None:
+def _obstruction(form: FormSpec, k: int, witnessed) -> tuple[int, int] | None:
     """First modulus of DEFAULT_OBSTRUCTION_MODULI certifying that k is in a
     missed class, if any.
 
-    Every modulus is tried, however large: one whose residue table is over
-    the budget raises BudgetExceeded instead of being skipped.
+    witnessed(m) gives the classes mod m of the scan's witnessed integer
+    targets, values of q (see attained_classes): a modulus whose class k mod
+    m a witness attains cannot certify k and is skipped without its table.
+    Every other modulus is tried, however large: one whose residue table is
+    over the budget raises BudgetExceeded instead of being skipped.
     """
     if form.form_id not in ("P", "Q", "q"):
         return None
     if form.nvars - 1 >= 4:
         return None  # universal from four variables on: no class is missed
     for m in DEFAULT_OBSTRUCTION_MODULI:
-        if k % m not in attained_classes(form, m):
-            return m, k % m
+        r = k % m
+        if r not in witnessed(m) and r not in attained_classes(form, m):
+            return m, r
     return None
 
 
@@ -612,12 +636,10 @@ def _target_json(k):
     return int(k)
 
 
-def _missed(form: FormSpec, k) -> ReportEntry:
-    if isinstance(k, int) or k.denominator == 1:
-        obs = _obstruction(form, int(k))
-        if obs is not None:
-            return ReportEntry(k, "obstructed", None, obs[0], obs[1])
-    return ReportEntry(k, "not-found")
+def _missed(form: FormSpec, k, witnessed) -> ReportEntry:
+    obs = k.denominator == 1 and _obstruction(form, int(k), witnessed)
+    return (ReportEntry(k, "obstructed", None, *obs) if obs
+            else ReportEntry(k, "not-found"))
 
 
 def universality_scan(form: FormSpec, domain: ConstrainedDomain, max_k: int,
@@ -632,7 +654,13 @@ def universality_scan(form: FormSpec, domain: ConstrainedDomain, max_k: int,
     else:
         targets = list(range(min_k, max_k + 1))
     hits = represent_all(form, domain, targets, radius)
+    # the classes mod m of the witnessed integer targets, listed once a miss
+    # reaches modulus m of the obstruction step
+    witnessed = lru_cache(maxsize=None)(lambda m: {
+        int(k) % m for k, hit in zip(targets, hits)
+        if hit is not None and k.denominator == 1})
     entries = [ReportEntry(k, "witness", hit) if hit is not None
-               else _missed(form, k) for k, hit in zip(targets, hits)]
+               else _missed(form, k, witnessed)
+               for k, hit in zip(targets, hits)]
     return UniversalityReport(form.form_id, domain.label, domain.n, max_k,
                               radius, grid, tuple(entries), min_k)

@@ -311,9 +311,41 @@ def test_q_misses_no_class_from_four_variables_on():
             assert qf._attained_q(arity, m) == frozenset(range(m)), (arity, m)
 
 
+def full_dp_attained_q(arity, m):
+    """The residue DP before the q(-x) = q(x) halving, kept as the oracle:
+    per prefix sum s mod m, the classes of q mod m as an m-bit int, pushed
+    to the sum s + v for every v; the last coordinate rotates by each
+    distinct increment into state 0."""
+    full = (1 << m) - 1
+    layer = {0: 1}
+    for i in range(arity):
+        nxt = {}
+        for s, bits in layer.items():
+            if i == arity - 1:
+                steps = ((0, d) for d in {v * (v + s) % m for v in range(m)})
+            else:
+                steps = (((s + v) % m, v * (v + s) % m) for v in range(m))
+            for t, d in steps:
+                nxt[t] = nxt.get(t, 0) | ((bits << d | bits >> (m - d))
+                                          & full)
+        layer = nxt
+    return frozenset(c for c in range(m) if layer[0] >> c & 1)
+
+
+@pytest.mark.parametrize("arity", range(1, 6))
+def test_halved_dp_matches_the_full_dp(arity):
+    for m in [*range(1, 131), *([256] if arity <= 3 else [])]:
+        assert qf._attained_q(arity, m) == full_dp_attained_q(arity, m), m
+
+
+# q(3) mod 16: the two mirrored layers compute the 9 sums t <= 8 from 1 and
+# then 16 prefix sums; the last coordinate visits the 9 sums s <= 8, with
+# 16 values each
+Q3_MOD16_WORK = 9 + 16 * 9 + 9 * 16
+
+
 def test_residue_table_budget_counts_dp_work(monkeypatch):
-    # q(3) mod 16: 1, 16 and 16 prefix-sum states, 16 values each
-    work = 16 + 16 * 16 + 16 * 16
+    work = Q3_MOD16_WORK
     qf._attained_q.cache_clear()
     monkeypatch.setenv("ATOMLEN_BUDGET", str(work - 1))
     with pytest.raises(BudgetExceeded, match="residue table"):
@@ -323,23 +355,67 @@ def test_residue_table_budget_counts_dp_work(monkeypatch):
 
 
 def test_obstruction_tries_every_modulus(monkeypatch):
-    # 14 and 30 are obstructed mod 16 on q(3); a budget just under the
-    # mod-16 residue table raises instead of skipping that modulus
+    # 14 and 30 are obstructed mod 16 on q(3).  A modulus is skipped only
+    # when a witness attains the target's class; a lone target has no
+    # witness, so a budget just under the mod-16 residue table raises
+    # instead of skipping that modulus.  Radius 4 keeps the representation
+    # tables under that budget (at radius 8 the table needs 297 steps too)
     form, dom = qf.form_q(3), qf.domain_Z_full(3)
     rep = qf.universality_scan(form, dom, 40, 10)
     assert [(e.target, e.status, e.modulus, e.residue)
             for e in rep.misses] == [(14, "obstructed", 16, 14),
                                      (30, "obstructed", 16, 14)]
-    work = 16 + 16 * 16 + 16 * 16
+    work = Q3_MOD16_WORK
     qf._attained_q.cache_clear()
     monkeypatch.setenv("ATOMLEN_BUDGET", str(work - 1))
     with pytest.raises(BudgetExceeded,
                        match=r"residue table of q\(3\) mod 16"):
-        qf.universality_scan(form, dom, 14, 10, min_k=14)
+        qf.universality_scan(form, dom, 14, 4, min_k=14)
     monkeypatch.setenv("ATOMLEN_BUDGET", str(work))
-    rep = qf.universality_scan(form, dom, 14, 10, min_k=14)
+    rep = qf.universality_scan(form, dom, 14, 4, min_k=14)
     assert [(e.target, e.status, e.modulus) for e in rep.entries] == [
         (14, "obstructed", 16)]
+
+
+def _ladder(form, k):
+    """(modulus, residue) of the first modulus whose residue table misses
+    k's class, trying every modulus without looking at witnesses."""
+    return next(((m, k % m) for m in qf.DEFAULT_OBSTRUCTION_MODULI
+                 if k % m not in qf.attained_classes(form, m)), None)
+
+
+def test_witness_pruning_matches_the_full_ladder():
+    # a modulus whose class a witness attains cannot certify, so skipping
+    # its table leaves the first certifying modulus unchanged
+    rng = random.Random(15)
+    pairs = [(qf.form_q(d), qf.domain_Z_full(d)) for d in (1, 2, 3)]
+    pairs += [(qf.form_P(n), qf.domain_D(n)) for n in (2, 3, 4)]
+    pairs += [(qf.form_Q(n), qf.domain_Delta(n)) for n in (2, 3, 4)]
+    mixed = 0
+    for form, dom in pairs * 4:
+        min_k = rng.choice([0, 0, rng.randint(1, 120)])
+        max_k = min_k + rng.randint(0, 80)
+        rep = qf.universality_scan(form, dom, max_k, rng.randint(2, 12),
+                                   min_k=min_k)
+        for e in rep.misses:
+            m, r = _ladder(form, e.target) or (None, None)
+            assert (e.status, e.modulus, e.residue) == (
+                "obstructed" if m else "not-found", m, r), (dom, e)
+        statuses = {e.status for e in rep.entries}
+        mixed += {"witness", "obstructed"} <= statuses
+    assert mixed >= 10
+
+
+def test_witnesses_spare_the_residue_tables_they_answer():
+    # on Q over Delta(4), k <= 600, witnesses attain the class of every
+    # miss mod 3, 4, 8 and 32, and mod 128 that of the misses 224 and 480,
+    # which no modulus certifies: only the tables mod 16 and 64 are built
+    qf._attained_q.cache_clear()
+    qf.universality_scan(qf.form_Q(4), qf.domain_Delta(4), 600, 40)
+    assert qf._attained_q.cache_info().currsize == 2
+    misses = qf._attained_q.cache_info().misses
+    qf._attained_q(3, 16), qf._attained_q(3, 64)
+    assert qf._attained_q.cache_info().misses == misses
 
 
 # (k, modulus, residue) of every obstructed target, recorded from the
@@ -721,6 +797,74 @@ def test_a_box_wider_than_the_value_window_gives_the_same_entries():
     form, dom = qf.form_Q(3), qf.domain_Delta(3)
     far = qf.universality_scan(form, dom, 5, 10 ** 6)
     assert far.entries == qf.universality_scan(form, dom, 5, 20000).entries
+
+
+def _full_schedule(form, dom, targets, radius):
+    """represent_all's witnesses with every radius of the schedule run for
+    the targets still missing, however early the box holds every window."""
+    nums = {k: int(form.denom * k - form.const) for k in targets
+            if k >= 0 and (form.denom * k - form.const) % 1 == 0}
+    found = {}
+    for r in qf._radius_schedule(radius):
+        pending = set(nums.values()) - found.keys()
+        if pending:
+            found.update(qf._witnesses_at_radius(form.quad, form.lin,
+                                                 pending, dom, r)[0])
+    hits = [found.get(nums.get(k)) for k in targets]
+    return [h[:-1] if h and dom.projected else h for h in hits]
+
+
+# (form, domain, radius, targets, radii represent_all runs): D, Delta, a
+# projected domain, Ds and DeltaC stop early with targets still missing.  P
+# on D(5) clamps the last coordinate's minimizer 5 at radii below 5: those
+# boxes witness none of its targets, yet the schedule runs on to radius 8,
+# which witnesses them all
+DS = WeightSpec(4, 2, (0, 0))
+EARLY_STOP_CASES = {
+    "D4": (qf.form_P(4), qf.domain_D(4), 100, range(201),
+           [1, 2, 4, 8, 16, 32]),
+    "Delta3": (qf.form_Q(3), qf.domain_Delta(3), 100, range(201),
+               [1, 2, 4, 8, 16, 32]),
+    "Z3": (qf.form_q(3), qf.domain_Z_full(3), 100, range(301),
+           [1, 2, 4, 8, 16, 32]),
+    "Ds": (DS.form(), DS.domain(), 100, range(81), [1, 2, 4, 8, 16]),
+    "DeltaC3": (qf.form_euclidean(3), qf.domain_DeltaC(3), 100, range(151),
+                [1, 2, 4, 8, 16]),
+    "D5-clamped": (qf.form_P(5), qf.domain_D(5), 100, range(4),
+                   [1, 2, 4, 8]),
+}
+
+
+def _record_radii(monkeypatch):
+    """The list of radii represent_all hands _witnesses_at_radius, filled
+    as they run."""
+    ran, witnesses_at_radius = [], qf._witnesses_at_radius
+
+    def counted(A, B, pending, domain, r):
+        ran.append(r)
+        return witnesses_at_radius(A, B, pending, domain, r)
+
+    monkeypatch.setattr(qf, "_witnesses_at_radius", counted)
+    return ran
+
+
+@pytest.mark.parametrize("case", EARLY_STOP_CASES)
+def test_early_stop_matches_the_full_schedule(case, monkeypatch):
+    form, dom, radius, targets, radii = EARLY_STOP_CASES[case]
+    full = _full_schedule(form, dom, list(targets), radius)
+    ran = _record_radii(monkeypatch)
+    assert qf.represent_all(form, dom, list(targets), radius) == full
+    assert ran == radii
+
+
+def test_the_schedule_stops_once_the_box_holds_every_window(monkeypatch):
+    # the missed targets 2 and 5 need |v| <= 3: the box holds every window
+    # from radius 4 on, so radii 8, ..., 524288 and 10^6 are not run
+    ran = _record_radii(monkeypatch)
+    rep = qf.universality_scan(qf.form_Q(3), qf.domain_Delta(3), 5, 10 ** 6)
+    assert ran == [1, 2, 4]
+    assert rep.radius == 10 ** 6
+    assert [e.target for e in rep.misses] == [2, 5]
 
 
 def test_table_over_budget_raises(monkeypatch):
