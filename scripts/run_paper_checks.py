@@ -91,10 +91,10 @@ def criterion_03_q_four_variables_hits_s290():
 
 
 def criterion_04_attained_classes_exactly():
-    assert qf.attained_classes(qf.form_q(2), 3) == frozenset({0, 1})
-    assert set(range(16)) - qf.attained_classes(qf.form_q(3), 16) == {14}
-    assert set(range(32)) - qf.attained_classes(qf.form_q(3), 32) == {14, 30}
-    m128 = set(range(128)) - qf.attained_classes(qf.form_q(3), 128)
+    assert qf.attained_classes(2, 3) == frozenset({0, 1})
+    assert set(range(16)) - qf.attained_classes(3, 16) == {14}
+    assert set(range(32)) - qf.attained_classes(3, 32) == {14, 30}
+    m128 = set(range(128)) - qf.attained_classes(3, 128)
     assert m128 == {14, 30, 46, 56, 62, 78, 94, 110, 120, 126}, m128
     return "attained classes mod 3/16/32/128 match the stated sets exactly"
 

@@ -18,9 +18,8 @@ from . import budget
 from .errors import (BadEll, BadIndex, BadLength, DomainViolation,
                      InvariantViolation, NotInDs)
 from .quadratic_forms import (ConstrainedDomain, FormSpec, UniversalityReport,
-                              conjugate_charges, domain_Ds, domain_Os,
-                              domain_Q_full, form_core_size, member,
-                              universality_scan)
+                              domain_Os, domain_Q_full, form_core_size,
+                              member, universality_scan)
 
 Partition = tuple[int, ...]
 
@@ -332,14 +331,23 @@ class WeightSpec(namedtuple("WeightSpec", "n ell charges")):
 
     @property
     def sprime(self) -> tuple[int, ...]:
-        return conjugate_charges(self.n, self.ell, self.charges)
+        """Base point of the charge orbit: the conjugate of the charges (a
+        partition in an (n-1) x l box), padded to n parts, increasing."""
+        conj = conjugate(tuple(sorted(self.charges, reverse=True)))
+        return tuple(sorted(conj + (0,) * (self.n - len(conj))))
 
     @property
     def total(self) -> int:
         return sum(self.charges)
 
     def domain(self) -> ConstrainedDomain:
-        return domain_Ds(self.n, self.ell, self.charges)
+        """The charge orbit: coordinate sum of the charges, residues mod l
+        distributed as in sprime."""
+        n, ell, charges = self
+        residues = [v % ell for v in self.sprime]
+        caps = tuple(map(residues.count, range(ell)))
+        label = f"Ds(n={n},l={ell},s={','.join(map(str, charges))})"
+        return ConstrainedDomain(label, n, n, caps, sum(charges), ell)
 
     def normalizing_constant(self) -> Fraction:
         """The constant making the polynomial vanish at sprime; always

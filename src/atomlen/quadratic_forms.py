@@ -58,7 +58,8 @@ from .errors import BadLength, DomainViolation, InvariantViolation
 S290 = frozenset({1, 2, 3, 5, 6, 7, 10, 13, 14, 15, 17, 19, 21, 22, 23, 26,
                   29, 30, 31, 34, 35, 37, 42, 58, 93, 110, 145, 203, 290})
 
-# Moduli tried, in order, when explaining a missed scan target.
+# Moduli tried, in order, when explaining a missed scan target; the first
+# that excludes it is reported, which need not be the smallest that would.
 DEFAULT_OBSTRUCTION_MODULI = (3, 4, 8, 16, 32, 64, 128)
 
 
@@ -185,33 +186,8 @@ def domain_DeltaC(n: int) -> ConstrainedDomain:
                              signed=True)
 
 
-def domain_Ds(n: int, ell: int, charges: tuple[int, ...]) -> ConstrainedDomain:
-    """The charge orbit: coordinate sum of the charges, residues mod ell
-    distributed as in the orbit's base point."""
-    charges = tuple(charges)
-    base = conjugate_charges(n, ell, charges)
-    caps = tuple(sum(1 for v in base if v % ell == r) for r in range(ell))
-    label = f"Ds(n={n},l={ell},s={','.join(map(str, charges))})"
-    return ConstrainedDomain(label, n, n, caps, sum(charges), ell)
-
-
 def domain_Os(n: int) -> ConstrainedDomain:
     return _distinct(f"Os({n})", n, n * (n - 1) // 2, ())
-
-
-def conjugate_charges(n: int, ell: int, charges) -> tuple[int, ...]:
-    """Weakly increasing length-n conjugate of the charge tuple.
-
-    The charges (sorted decreasingly) form a partition inside an
-    (n-1) x ell box; its conjugate, padded with zeros to n parts and sorted
-    increasingly, is the base point of the charge orbit.
-    """
-    kappa = sorted(charges, reverse=True)
-    conj = [sum(1 for p in kappa if p >= j) for j in range(1, n + 1)]
-    out = sorted(conj)
-    if len(out) != n:
-        raise BadLength("conjugate padding failed")
-    return tuple(out)
 
 
 def member(domain: ConstrainedDomain, v) -> bool:
@@ -491,8 +467,9 @@ def represent(form: FormSpec, domain: ConstrainedDomain, k, radius: int):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _attained_q(arity: int, m: int) -> frozenset[int]:
-    """Classes mod m attained by the all-pairwise-products form.
+def attained_classes(arity: int, m: int) -> frozenset[int]:
+    """Classes mod m attained by q, the all-pairwise-products form of arity
+    variables.
 
     q has integer coefficients, so coordinates mod m decide q mod m.
     Appending v to a prefix of sum s adds v^2 + v*s to q, so a DP over the
@@ -501,8 +478,11 @@ def _attained_q(arity: int, m: int) -> frozenset[int]:
     appended, whose int rotates by t*(t - s).  q(-x) = q(x), so a layer is
     equal at t and -t: it computes t <= m/2 and mirrors it.  The last
     coordinate needs no sum state: it rotates by each distinct increment,
-    and s and -s add the same ones, so it visits only s <= m/2.
+    and s and -s add the same ones, so it visits only s <= m/2.  About
+    arity * m^2 / 2 steps, counted against the budget.
     """
+    if m < 1:
+        raise DomainViolation(f"modulus must be >= 1, got {m}")
     if not arity:
         return frozenset({0})
     full, half = (1 << m) - 1, range(m // 2 + 1)
@@ -529,42 +509,43 @@ def _attained_q(arity: int, m: int) -> frozenset[int]:
     return frozenset(c for c in range(m) if acc >> c & 1)
 
 
-def attained_classes(form: FormSpec, m: int) -> frozenset[int]:
-    """Residue classes mod m attained by the pairwise-products form q, or by
-    P and Q on their window and zero-sum domains.
+def _certificates(form: FormSpec, domain: ConstrainedDomain, targets,
+                  hits) -> dict:
+    """{k: (m, k mod m)} for each missed integer target k, m the first
+    modulus of DEFAULT_OBSTRUCTION_MODULI that certifies k.
 
-    Exact: a DP over the coordinates mod m (see _attained_q), about
-    arity * m^2 / 2 steps.  Each of the three reads nvars coordinates and takes
-    the values of q in nvars - 1 variables (P and Q through the maps C and
-    pr), so the classes are those of q.  Other forms raise DomainViolation.
-    """
-    if m < 1:
-        raise DomainViolation(f"modulus must be >= 1, got {m}")
-    if form.form_id not in ("P", "Q", "q"):
-        raise DomainViolation(
-            f"attained_classes does not support form {form.form_id!r}")
-    return _attained_q(form.nvars - 1, m)
-
-
-def _obstruction(form: FormSpec, k: int, witnessed) -> tuple[int, int] | None:
-    """First modulus of DEFAULT_OBSTRUCTION_MODULI certifying that k is in a
-    missed class, if any.
-
-    witnessed(m) gives the classes mod m of the scan's witnessed integer
-    targets, values of q (see attained_classes): a modulus whose class k mod
-    m a witness attains cannot certify k and is skipped without its table.
-    Every other modulus is tried, however large: one whose residue table is
+    The ground: P, Q and q are each |t - c|^2/2 with lin = -2c.  On a domain
+    inside the coset sum(t) = sum(c), x = t - c sums to zero and |x|^2/2 is
+    q of x's first nvars - 1 coordinates, so a class q misses there is
+    missed by the pair.  No other pair is certified, nor any from four
+    variables on, where q attains every class.  The moduli are walked once:
+    at each, the misses still open whose class no witnessed integer target
+    attains read its table (a witness is a value of q, so its class is
+    attained), and those the table excludes are certified at m.  A table
     over the budget raises BudgetExceeded instead of being skipped.
     """
-    if form.form_id not in ("P", "Q", "q"):
-        return None
-    if form.nvars - 1 >= 4:
-        return None  # universal from four variables on: no class is missed
+    arity = form.nvars - 1
+    if (form.form_id not in ("P", "Q", "q") or arity >= 4
+            or domain.sum_target != -sum(form.lin) // 2):
+        return {}
+    missed = [int(k) for k, hit in zip(targets, hits)
+              if hit is None and k.denominator == 1]
+    if not missed:
+        return {}
+    seen = [int(k) for k, hit in zip(targets, hits)
+            if hit is not None and k.denominator == 1]
+    certs = {}
     for m in DEFAULT_OBSTRUCTION_MODULI:
-        r = k % m
-        if r not in witnessed(m) and r not in attained_classes(form, m):
-            return m, r
-    return None
+        if not missed:
+            break
+        witnessed = {k % m for k in seen}
+        asked = [k for k in missed if k % m not in witnessed]
+        if asked:
+            classes = attained_classes(arity, m)
+            certs.update((k, (m, k % m)) for k in asked
+                         if k % m not in classes)
+            missed = [k for k in missed if k not in certs]
+    return certs
 
 
 # ---------------------------------------------------------------------------
@@ -636,17 +617,13 @@ def _target_json(k):
     return int(k)
 
 
-def _missed(form: FormSpec, k, witnessed) -> ReportEntry:
-    obs = k.denominator == 1 and _obstruction(form, int(k), witnessed)
-    return (ReportEntry(k, "obstructed", None, *obs) if obs
-            else ReportEntry(k, "not-found"))
-
-
 def universality_scan(form: FormSpec, domain: ConstrainedDomain, max_k: int,
                       radius: int, *, min_k: int = 0,
                       grid: str = "int") -> UniversalityReport:
     """Represent every target in [min_k, max_k] (or the half-integer grid)
-    and attach modular obstructions to missed targets where certifiable."""
+    and attach to each missed target the first modulus of
+    DEFAULT_OBSTRUCTION_MODULI that certifies it, where one does (see
+    _certificates)."""
     budget.check((2 if grid == "half" else 1) * (max_k - min_k) + 1,
                  what="scan target list")
     if grid == "half":
@@ -654,13 +631,10 @@ def universality_scan(form: FormSpec, domain: ConstrainedDomain, max_k: int,
     else:
         targets = list(range(min_k, max_k + 1))
     hits = represent_all(form, domain, targets, radius)
-    # the classes mod m of the witnessed integer targets, listed once a miss
-    # reaches modulus m of the obstruction step
-    witnessed = lru_cache(maxsize=None)(lambda m: {
-        int(k) % m for k, hit in zip(targets, hits)
-        if hit is not None and k.denominator == 1})
+    certs = _certificates(form, domain, targets, hits)
     entries = [ReportEntry(k, "witness", hit) if hit is not None
-               else _missed(form, k, witnessed)
+               else ReportEntry(k, "obstructed", None, *certs[k]) if k in certs
+               else ReportEntry(k, "not-found")
                for k, hit in zip(targets, hits)]
     return UniversalityReport(form.form_id, domain.label, domain.n, max_k,
                               radius, grid, tuple(entries), min_k)

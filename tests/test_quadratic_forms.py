@@ -146,6 +146,12 @@ def lattice_domain(tag, n):
     return AffineLatticeSpec(tag, n).domain()
 
 
+def domain_Ds(n, ell, charges):
+    """The charge orbit of a weight spec, as the engine reads it; named as
+    the domain constructors of quadratic_forms, which keeps the test ids."""
+    return WeightSpec(n, ell, charges).domain()
+
+
 LITERAL = {
     qf.domain_D: _literal_D,
     qf.domain_Delta: _literal_Delta,
@@ -153,7 +159,7 @@ LITERAL = {
     qf.domain_Q_full: _literal_Q_full,
     qf.domain_Z_full: _literal_Z_full,
     qf.domain_DeltaC: _literal_DeltaC,
-    qf.domain_Ds: _literal_Ds,
+    domain_Ds: _literal_Ds,
     qf.domain_Os: _literal_Os,
     lattice_domain: _literal_M,
 }
@@ -172,7 +178,7 @@ def with_oracle(ctor, *args):
 def domains_with_oracle(draw):
     ctor = draw(st.sampled_from(list(LITERAL)))
     n = draw(st.integers(1, 5))
-    if ctor is qf.domain_Ds:
+    if ctor is domain_Ds:
         ell = draw(st.integers(1, n))
         charges = sorted(draw(st.integers(0, n - 1)) for _ in range(ell))
         return with_oracle(ctor, n, ell, tuple(charges))
@@ -205,8 +211,8 @@ def test_member_matches_literal_oracle(dom_lit, data):
 @pytest.mark.parametrize("ctor,args", [
     (qf.domain_D, (3,)), (qf.domain_Delta, (3,)), (qf.domain_X, (4,)),
     (qf.domain_Q_full, (3,)), (qf.domain_Z_full, (2,)),
-    (qf.domain_DeltaC, (3,)), (qf.domain_Ds, (3, 2, (0, 1))),
-    (qf.domain_Ds, (3, 3, (0, 2, 2))), (qf.domain_Os, (3,)),
+    (qf.domain_DeltaC, (3,)), (domain_Ds, (3, 2, (0, 1))),
+    (domain_Ds, (3, 3, (0, 2, 2))), (qf.domain_Os, (3,)),
 ] + [(lattice_domain, (tag, 3)) for tag in LATTICE_TAGS],
     ids=lambda v: getattr(v, "__name__", None))
 def test_member_matches_literal_on_a_box(ctor, args):
@@ -252,35 +258,53 @@ def test_represent_on_projected_domain():
 
 
 def test_attained_classes_paper_values():
-    assert qf.attained_classes(qf.form_q(2), 3) == frozenset({0, 1})
-    missing16 = set(range(16)) - qf.attained_classes(qf.form_q(3), 16)
+    assert qf.attained_classes(2, 3) == frozenset({0, 1})
+    missing16 = set(range(16)) - qf.attained_classes(3, 16)
     assert missing16 == {14}
-    missing32 = set(range(32)) - qf.attained_classes(qf.form_q(3), 32)
+    missing32 = set(range(32)) - qf.attained_classes(3, 32)
     assert missing32 == {14, 30}
-    missing128 = set(range(128)) - qf.attained_classes(qf.form_q(3), 128)
+    missing128 = set(range(128)) - qf.attained_classes(3, 128)
     assert missing128 == {14, 30, 46, 56, 62, 78, 94, 110, 120, 126}
-    assert qf.attained_classes(qf.form_q(3), 1) == frozenset({0})
+    assert qf.attained_classes(3, 1) == frozenset({0})
+    for m in (0, -4):
+        with pytest.raises(DomainViolation, match="modulus must be >= 1"):
+            qf.attained_classes(3, m)
+
+
+def _box_values(form, dom, radius):
+    """Values of the form on the domain vectors whose free coordinates lie
+    in the radius box, the last coordinate forced by the domain's sum."""
+    values = set()
+    for v in itertools.product(range(-radius, radius + 1),
+                               repeat=form.nvars - 1):
+        full = v + (dom.sum_target - sum(v),)
+        if qf.member(dom, v if dom.projected else full):
+            values.add(form.evaluate(full))
+    return values
 
 
 def test_attained_classes_via_window_forms():
-    # the value sets of the half-norm on the constrained domains coincide
-    # with the projected form's, hence so do the residue classes
-    assert qf.attained_classes(qf.form_Q(4), 16) == qf.attained_classes(
-        qf.form_q(3), 16)
-    assert qf.attained_classes(qf.form_P(4), 16) == qf.attained_classes(
-        qf.form_q(3), 16)
-    # obstructions are only ever looked up for these forms, at any modulus
-    for form in (qf.form_euclidean(3), AffineLatticeSpec("D2", 3).form(),
-                 qf.form_core_size(3)):
-        for m in (1, 4):
-            with pytest.raises(DomainViolation):
-                qf.attained_classes(form, m)
+    # P on D(4) and Q on Delta(4) take values of q(3), so their classes mod
+    # 16 are among q(3)'s; a box holding a period of each free coordinate
+    # attains every one of them
+    for form, dom in ((qf.form_Q(4), qf.domain_Delta(4)),
+                      (qf.form_P(4), qf.domain_D(4))):
+        classes = {v % 16 for v in _box_values(form, dom, 8)}
+        assert classes == qf.attained_classes(3, 16), form
+    # no other form is certified, at any modulus
+    for form, dom in ((qf.form_euclidean(3), qf.domain_DeltaC(3)),
+                      (AffineLatticeSpec("D2", 3).form(),
+                       lattice_domain("D2", 3)),
+                      (qf.form_core_size(3), qf.domain_Q_full(3))):
+        rep = qf.universality_scan(form, dom, 60, 6)
+        assert rep.misses and all(e.status == "not-found"
+                                  for e in rep.misses), form
 
 
 @pytest.mark.parametrize("m,d", [(6, 3), (16, 4), (32, 16), (128, 32)])
 def test_attained_classes_monotone_under_divisibility(m, d):
-    classes_m = qf.attained_classes(qf.form_q(3), m)
-    classes_d = qf.attained_classes(qf.form_q(3), d)
+    classes_m = qf.attained_classes(3, m)
+    classes_d = qf.attained_classes(3, d)
     assert {c % d for c in classes_m} <= classes_d
 
 
@@ -296,19 +320,16 @@ def test_attained_classes_match_enumeration(nvars):
     for m in moduli:
         if m ** nvars > 3 * 10 ** 5:
             continue
-        classes = enumerated_classes(nvars, m)
-        assert qf._attained_q(nvars, m) == classes, m
-        assert qf.attained_classes(qf.form_q(nvars), m) == classes, m
-        # P(n) and Q(n) reduce to q(n - 1)
-        for form in (qf.form_P(nvars + 1), qf.form_Q(nvars + 1)):
-            assert qf.attained_classes(form, m) == classes, (form, m)
+        assert qf.attained_classes(nvars, m) == enumerated_classes(nvars,
+                                                                    m), m
 
 
 def test_q_misses_no_class_from_four_variables_on():
-    # the ground for _obstruction's early return at arity >= 4
+    # the ground for the certificates' early return at arity >= 4
     for arity in range(4, 7):
         for m in qf.DEFAULT_OBSTRUCTION_MODULI:
-            assert qf._attained_q(arity, m) == frozenset(range(m)), (arity, m)
+            assert qf.attained_classes(arity, m) == frozenset(range(m)), (
+                arity, m)
 
 
 def full_dp_attained_q(arity, m):
@@ -335,7 +356,8 @@ def full_dp_attained_q(arity, m):
 @pytest.mark.parametrize("arity", range(1, 6))
 def test_halved_dp_matches_the_full_dp(arity):
     for m in [*range(1, 131), *([256] if arity <= 3 else [])]:
-        assert qf._attained_q(arity, m) == full_dp_attained_q(arity, m), m
+        assert qf.attained_classes(arity, m) == full_dp_attained_q(arity,
+                                                                   m), m
 
 
 # q(3) mod 16: the two mirrored layers compute the 9 sums t <= 8 from 1 and
@@ -346,12 +368,12 @@ Q3_MOD16_WORK = 9 + 16 * 9 + 9 * 16
 
 def test_residue_table_budget_counts_dp_work(monkeypatch):
     work = Q3_MOD16_WORK
-    qf._attained_q.cache_clear()
+    qf.attained_classes.cache_clear()
     monkeypatch.setenv("ATOMLEN_BUDGET", str(work - 1))
     with pytest.raises(BudgetExceeded, match="residue table"):
-        qf._attained_q(3, 16)
+        qf.attained_classes(3, 16)
     monkeypatch.setenv("ATOMLEN_BUDGET", str(work))
-    assert set(range(16)) - qf._attained_q(3, 16) == {14}
+    assert set(range(16)) - qf.attained_classes(3, 16) == {14}
 
 
 def test_obstruction_tries_every_modulus(monkeypatch):
@@ -366,7 +388,7 @@ def test_obstruction_tries_every_modulus(monkeypatch):
             for e in rep.misses] == [(14, "obstructed", 16, 14),
                                      (30, "obstructed", 16, 14)]
     work = Q3_MOD16_WORK
-    qf._attained_q.cache_clear()
+    qf.attained_classes.cache_clear()
     monkeypatch.setenv("ATOMLEN_BUDGET", str(work - 1))
     with pytest.raises(BudgetExceeded,
                        match=r"residue table of q\(3\) mod 16"):
@@ -381,7 +403,8 @@ def _ladder(form, k):
     """(modulus, residue) of the first modulus whose residue table misses
     k's class, trying every modulus without looking at witnesses."""
     return next(((m, k % m) for m in qf.DEFAULT_OBSTRUCTION_MODULI
-                 if k % m not in qf.attained_classes(form, m)), None)
+                 if k % m not in qf.attained_classes(form.nvars - 1, m)),
+                None)
 
 
 def test_witness_pruning_matches_the_full_ladder():
@@ -410,12 +433,68 @@ def test_witnesses_spare_the_residue_tables_they_answer():
     # on Q over Delta(4), k <= 600, witnesses attain the class of every
     # miss mod 3, 4, 8 and 32, and mod 128 that of the misses 224 and 480,
     # which no modulus certifies: only the tables mod 16 and 64 are built
-    qf._attained_q.cache_clear()
+    qf.attained_classes.cache_clear()
     qf.universality_scan(qf.form_Q(4), qf.domain_Delta(4), 600, 40)
-    assert qf._attained_q.cache_info().currsize == 2
-    misses = qf._attained_q.cache_info().misses
-    qf._attained_q(3, 16), qf._attained_q(3, 64)
-    assert qf._attained_q.cache_info().misses == misses
+    assert qf.attained_classes.cache_info().currsize == 2
+    misses = qf.attained_classes.cache_info().misses
+    qf.attained_classes(3, 16), qf.attained_classes(3, 64)
+    assert qf.attained_classes.cache_info().misses == misses
+
+
+def test_an_all_witness_scan_reads_no_residue_table():
+    # Q on Delta(5) stops at the arity; q(3) on 15..29 has no miss to list
+    for form, dom, max_k, radius, min_k in (
+            (qf.form_Q(5), qf.domain_Delta(5), 200, 30, 0),
+            (qf.form_q(3), qf.domain_Z_full(3), 29, 12, 15)):
+        qf.attained_classes.cache_clear()
+        rep = qf.universality_scan(form, dom, max_k, radius, min_k=min_k)
+        assert rep.all_witnessed
+        info = qf.attained_classes.cache_info()
+        assert info.hits + info.misses == 0, form
+
+
+def test_certificates_need_the_forms_own_coset():
+    # P and Q are |t - c|^2 / 2; off the coset sum(t) = sum(c) they take
+    # classes q misses, so the scan reports not-found there
+    cases = [
+        # (9, -8) in Os(2) has P = 82 = 18 mod 64
+        (qf.form_P(2), qf.domain_Os(2), 18, (9, -8)),
+        # (-13, -1) in DeltaC(2) has Q = 85 = 21 mod 64
+        (qf.form_Q(2), qf.domain_DeltaC(2), 21, (-13, -1)),
+    ]
+    for form, dom, k, far in cases:
+        assert qf.member(dom, far)
+        assert form.evaluate(far) % 64 == k % 64
+        rep = qf.universality_scan(form, dom, 60, 12)
+        entry = rep.entries[k]
+        assert (entry.target, entry.status) == (k, "not-found"), dom
+    # charges summing to 2: the coset of Q is sum(t) = 0
+    rep = qf.universality_scan(qf.form_Q(2), WeightSpec(2, 2, (1, 1)).domain(),
+                               60, 12)
+    assert rep.misses
+    assert all(e.status == "not-found" for e in rep.misses)
+
+
+def test_certificates_survive_a_brute_force_listing():
+    # a class mod m that some value of the pair takes refutes a certificate
+    rng = random.Random(16)
+    pairs = [(qf.form_q(d), qf.domain_Z_full(d)) for d in (1, 2, 3)]
+    pairs += [(qf.form_P(n), qf.domain_D(n)) for n in (2, 3, 4)]
+    pairs += [(qf.form_Q(n), qf.domain_Delta(n)) for n in (2, 3, 4)]
+    certified = 0
+    for form, dom in pairs:
+        values = _box_values(form, dom, 9 if form.nvars == 4 else 24)
+        for _ in range(3):
+            min_k = rng.choice([0, rng.randint(1, 150)])
+            rep = qf.universality_scan(form, dom, min_k + rng.randint(0, 80),
+                                       rng.randint(2, 12), min_k=min_k)
+            for e in rep.entries:
+                if e.status == "obstructed":
+                    certified += 1
+                    assert e.residue == e.target % e.modulus
+                    assert all(v % e.modulus != e.residue
+                               for v in values), (dom, e)
+    assert certified >= 50
 
 
 # (k, modulus, residue) of every obstructed target, recorded from the
@@ -442,7 +521,7 @@ PINNED_OBSTRUCTIONS = [
 @pytest.mark.parametrize("form,dom,max_k,radius,pinned", PINNED_OBSTRUCTIONS,
                          ids=["q3", "P4", "Q4"])
 def test_pinned_obstructions(form, dom, max_k, radius, pinned):
-    qf._attained_q.cache_clear()
+    qf.attained_classes.cache_clear()
     rep = qf.universality_scan(form, dom, max_k, radius)
     assert [(e.target, e.modulus, e.residue) for e in rep.entries
             if e.status == "obstructed"] == pinned
@@ -596,7 +675,7 @@ def test_engine_matches_brute_force(data):
                                for _ in range(ell)))
         spec = WeightSpec(n, ell, charges)
         form, dom = spec.form(), spec.domain()
-        lit = literal(qf.domain_Ds, n, ell, charges)
+        lit = literal(domain_Ds, n, ell, charges)
     elif kind == "q-free":
         m = data.draw(st.integers(1, 3))
         form, (dom, lit) = qf.form_q(m), with_oracle(qf.domain_Z_full, m)
