@@ -140,7 +140,7 @@ def criterion_06_hall_sumsets():
 
 
 def criterion_07_type_c_sumsets():
-    for n in (2, 3):
+    for n in range(2, 8):   # moduli 5, 7, 9, 11, 13, 15
         assert ss.verify_sumset_equality("C", n).equal, n
     over = ss.verify_sumset_equality("C", 2, modulus=4)
     assert not over.equal and (1, 0) in over.missing
@@ -151,8 +151,10 @@ def criterion_07_type_c_sumsets():
             a = tuple(rng.randrange(p) for _ in range(n))
             w1, w2 = ss.c_difference_witness(n, a)
             assert all((x - y) % p == t for x, y, t in zip(w1, w2, a)), a
-    return ("signed orbits cover the full group (n=2,3); the mod-4 "
-            "counterexample (1,0) reproduced; 200 random witnesses")
+    return ("signed orbits cover the full group (n=2..7; 2n+1=9,15 are "
+            "evidence for the composite-modulus conjecture, not the paper's "
+            "theorem); the mod-4 counterexample (1,0) reproduced; 200 random "
+            "witnesses")
 
 
 def criterion_08_phi_and_cores():

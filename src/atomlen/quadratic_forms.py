@@ -62,6 +62,12 @@ S290 = frozenset({1, 2, 3, 5, 6, 7, 10, 13, 14, 15, 17, 19, 21, 22, 23, 26,
 # that excludes it is reported, which need not be the smallest that would.
 DEFAULT_OBSTRUCTION_MODULI = (3, 4, 8, 16, 32, 64, 128)
 
+# Budget steps per listed scan target.  A scan holds every target, its
+# report entry and its output line at once, a few hundred bytes each (a CLI
+# scan of 10^5 targets peaks 45 MB above one of 10^3), so a target weighs
+# what memory does, not one step: the default budget admits 10^6 targets.
+_TARGET_WEIGHT = 100
+
 
 # ---------------------------------------------------------------------------
 # The three equivalent forms and the maps between their domains
@@ -624,7 +630,8 @@ def universality_scan(form: FormSpec, domain: ConstrainedDomain, max_k: int,
     and attach to each missed target the first modulus of
     DEFAULT_OBSTRUCTION_MODULI that certifies it, where one does (see
     _certificates)."""
-    budget.check((2 if grid == "half" else 1) * (max_k - min_k) + 1,
+    budget.check(_TARGET_WEIGHT
+                 * ((2 if grid == "half" else 1) * (max_k - min_k) + 1),
                  what="scan target list")
     if grid == "half":
         targets = [Fraction(j, 2) for j in range(2 * min_k, 2 * max_k + 1)]

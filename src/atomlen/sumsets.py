@@ -22,6 +22,8 @@ def hall_decompose(m: int, d) -> tuple[tuple[int, ...], tuple[int, ...]]:
     permutation j -> where[a_k + d_k + a_last - a_j], so a chain has under m
     steps: O(m^2) in all, each counted against the budget.
     """
+    if m < 1:
+        raise BadLength(f"need m >= 1, got {m}")
     d = tuple(x % m for x in d)
     if len(d) != m:
         raise BadLength(f"need {m} differences, got {len(d)}")
@@ -62,12 +64,10 @@ def hall_decompose(m: int, d) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # is a union of orbits and is handled through one canonical form per orbit.
 # ---------------------------------------------------------------------------
 
-def _canonical(family: str, v, m: int) -> tuple[int, ...]:
-    """Orbit representative: the sorted coordinates (A), the sorted classes
-    min(x, -x mod m) (C)."""
-    if family == "C":
-        v = (min(x, -x % m) for x in v)
-    return tuple(sorted(v))
+def _class(family: str, x: int, m: int) -> int:
+    """Class of one coordinate: x (A), min(x, -x mod m) (C).  A vector's
+    sorted classes are the canonical form of its orbit."""
+    return min(x, -x % m) if family == "C" else x
 
 
 def _class_size(family: str, cls, m: int) -> int:
@@ -101,18 +101,32 @@ def _class_members(family: str, cls, m: int):
             yield from itertools.product(*(sorted({x, -x % m}) for x in p))
 
 
-def _target_classes(family: str, n: int, m: int):
-    """Canonical forms of the target group's orbits: the zero-sum multisets
-    from Z/m (A), read off their n-1 smallest entries, and all multisets of
-    +/- classes 0..m//2 (C)."""
-    if family == "C":
-        yield from itertools.combinations_with_replacement(
-            range(m // 2 + 1), n)
-        return
-    for head in itertools.combinations_with_replacement(range(m), n - 1):
-        last = -sum(head) % m
-        if not head or last >= head[-1]:
-            yield head + (last,)
+def _difference_classes(family: str, e, m: int) -> dict:
+    """Canonical forms of the w.e - e, each with the number of w in W giving
+    it, by a subset DP: coordinate i takes the class of s.e_j - e_i for an
+    unused j and a sign s (+1 only in A).  A state is one int: the used j in
+    the low n bits, then a count per class the moves make (<= 2n^2 of them)."""
+    n, width = len(e), len(e).bit_length()   # a count <= n fits in width
+    signs = (1, -1) if family == "C" else (1,)
+    moves = [[(1 << j, _class(family, (s * y - x) % m, m))
+              for j, y in enumerate(e) for s in signs] for x in e]
+    field = {c: n + r * width for r, c in
+             enumerate(sorted({c for row in moves for _, c in row}))}
+    states, work = {0: 1}, 0
+    for row in moves:
+        work += len(states) * len(row)
+        budget.check(work, what=f"orbit classes of {family}{n} mod {m} "
+                                f"(DP states x moves)")
+        row = [(bit, bit + (1 << field[c])) for bit, c in row]
+        nxt = {}
+        for key, count in states.items():
+            for bit, move in row:
+                if not key & bit:
+                    nxt[key + move] = nxt.get(key + move, 0) + count
+        states = nxt
+    return {tuple(c for c, at in field.items()
+                  for _ in range(key >> at & (1 << width) - 1)): count
+            for key, count in states.items()}
 
 
 class SumsetCertificate(namedtuple("SumsetCertificate",
@@ -132,47 +146,38 @@ def verify_sumset_equality(family: str, n: int,
     Family A: orbit minus itself must be the zero-sum subgroup of (Z/nZ)^n.
     Family C: orbit minus itself must be all of (Z/(2n+1)Z)^n (or of the
     overridden modulus group).  The certificate lists missing elements.
-    The default modulus is n (A) or 2n+1 (C); there the orbit of
-    e = (1, ..., n) mod m must have n! (A) or 2^n n! (C) vectors.
 
-    The orbit O = W.e is an orbit of a group W acting linearly, so
-    O - O = W.{w.e - e}: it is the union of the orbits of the |O| vectors
-    o - e.  Both sides are therefore compared on canonical forms: the
-    target's orbits are the zero-sum multisets from Z/m (A) or all
-    multisets of +/- classes 0..m//2 (C), and only the orbits that are
-    not hit are expanded into explicit missing vectors.  The orbit is
-    streamed as the members of e's class, never stored: memory grows with
-    the number of classes.
+    O = W.e, e = (1, ..., n) mod m, has O - O = W.{w.e - e} as W acts
+    linearly: _difference_classes gives the canonical forms of the w.e - e
+    with counts adding up to |W| = n! (A) or 2^n n! (C), and no orbit vector.
+    The target's orbits (zero-sum multisets from Z/m for A, all multisets of
+    +/- classes 0..m//2 for C) that are not hit are expanded into vectors.
     """
     if family not in ("A", "C"):
         raise BadLength(f"unknown family {family!r}")
-    default = n if family == "A" else 2 * n + 1
-    m = default if modulus is None else modulus
+    if n < 1:
+        raise BadLength(f"need n >= 1, got {n}")
+    m = (n if family == "A" else 2 * n + 1) if modulus is None else modulus
+    if m < 1:
+        raise BadLength(f"need a modulus >= 1, got {m}")
+    # classes 0..top-1 in k places; in A the zero sum fixes the last class
+    top, k = (m // 2 + 1, n) if family == "C" else (m, n - 1)
+    classes = math.comb(top + k - 1, k)
     e = tuple(i % m for i in range(1, n + 1))
-    cls = _canonical(family, e, m)
-    budget.check(_class_size(family, cls, m) * n,
-                 what=f"orbit of {family}{n} mod {m}")
-    hit, size = set(), 0
-    for o in _class_members(family, cls, m):
-        hit.add(_canonical(family, tuple((x - y) % m for x, y in zip(o, e)),
-                           m))
-        size += 1
+    hit = _difference_classes(family, e, m)
     if family == "A" and any(sum(c) % m for c in hit):
-        # differences always live in the target group for family A by the
-        # zero-sum invariant; anything else is a bug
         raise InvariantViolation(
             f"difference set escapes target for {family},{n}")
     expected = math.factorial(n) << (n if family == "C" else 0)
-    if m == default and size != expected:
+    if (size := sum(hit.values())) != expected:
         raise InvariantViolation(f"orbit {family},{n} mod {m} has size "
                                  f"{size}, expected {expected}")
-    group = m ** n if family == "C" else m ** (n - 1)
-    absent = group - sum(_class_size(family, c, m) for c in hit)
-    classes = (math.comb(m // 2 + n, n) if family == "C"
-               else math.comb(m + n - 2, n - 1))
+    absent = m ** k - sum(_class_size(family, c, m) for c in hit)
     budget.check(classes + absent, what="orbit classes and missing vectors")
-    missing = tuple(sorted(v for c in _target_classes(family, n, m)
-                           if c not in hit
+    heads = itertools.combinations_with_replacement(range(top), k)
+    targets = heads if family == "C" else (
+        h + (x,) for h in heads for x in [-sum(h) % m] if not h or x >= h[-1])
+    missing = tuple(sorted(v for c in targets if c not in hit
                            for v in _class_members(family, c, m)))
     if len(missing) != absent:
         raise InvariantViolation(

@@ -146,29 +146,33 @@ def test_out_of_range_arguments_exit_two(capsys, argv):
 
 
 def test_budget_errors_exit_two(capsys, monkeypatch):
-    scan = ("scan", "--form", "Q-delta", "--n", "6", "--max-k", "200",
+    # the 201 targets weigh 20,100 steps; the representation tables need
+    # 37,686 at their largest
+    scan = ("scan", "--form", "Q-delta", "--n", "7", "--max-k", "200",
             "--radius", "30")
     monkeypatch.setenv("ATOMLEN_BUDGET", "abc")
     code, out, err = run(capsys, *scan)
     assert code == 2 and out == "" and "ATOMLEN_BUDGET" in err
-    monkeypatch.setenv("ATOMLEN_BUDGET", "1000")
+    monkeypatch.setenv("ATOMLEN_BUDGET", "30000")
     code, out, err = run(capsys, *scan)
     assert code == 2 and out == "" and "over the budget" in err
+    assert "representation table" in err
 
 
 def test_scan_target_list_over_the_budget_exits_two(capsys, monkeypatch):
-    # the targets are counted before they are listed, twice as many on the
-    # half grid
-    code, out, err = run(capsys, "scan", "--form", "Q-delta", "--n", "3",
-                         "--max-k", "99999999999", "--radius", "3")
-    assert code == 2 and out == "" and len(err.splitlines()) == 1
-    assert "scan target list" in err and "over the budget" in err
+    # the targets are counted before they are listed, 100 steps each and
+    # twice as many on the half grid: the default budget admits 10^6
+    for max_k in ("1000000", "99999999", "99999999999"):
+        code, out, err = run(capsys, "scan", "--form", "Q-delta", "--n", "3",
+                             "--max-k", max_k, "--radius", "3")
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert "scan target list" in err and "over the budget" in err
     lattice = ("scan", "--form", "lattice", "--type", "A2even", "--n", "3",
                "--max-k", "10", "--radius", "2")
-    monkeypatch.setenv("ATOMLEN_BUDGET", "20")
+    monkeypatch.setenv("ATOMLEN_BUDGET", "2099")
     code, out, err = run(capsys, *lattice)
-    assert code == 2 and out == "" and "needs ~21 steps" in err
-    monkeypatch.setenv("ATOMLEN_BUDGET", "21")
+    assert code == 2 and out == "" and "needs ~2100 steps" in err
+    monkeypatch.setenv("ATOMLEN_BUDGET", "2100")
     assert run(capsys, *lattice)[0] == 0
 
 
@@ -289,6 +293,22 @@ def test_sumset_family_A(capsys):
     code, out, _ = run(capsys, "sumset", "--family", "A", "--n", "4")
     assert code == 0
     assert "equal=yes" in out
+
+
+def test_sumset_override_costs_follow_the_modulus_listing(capsys):
+    # the orbit-class DP does not grow with the modulus: a large A override
+    # lists its missing vectors, and a C override too large to list stops
+    # at the listing's budget before any work
+    code, out, _ = run(capsys, "sumset", "--family", "A", "--n", "2",
+                       "--mod", "100000")
+    assert (code, out) == (0, "family=A n=2 mod=100000 equal=no "
+                               "missing=99997\n")
+    code, out, err = run(capsys, "sumset", "--family", "C", "--n", "2",
+                         "--mod", "1000000")
+    assert code == 2 and out == ""
+    assert err == ("orbit classes and missing vectors needs "
+                   "~1125000749968 steps, over the budget of 100000000 "
+                   "(raise ATOMLEN_BUDGET to override)\n")
 
 
 def test_sumset_family_C_override(capsys):
@@ -452,10 +472,15 @@ def test_broken_invariant_is_exit_three(capsys, monkeypatch):
 
 
 def test_broken_orbit_count_is_exit_three(capsys, monkeypatch):
-    # an orbit that lost a member breaks an invariant; no theorem failed
-    real = sumsets._class_members
-    monkeypatch.setattr(sumsets, "_class_members",
-                        lambda family, cls, m: list(real(family, cls, m))[1:])
+    # an orbit-class DP that lost a group element breaks an invariant; no
+    # theorem failed
+    real = sumsets._difference_classes
+
+    def lossy(family, e, m):
+        classes = real(family, e, m)
+        classes[min(classes)] -= 1
+        return classes
+    monkeypatch.setattr(sumsets, "_difference_classes", lossy)
     code, out, err = run(capsys, "sumset", "--family", "A", "--n", "4")
     assert code == 3 and out == ""
     assert err == ("atomlen sumset: internal error: InvariantViolation: "

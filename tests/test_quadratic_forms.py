@@ -947,7 +947,8 @@ def test_the_schedule_stops_once_the_box_holds_every_window(monkeypatch):
 
 
 def test_table_over_budget_raises(monkeypatch):
-    monkeypatch.setenv("ATOMLEN_BUDGET", "1000")
-    with pytest.raises(BudgetExceeded):
-        qf.universality_scan(qf.form_Q(6), qf.domain_Delta(6), 200, 30)
+    # the 201 targets weigh 20,100 steps, the tables up to 37,686
+    monkeypatch.setenv("ATOMLEN_BUDGET", "30000")
+    with pytest.raises(BudgetExceeded, match="representation table"):
+        qf.universality_scan(qf.form_Q(7), qf.domain_Delta(7), 200, 30)
     assert qf.represent(qf.form_Q(3), qf.domain_Delta(3), 1, 2) is not None

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -230,23 +231,62 @@ def test_quotient_orbit_sizes_match_the_closure():
                          ("C", 4, 6), ("A", 1, 1), ("C", 1, 2), ("C", 2, 8)):
         closure = orbit_closure(family, n, m)
         start = tuple(i % m for i in range(1, n + 1))
-        cls = ss._canonical(family, start, m)
+        cls = tuple(sorted(ss._class(family, x, m) for x in start))
         assert ss._class_size(family, cls, m) == len(closure)
         assert set(ss._class_members(family, cls, m)) == closure
 
 
+def streamed_difference_classes(family, n, m):
+    """The orbit-class counts from the orbit itself: every group element w,
+    as a permutation of e = (1, ..., n) mod m times a sign choice (C), and
+    the canonical form of w.e - e, counted once per element."""
+    e = tuple(i % m for i in range(1, n + 1))
+    signs = (list(itertools.product((1, -1), repeat=n)) if family == "C"
+             else [(1,) * n])
+    counts = Counter()
+    for p in itertools.permutations(e):
+        for s in signs:
+            d = [(si * x - y) % m for si, x, y in zip(s, p, e)]
+            if family == "C":
+                d = [min(x, -x % m) for x in d]
+            counts[tuple(sorted(d))] += 1
+    return dict(counts)
+
+
+@pytest.mark.parametrize("family,n,m", [
+    *(("A", n, n) for n in range(1, 9)),
+    *(("C", n, 2 * n + 1) for n in range(1, 7)),
+    *((f, n, m) for f in "AC" for n in range(1, 5) for m in range(1, 10)),
+    ("A", 7, 4), ("C", 5, 4), ("C", 6, 6),
+    # a count field per class the moves make, not per residue mod m
+    *((f, n, 10 ** 18) for f in "AC" for n in (2, 3)),
+])
+def test_difference_classes_match_the_streamed_orbit(family, n, m):
+    e = tuple(i % m for i in range(1, n + 1))
+    assert (ss._difference_classes(family, e, m)
+            == streamed_difference_classes(family, n, m))
+
+
 def test_orbit_size_is_checked_at_the_default_modulus(monkeypatch):
-    # a class expansion that lost a vector is caught by the count
-    real = ss._class_members
-    monkeypatch.setattr(ss, "_class_members",
-                        lambda family, cls, m: list(real(family, cls, m))[1:])
-    with pytest.raises(InvariantViolation, match="expected 6"):
+    # a DP that lost a group element is caught by the count
+    real = ss._difference_classes
+
+    def lossy(family, e, m):
+        classes = real(family, e, m)
+        classes[min(classes)] -= 1
+        return classes
+    monkeypatch.setattr(ss, "_difference_classes", lossy)
+    with pytest.raises(InvariantViolation, match="has size 5, expected 6"):
         ss.verify_sumset_equality("A", 3)
+    # the DP counts group elements, so the check holds at an override too
+    with pytest.raises(InvariantViolation,
+                       match="orbit A,3 mod 5 has size 5, expected 6"):
+        ss.verify_sumset_equality("A", 3, 5)
 
 
 def test_classes_and_missing_vectors_are_budgeted(monkeypatch):
-    # C2 mod 8: the orbit (16 steps) fits either way; 15 target
-    # classes plus 37 missing vectors make 52
+    # C2 mod 8: the 15 target classes and the orbit-class DP (20 steps) fit
+    # either way; 15 target classes plus 37 missing vectors make 52
     assert len(ss.verify_sumset_equality("C", 2, 8).missing) == 37
     monkeypatch.setenv("ATOMLEN_BUDGET", "51")
     with pytest.raises(BudgetExceeded, match="missing vectors"):
@@ -255,11 +295,52 @@ def test_classes_and_missing_vectors_are_budgeted(monkeypatch):
     assert len(ss.verify_sumset_equality("C", 2, 8).missing) == 37
 
 
+def test_family_a_listing_walks_the_heads_of_zero_sum_classes(monkeypatch):
+    # A3 mod 60: the zero sum fixes the last class, so the listing visits
+    # comb(61, 2) = 1830 heads, not comb(62, 3) = 37820 multisets; with 3581
+    # missing vectors that makes 5411
+    monkeypatch.setenv("ATOMLEN_BUDGET", "5410")
+    with pytest.raises(BudgetExceeded, match="missing vectors needs ~5411"):
+        ss.verify_sumset_equality("A", 3, 60)
+    monkeypatch.setenv("ATOMLEN_BUDGET", "5411")
+    assert len(ss.verify_sumset_equality("A", 3, 60).missing) == 3581
+
+
+def test_family_a_mod_1000_fits_the_default_budget():
+    # 500,500 heads and 999,981 missing vectors
+    cert = ss.verify_sumset_equality("A", 3, 1000)
+    assert not cert.equal and len(cert.missing) == 999981
+    assert cert.missing[0] == (0, 3, 997) and cert.missing[-1] == (999, 998, 3)
+
+
 def test_difference_class_outside_the_target_is_an_error(monkeypatch):
-    monkeypatch.setattr(ss, "_canonical",
-                        lambda family, v, m: (1,) + (0,) * (len(v) - 1))
+    monkeypatch.setattr(ss, "_difference_classes",
+                        lambda family, e, m: {(1, 0, 0): 6})
     with pytest.raises(InvariantViolation, match="escapes target"):
         ss.verify_sumset_equality("A", 3)
+
+
+def test_orbit_class_dp_is_budgeted(monkeypatch):
+    # C6 mod 13: the layers hold 1, 12, 117, 783, 2448 and 2648 states, and
+    # each state tries all 12 moves (a sign times a coordinate, used or not)
+    work = (1 + 12 + 117 + 783 + 2448 + 2648) * 12
+    monkeypatch.setenv("ATOMLEN_BUDGET", str(work - 1))
+    with pytest.raises(BudgetExceeded, match=r"orbit classes of C6 mod 13 "
+                                             r"\(DP states x moves\)"):
+        ss.verify_sumset_equality("C", 6)
+    monkeypatch.setenv("ATOMLEN_BUDGET", str(work))
+    assert ss.verify_sumset_equality("C", 6).equal
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: ss.verify_sumset_equality("A", 0), "n >= 1"),
+    (lambda: ss.verify_sumset_equality("A", 3, 0), "modulus >= 1"),
+    (lambda: ss.verify_sumset_equality("C", 2, -3), "modulus >= 1"),
+    (lambda: ss.hall_decompose(0, ()), "m >= 1"),
+])
+def test_non_positive_sizes_are_rejected(call, message):
+    with pytest.raises(BadLength, match=message):
+        call()
 
 
 def test_budget_guard(monkeypatch):
