@@ -6,7 +6,8 @@ holds a bead; `beads` lists the occupied positions above it.  The threshold
 is normalized to the first gap, which makes the encoding canonical and the
 charge equal to threshold + len(beads).  The rotation works on plain-int
 beta-numbers instead (James-Kerber 1981, 2.7), counting the positions and
-runners it fills against ATOMLEN_BUDGET.
+runners it fills against ATOMLEN_BUDGET.  A core needs only phi's level-n
+charges: ns_core_of counts them and rotates back once.
 """
 from __future__ import annotations
 
@@ -63,49 +64,6 @@ def is_n_core_hooks(parts: Partition, n: int) -> bool:
     return all(h != n for row in hook_lengths(parts) for h in row)
 
 
-def remove_rim_hook(parts: Partition, row: int, col: int) -> Partition:
-    """Remove the rim hook of the cell (row, col), both 0-based.
-
-    The rim hook consists of the boundary cells weakly south-east of the
-    cell; works directly on the cell set of the diagram.
-    """
-    parts = as_partition(parts)
-    cells = {(r, c) for r in range(len(parts)) for c in range(parts[r])}
-    if (row, col) not in cells:
-        raise BadIndex(f"cell ({row}, {col}) outside the diagram")
-    hook = {(r, c) for (r, c) in cells
-            if r >= row and c >= col and (r + 1, c + 1) not in cells}
-    remaining = cells - hook
-    rows = [0] * len(parts)
-    for (r, _) in remaining:
-        rows[r] += 1
-    # a rim hook always leaves a partition shape behind
-    return as_partition(rows)
-
-
-def strip_to_core(parts: Partition, n: int) -> Partition:
-    """Classical n-core by repeated rim-hook removal on the diagram.
-
-    Independent of the abacus route; used as the oracle against it.
-    """
-    if n < 2:
-        raise BadLength(f"need n >= 2, got {n}")
-    parts = as_partition(parts)
-    while True:
-        table = hook_lengths(parts)
-        hit = None
-        for i, row in enumerate(table):
-            for j, h in enumerate(row):
-                if h == n:
-                    hit = (i, j)
-                    break
-            if hit:
-                break
-        if hit is None:
-            return parts
-        parts = remove_rim_hook(parts, *hit)
-
-
 # ---------------------------------------------------------------------------
 # Beta-sets and runners
 # ---------------------------------------------------------------------------
@@ -132,24 +90,6 @@ class BetaAbacus(namedtuple("BetaAbacus", "threshold beads")):
     @property
     def charge(self) -> int:
         return self.threshold + len(self.beads)
-
-    def charge_push_left(self) -> int:
-        """Charge by the literal normalization: move each bead onto the
-        leftmost gap to its left until the runner is trivial, then read the
-        first gap."""
-        occupied = set(self.beads)
-        lo = self.threshold
-        while True:
-            if not occupied:
-                return lo
-            top = max(occupied)
-            gaps = [p for p in range(lo, top) if p not in occupied]
-            if not gaps:
-                return top + 1
-            g = gaps[0]
-            b = min(x for x in occupied if x > g)
-            occupied.discard(b)
-            occupied.add(g)
 
 
 def beta_set(parts: Partition, s: int) -> BetaAbacus:
@@ -195,14 +135,22 @@ class LAbacus(namedtuple("LAbacus", "runners")):
 def _beta_numbers(multipartition, charges) -> list[tuple[int, list[int]]]:
     """Per component: the first gap s - len(parts) of its charged beta-set
     and the beads part_j - j + s above it, largest first."""
-    charges = tuple(int(c) for c in charges)
+    charges = tuple(map(int, charges))
     if len(multipartition) != len(charges):
         raise BadLength("level and number of charges differ")
     out = []
     for parts, s in zip(multipartition, charges):
-        parts = as_partition(parts)
-        out.append((s - len(parts),
-                    [p - j + s for j, p in enumerate(parts, 1)]))
+        checked = tuple(map(int, parts))
+        if not checked:
+            out.append((s, []))
+            continue
+        # a positive, weakly decreasing tuple is already a partition;
+        # as_partition strips zeros and words the errors of the rest
+        if not (checked[-1] > 0
+                and checked == tuple(sorted(checked, reverse=True))):
+            checked = as_partition(parts)
+        out.append((s - len(checked),
+                    [p - j + s for j, p in enumerate(checked, 1)]))
     return out
 
 
@@ -218,14 +166,16 @@ def l_abacus(multipartition, charges) -> LAbacus:
 
 def _rotate(multipartition, charges, width: int):
     """Reverse the runners, transpose the blocks, reverse again.  Width n is
-    phi; width l undoes it, since transposing twice is the identity.
+    phi; width l undoes it, since transposing twice is the identity."""
+    return _transpose(_beta_numbers(multipartition, charges)[::-1], width)
 
-    Position p = q*width + j of runner i (after the reversal) lands on
-    runner j at q*k + i.  Every runner is full below block q0, so every image
-    is full below base = q0*k.  Listing what lies above base, the m-th lowest
-    position p has p - base - m gaps below it: that is its part (0 on the
-    full prefix), and the charge is base plus the number listed."""
-    runners = _beta_numbers(multipartition, charges)[::-1]
+
+def _transpose(runners, width: int):
+    """Position p = q*width + j of runner i lands on runner j at q*k + i.
+    Every runner is full below block q0, so every image is full below
+    base = q0*k.  Listing what lies above base, the m-th lowest position p
+    has p - base - m gaps below it: that is its part (0 on the full prefix),
+    and the charge is base plus the number listed."""
     k = len(runners)
     q0 = min(t for t, _ in runners) // width
     budget.check(width + sum(t - q0 * width + len(b) for t, b in runners),
@@ -233,12 +183,13 @@ def _rotate(multipartition, charges, width: int):
     cols = [[] for _ in range(width)]
     for i, (t, beads) in enumerate(runners):
         q, r = divmod(t, width)
-        full = range(q0 * k + i, q * k + i, k)
-        for col in cols[:r]:
-            col.extend(full)
-            col.append(q * k + i)
-        for col in cols[r:]:
-            col.extend(full)
+        top = q * k + i
+        if q > q0:
+            full = range(q0 * k + i, top, k)
+            for col in cols:
+                col.extend(full)
+        for j in range(r):
+            cols[j].append(top)
         for b in beads:
             q, j = divmod(b, width)
             cols[j].append(q * k + i)
@@ -250,6 +201,28 @@ def _rotate(multipartition, charges, width: int):
         out_parts.append(tuple(gaps[bisect_right(gaps, 0):][::-1]))
         out_charges.append(base + len(col))
     return tuple(out_parts), tuple(out_charges)
+
+
+def _phi_charges(multipartition, charges, n: int) -> tuple[int, ...]:
+    """The level-n charges of phi, counted without rotating.  Output runner
+    j takes from runner i its ceil((t_i - j)/n) full positions = j mod n
+    below its first gap t_i = q_i*n + r_i (q_i of them, one more when
+    j < r_i) and its beads = j mod n; phi lists the runners in reverse."""
+    if n < 2:
+        raise BadLength(f"need n >= 2, got {n}")
+    runners = _beta_numbers(multipartition, charges)
+    budget.check(n * len(runners) + sum(len(b) for _, b in runners),
+                 what="abacus rotation")
+    counts = [0] * n
+    blocks = 0
+    for t, beads in runners:
+        q, r = divmod(t, n)
+        blocks += q
+        for j in range(r):
+            counts[j] += 1
+        for b in beads:
+            counts[b % n] += 1
+    return tuple(blocks + c for c in reversed(counts))
 
 
 def phi(multipartition, charges, n: int):
@@ -272,12 +245,15 @@ def phi_inverse(multipartition, charges, ell: int):
 
 def ns_core_of(multipartition, charges, n: int):
     """Core of a charged multipartition: empty the level-n side of phi.
+    Only phi's level-n charges matter, so they are counted, not rotated;
+    the core is the one rotation back from them.
 
     Returns ((core multipartition, core charges), core multicharge); the
     multicharge is reported in bottom-to-top runner order, i.e. the reverse
     of the phi output order, matching the worked example.
     """
-    return _phi_core(phi(multipartition, charges, n)[1], len(multipartition))
+    return _phi_core(_phi_charges(multipartition, charges, n),
+                     len(multipartition))
 
 
 def _phi_core(sn, level: int):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from atomlen import affine_permutations as ap
 from atomlen import cores_abaci as ca
 from atomlen import quadratic_forms as qf
 from atomlen.errors import (AtomlenError, BadEll, BadIndex, BadLength,
-                            DomainViolation, NotInDs)
+                            BudgetExceeded, DomainViolation, NotInDs)
 
 from test_affine_permutations import random_window_strategy
 
@@ -117,6 +118,59 @@ def old_ns_core_of(multipartition, charges, n: int):
 
 
 # ---------------------------------------------------------------------------
+# Diagram oracles: rim hooks on the cell set, and the literal bead push
+# ---------------------------------------------------------------------------
+
+def remove_rim_hook(parts, row: int, col: int):
+    """Remove the rim hook of the cell (row, col), both 0-based: the
+    boundary cells weakly south-east of the cell, on the cell set of the
+    diagram."""
+    parts = ca.as_partition(parts)
+    cells = {(r, c) for r in range(len(parts)) for c in range(parts[r])}
+    if (row, col) not in cells:
+        raise BadIndex(f"cell ({row}, {col}) outside the diagram")
+    hook = {(r, c) for (r, c) in cells
+            if r >= row and c >= col and (r + 1, c + 1) not in cells}
+    rows = [0] * len(parts)
+    for (r, _) in cells - hook:
+        rows[r] += 1
+    # a rim hook always leaves a partition shape behind
+    return ca.as_partition(rows)
+
+
+def strip_to_core(parts, n: int):
+    """Classical n-core by repeated rim-hook removal on the diagram,
+    independent of the abacus route."""
+    if n < 2:
+        raise BadLength(f"need n >= 2, got {n}")
+    parts = ca.as_partition(parts)
+    while True:
+        hit = next(((i, j) for i, row in enumerate(ca.hook_lengths(parts))
+                    for j, h in enumerate(row) if h == n), None)
+        if hit is None:
+            return parts
+        parts = remove_rim_hook(parts, *hit)
+
+
+def charge_push_left(runner: ca.BetaAbacus) -> int:
+    """Charge by the literal normalization: move each bead onto the leftmost
+    gap to its left until the runner is trivial, then read the first gap."""
+    occupied = set(runner.beads)
+    lo = runner.threshold
+    while True:
+        if not occupied:
+            return lo
+        top = max(occupied)
+        gaps = [p for p in range(lo, top) if p not in occupied]
+        if not gaps:
+            return top + 1
+        g = gaps[0]
+        b = min(x for x in occupied if x > g)
+        occupied.discard(b)
+        occupied.add(g)
+
+
+# ---------------------------------------------------------------------------
 # Hooks
 # ---------------------------------------------------------------------------
 
@@ -142,7 +196,7 @@ def test_core_divisible_variant(lam, n):
 @given(partitions, st.integers(2, 7))
 @settings(max_examples=60)
 def test_strip_to_core_is_a_core_of_smaller_size(lam, n):
-    core = ca.strip_to_core(lam, n)
+    core = strip_to_core(lam, n)
     assert ca.is_n_core_hooks(core, n)
     assert sum(core) <= sum(lam)
     assert (sum(lam) - sum(core)) % n == 0
@@ -156,7 +210,7 @@ def test_symbol_example():
     runner = normalize_runner(-3, [-3, -2, -1, 2, 3, 5, 7])
     assert runner.threshold == 0 and runner.beads == (2, 3, 5, 7)
     assert runner.charge == 4
-    assert runner.charge_push_left() == 4
+    assert charge_push_left(runner) == 4
     assert ca.partition_of(runner) == (4, 3, 2, 2)
 
 
@@ -172,7 +226,7 @@ def test_trivial_symbol():
 def test_beta_set_round_trip(lam, s):
     runner = ca.beta_set(lam, s)
     assert runner.charge == s
-    assert runner.charge_push_left() == s
+    assert charge_push_left(runner) == s
     assert ca.partition_of(runner) == lam
 
 
@@ -289,6 +343,81 @@ def test_rotation_errors_match_the_runner_record_engine(args):
         assert got == _outcome(old, lam, charges, width)
 
 
+@given(st.one_of(rotation_inputs(), rotation_inputs(broken=True)))
+@settings(max_examples=400)
+def test_counted_charges_match_phi(args):
+    # ns_core_of counts phi's level-n charges instead of rotating: the same
+    # charges, or the same error
+    assert _outcome(ca._phi_charges, *args) == \
+        _outcome(lambda *a: ca.phi(*a)[1], *args)
+
+
+# Components the fast check of a positive decreasing tuple must hand to
+# as_partition: zeros inside and at the end, lists, only zeros, unsorted and
+# negative parts.
+FAST_PATH_EDGES = [((3, 0, 2), (1,)), ((2, 1, 0), ()), ([3, 1], [2, 2, 0]),
+                   ((0, 0), (4,)), ((0,), ()), ((1, 2), (1,)),
+                   ((3,), (2, -1)), ([1, 2],), ((-1,),)]
+
+
+@pytest.mark.parametrize("lam", FAST_PATH_EDGES)
+@pytest.mark.parametrize("width", [2, 3])
+def test_partition_fast_path_edges_match_the_runner_record_engine(lam, width):
+    charges = tuple(range(len(lam)))
+    for new, old in ROTATIONS:
+        assert _outcome(new, lam, charges, width) == \
+            _outcome(old, lam, charges, width)
+    assert _outcome(ca._phi_charges, lam, charges, width) == \
+        _outcome(lambda *a: ca.phi(*a)[1], lam, charges, width)
+
+
+def test_ns_core_rotates_once(monkeypatch):
+    # the library twin of the CLI's core command test: the level-n charges
+    # are counted, so the one rotation is the way back, at width l
+    widths, rotate = [], ca._rotate
+    monkeypatch.setattr(ca, "_rotate", lambda mp, charges, width: (
+        widths.append(width) or rotate(mp, charges, width)))
+    ca.ns_core_of(((3, 1), (2, 1)), (0, 0), 3)
+    assert widths == [2]
+
+
+def test_counted_charges_are_budgeted(monkeypatch):
+    # n*l + beads = 3*2 + 4 = 10 steps; the rotation back needs 8
+    lam, charges = ((3, 1), (2, 1)), (0, 0)
+    monkeypatch.setenv("ATOMLEN_BUDGET", "10")
+    assert ca.ns_core_of(lam, charges, 3)[1] == (0, -1, 1)
+    monkeypatch.setenv("ATOMLEN_BUDGET", "9")
+    with pytest.raises(BudgetExceeded, match="abacus rotation needs ~10 "):
+        ca.ns_core_of(lam, charges, 3)
+
+
+def test_ns_core_of_refuses_a_huge_width_at_once(monkeypatch):
+    monkeypatch.delenv("ATOMLEN_BUDGET", raising=False)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="abacus rotation"):
+        ca.ns_core_of(((3, 1), (2, 1)), (0, 0), 10 ** 9)
+    assert time.perf_counter() - start < 1
+
+
+def test_ns_core_of_huge_charges_cost_only_their_spread(monkeypatch):
+    # The counted level-n charges spread by at most l + beads, so the one
+    # rotation back stays small however far apart the input charges are;
+    # phi itself would list every position between them.
+    monkeypatch.delenv("ATOMLEN_BUDGET", raising=False)
+    lam = ((3, 1), (2, 1))
+    assert ca.ns_core_of(lam, (0, 10 ** 4), 3) == \
+        old_ns_core_of(lam, (0, 10 ** 4), 3) == \
+        ((((1,), (1,)), (5000, 5000)), (3334, 3332, 3334))
+    with pytest.raises(BudgetExceeded, match="abacus rotation"):
+        ca.phi(lam, (0, 10 ** 12), 3)
+    start = time.perf_counter()
+    core = ca.ns_core_of(lam, (0, 10 ** 12), 3)
+    assert time.perf_counter() - start < 1
+    assert core == ((((1,), (1,)), (5 * 10 ** 11, 5 * 10 ** 11)),
+                    (333333333334, 333333333332, 333333333334))
+    assert ca.is_ns_core(*core[0], 3)
+
+
 def test_ns_core_worked_example():
     (core, core_charges), multicharge = ca.ns_core_of(((3, 1), (2, 1)), (0, 0), 3)
     assert core == ((1,), (2,))
@@ -323,7 +452,7 @@ def test_is_ns_core_agrees_with_fixed_point(lc, n):
 def test_level_one_core_is_the_classical_core(lam, s, n):
     (core, charges), _ = ca.ns_core_of((lam,), (s,), n)
     assert charges == (s,)
-    assert core[0] == ca.strip_to_core(lam, n)
+    assert core[0] == strip_to_core(lam, n)
 
 
 def test_level_one_core_of_a_core_example():
@@ -331,7 +460,7 @@ def test_level_one_core_of_a_core_example():
     (core, charges), _ = ca.ns_core_of((lam,), (0,), 5)
     assert core == (lam,) and charges == (0,)  # it is already a 5-core
     (core7, _), _ = ca.ns_core_of((lam,), (0,), 7)
-    assert core7[0] == ca.strip_to_core(lam, 7) != lam
+    assert core7[0] == strip_to_core(lam, 7) != lam
 
 
 # ---------------------------------------------------------------------------
