@@ -62,6 +62,9 @@ def run_once(tree: str, workload: str, seed: int, seconds: float):
 
 
 def summary(runs: list[float]) -> dict:
+    """Median and quartiles; one run has no quartiles."""
+    if len(runs) < 2:
+        return {"median": runs[0], "runs": runs}
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
 
@@ -105,13 +108,21 @@ def main() -> int:
     parser.add_argument("--change", required=True)
     parser.add_argument("--pr", required=True, type=int)
     parser.add_argument("--workload", action="append", required=True,
-                        help="NAME or NAME:PAIRS (default 10 pairs)")
+                        help="NAME or NAME:PAIRS, at least 2 pairs "
+                             "(default 10)")
     parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--workdir", default=None,
                         help="where the exports go (default: a temp dir)")
     parser.add_argument("--out", default=None,
                         help="default: BENCH_<pr>.json in the repo root")
     args = parser.parse_args()
+    counts = {}
+    for spec in args.workload:
+        name, _, count = spec.partition(":")
+        count = count or "10"
+        if not count.isdigit() or int(count) < 2:
+            parser.error(f"--workload {spec}: need at least 2 pairs")
+        counts[name] = int(count)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         metrics = {m["name"]: m["better"]
@@ -125,9 +136,8 @@ def main() -> int:
         export(rev, trees[slot])
 
     failures, workloads, aa = [], {}, {}
-    for spec in args.workload:
-        name, _, count = spec.partition(":")
-        seeds = list(range(1, int(count or 10) + 1))
+    for name, count in counts.items():
+        seeds = list(range(1, count + 1))
         pairs = []
         for seed in seeds:
             order = ("parent", "change") if seed % 2 else ("change", "parent")
@@ -168,6 +178,7 @@ def main() -> int:
         "parent_commit": git("rev-parse", args.parent),
         "change": {
             "rev": args.change,
+            "resolved": git("rev-parse", args.change),
             "src_tree": git("rev-parse", f"{args.change}:src"),
             "src_tree_note": "git rev-parse <rev>:src; the runs used this "
                              "src tree",

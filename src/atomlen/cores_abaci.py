@@ -26,10 +26,13 @@ Partition = tuple[int, ...]
 
 
 def as_partition(parts) -> Partition:
-    out = tuple(p for p in map(int, parts) if p)
-    if out and min(out) < 0:
+    out = tuple(map(int, parts))
+    if 0 in out:
+        out = tuple(p for p in out if p)
+    desc = tuple(sorted(out, reverse=True))
+    if desc and desc[-1] < 0:
         raise BadLength(f"negative part in {parts}")
-    if out != tuple(sorted(out, reverse=True)):
+    if out != desc:
         raise BadLength(f"parts not weakly decreasing: {parts}")
     return out
 
@@ -140,17 +143,9 @@ def _beta_numbers(multipartition, charges) -> list[tuple[int, list[int]]]:
         raise BadLength("level and number of charges differ")
     out = []
     for parts, s in zip(multipartition, charges):
-        checked = tuple(map(int, parts))
-        if not checked:
-            out.append((s, []))
-            continue
-        # a positive, weakly decreasing tuple is already a partition;
-        # as_partition strips zeros and words the errors of the rest
-        if not (checked[-1] > 0
-                and checked == tuple(sorted(checked, reverse=True))):
-            checked = as_partition(parts)
-        out.append((s - len(checked),
-                    [p - j + s for j, p in enumerate(checked, 1)]))
+        parts = as_partition(parts)
+        out.append((s - len(parts),
+                    [p - j + s for j, p in enumerate(parts, 1)]))
     return out
 
 
@@ -166,16 +161,14 @@ def l_abacus(multipartition, charges) -> LAbacus:
 
 def _rotate(multipartition, charges, width: int):
     """Reverse the runners, transpose the blocks, reverse again.  Width n is
-    phi; width l undoes it, since transposing twice is the identity."""
-    return _transpose(_beta_numbers(multipartition, charges)[::-1], width)
+    phi; width l undoes it, since transposing twice is the identity.
 
-
-def _transpose(runners, width: int):
-    """Position p = q*width + j of runner i lands on runner j at q*k + i.
-    Every runner is full below block q0, so every image is full below
-    base = q0*k.  Listing what lies above base, the m-th lowest position p
-    has p - base - m gaps below it: that is its part (0 on the full prefix),
-    and the charge is base plus the number listed."""
+    Position p = q*width + j of runner i (after the reversal) lands on
+    runner j at q*k + i.  Every runner is full below block q0, so every image
+    is full below base = q0*k.  Listing what lies above base, the m-th lowest
+    position p has p - base - m gaps below it: that is its part (0 on the
+    full prefix), and the charge is base plus the number listed."""
+    runners = _beta_numbers(multipartition, charges)[::-1]
     k = len(runners)
     q0 = min(t for t, _ in runners) // width
     budget.check(width + sum(t - q0 * width + len(b) for t, b in runners),

@@ -42,10 +42,20 @@ def normalize_runner(threshold: int, occupied_above) -> ca.BetaAbacus:
     return ca.BetaAbacus(t, tuple(occ))
 
 
+def old_as_partition(parts):
+    """Strip zeros, then refuse negative or increasing parts."""
+    out = tuple(p for p in map(int, parts) if p)
+    if out and min(out) < 0:
+        raise BadLength(f"negative part in {parts}")
+    if out != tuple(sorted(out, reverse=True)):
+        raise BadLength(f"parts not weakly decreasing: {parts}")
+    return out
+
+
 def old_beta_set(parts, s: int) -> ca.BetaAbacus:
     """Charged beta-set: positions part_j - j + s, j = 1, 2, ..., padded by
     every position below s - len(parts)."""
-    parts = ca.as_partition(parts)
+    parts = old_as_partition(parts)
     m = len(parts)
     positions = [parts[j - 1] - j + s for j in range(1, m + 1)]
     return normalize_runner(s - m, positions)
@@ -57,7 +67,7 @@ def old_partition_of(runner: ca.BetaAbacus):
     for b in sorted(runner.beads, reverse=True):
         below = sum(1 for x in runner.beads if x < b)
         parts.append(b - runner.threshold - below)
-    return ca.as_partition(parts)
+    return old_as_partition(parts)
 
 
 def old_l_abacus(multipartition, charges) -> tuple[ca.BetaAbacus, ...]:
@@ -352,9 +362,8 @@ def test_counted_charges_match_phi(args):
         _outcome(lambda *a: ca.phi(*a)[1], *args)
 
 
-# Components the fast check of a positive decreasing tuple must hand to
-# as_partition: zeros inside and at the end, lists, only zeros, unsorted and
-# negative parts.
+# Components that as_partition must strip or refuse: zeros inside and at the
+# end, lists, only zeros, unsorted and negative parts.
 FAST_PATH_EDGES = [((3, 0, 2), (1,)), ((2, 1, 0), ()), ([3, 1], [2, 2, 0]),
                    ((0, 0), (4,)), ((0,), ()), ((1, 2), (1,)),
                    ((3,), (2, -1)), ([1, 2],), ((-1,),)]
@@ -369,6 +378,28 @@ def test_partition_fast_path_edges_match_the_runner_record_engine(lam, width):
             _outcome(old, lam, charges, width)
     assert _outcome(ca._phi_charges, lam, charges, width) == \
         _outcome(lambda *a: ca.phi(*a)[1], lam, charges, width)
+
+
+@given(st.lists(st.integers(-3, 6), max_size=6))
+def test_as_partition_matches_the_zero_stripping_check(parts):
+    assert _outcome(ca.as_partition, parts) == \
+        _outcome(old_as_partition, parts)
+
+
+@pytest.mark.parametrize("parts", [(3, 0, 2), (2, 1, 0), (0,), (),
+                                   (1, 2), (-1,)])
+def test_iterator_components_are_read_once(parts):
+    # a one-shot component gives what its tuple gives; an error names the
+    # iterator, so only its class is compared
+    def kind(outcome):
+        return outcome[0] if outcome and isinstance(outcome[0], type) \
+            else outcome
+
+    for fn in (ca.phi, ca.phi_inverse, ca.ns_core_of, ca._phi_charges):
+        assert kind(_outcome(fn, [iter(parts)], (1,), 3)) == \
+            kind(_outcome(fn, [parts], (1,), 3))
+    assert kind(_outcome(ca.as_partition, iter(parts))) == \
+        kind(_outcome(ca.as_partition, parts))
 
 
 def test_ns_core_rotates_once(monkeypatch):
