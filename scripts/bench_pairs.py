@@ -116,17 +116,21 @@ def main() -> int:
     parser.add_argument("--out", default=None,
                         help="default: BENCH_<pr>.json in the repo root")
     args = parser.parse_args()
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    known = [w["name"] for w in bench["workloads"]]
     counts = {}
     for spec in args.workload:
         name, _, count = spec.partition(":")
         count = count or "10"
+        if name not in known:
+            parser.error(f"--workload {spec}: unknown workload {name!r}, "
+                         f"BENCHMARK.json lists {', '.join(known)}")
         if not count.isdigit() or int(count) < 2:
             parser.error(f"--workload {spec}: need at least 2 pairs")
         counts[name] = int(count)
 
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        metrics = {m["name"]: m["better"]
-                   for m in json.load(f)["end_to_end"]}
     work = args.workdir or tempfile.mkdtemp(prefix="bench-pairs-")
     trees = {slot: os.path.join(work, slot) for slot in
              ("parent", "change", "aa-parent", "aa-change")}

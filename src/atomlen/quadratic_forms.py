@@ -16,19 +16,20 @@ A form always reads the full vector, so it pairs with any domain of its
 arity, projected or not.
 
 One table answers every target of a scan at one radius.  For each suffix of
-coordinates it maps (suffix sum, filter state) to a big-int bitset of the
-values that suffix can reach, up to the largest target.  The filter state
-counts, in mixed radix, the residue classes the suffix uses; the classes
-cover the coordinates exactly, so the state a prefix needs from its suffix
-is the full state minus its own.  A coordinate's candidates are the values
-of the box within the largest target of its least term, so a wider box
-lists no more of them; a table takes them grouped by class, and one test
-skips a class the suffix already fills.  Tables are built over an
-increasing radius schedule 1, 2, 4, ..., R, each for the targets still
-missing, so small witnesses are found first while "not found" still
-certifies exhaustion of the full radius-R box.  The schedule stops at a box
-that holds every value window with no minimizer clamped: a larger box
-lists the same candidates.
+coordinates it maps one int, sum key * W + filter state, to a big-int bitset
+of the values that suffix can reach, up to the largest target.  The key is
+the suffix sum under a sum target, its parity under an even-sum condition,
+else 0; the state counts in mixed radix below W the classes the suffix
+uses, which cover the coordinates exactly, so a prefix needs the full state
+minus its own.  A coordinate's candidates are the values of the box within
+the largest target of its least term, so a wider box lists no more of them;
+a table takes them in class groups sorted by value, skips a class the
+suffix fills with one test and cuts a group by bisection to the sums a
+prefix can complete.  Tables are built over an increasing radius schedule
+1, 2, 4, ..., R, each for the targets still missing, so small witnesses are
+found first while "not found" still certifies exhaustion of the full
+radius-R box.  The schedule stops at a box that holds every value window
+with no minimizer clamped: a larger box lists the same candidates.
 
 Misses cost one bit test.  Folding the first coordinate's candidates into
 the table of the other coordinates gives one reachability row: the bitset
@@ -47,10 +48,13 @@ arithmetic is kept for targets on the half grid.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import isqrt
+from operator import mul
 
 from . import budget
 from .errors import BadLength, DomainViolation, InvariantViolation
@@ -154,11 +158,6 @@ class ConstrainedDomain(namedtuple(
     def dim(self) -> int:
         return self.nvars - self.projected
 
-    def cls(self, i: int, v: int) -> int:
-        mod, shifts = self.mod, self.shifts
-        r = (v + shifts[i] if shifts else v) % mod
-        return min(r, mod - r) if self.signed else r
-
 
 def _distinct(label, n, sum_target, shifts):
     return ConstrainedDomain(label, n, n, (1,) * n, sum_target, n, shifts)
@@ -199,23 +198,38 @@ def domain_Os(n: int) -> ConstrainedDomain:
 def member(domain: ConstrainedDomain, v) -> bool:
     """Exact membership test: lift a projected vector by its forced last
     coordinate, then check sum, parity and class counts."""
-    v = tuple(v)
-    if len(v) != domain.dim():
-        return False
-    S, caps, cls = domain.sum_target, domain.caps, domain.cls
-    if domain.projected:
-        v += (S - sum(v),)
-    if S is not None and sum(v) != S:
-        return False
-    if domain.parity_even and sum(v) % 2:
-        return False
-    used = [0] * len(caps)
-    for i, x in enumerate(v):
-        c = cls(i, x)
-        used[c] += 1
-        if used[c] > caps[c]:
+    return _membership(domain)(v)
+
+
+def _membership(domain: ConstrainedDomain):
+    """member's test of one domain, its fields read once."""
+    dim, S, caps = domain.dim(), domain.sum_target, domain.caps
+    projected, parity = domain.projected, domain.parity_even
+    shifts = domain.shifts or (0,) * domain.nvars
+
+    def test(v) -> bool:
+        v = tuple(v)
+        if len(v) != dim:
             return False
-    return True
+        if projected:
+            v += (S - sum(v),)
+        if S is not None and sum(v) != S or parity and sum(v) % 2:
+            return False
+        used = [0] * len(caps)
+        for c in _classes(domain, v, shifts):
+            used[c] += 1
+            if used[c] > caps[c]:
+                return False
+        return True
+    return test
+
+
+def _classes(domain: ConstrainedDomain, values, shifts) -> list[int]:
+    """The class of each value, given the shift of its coordinate:
+    (v + shift) % mod, folded to min(r, mod - r) when signed."""
+    mod = domain.mod
+    rs = [(v + s) % mod for v, s in zip(values, shifts)]
+    return [min(r, mod - r) for r in rs] if domain.signed else rs
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +303,7 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> tuple[dict, bool]:
     A*sum(t^2) + sum(B*t) == K inside the radius box, for every K in targets
     that has one; and whether the box holds every coordinate's value window
     with no minimizer clamped, so that no larger box reaches more."""
-    n, S = domain.nvars, domain.sum_target
-    cls, caps = domain.cls, domain.caps
+    n, S, caps = domain.nvars, domain.sum_target, domain.caps
     if sum(caps) != n:
         raise DomainViolation(f"the classes of {domain.label} do not cover "
                               f"{n} coordinates exactly")
@@ -301,9 +314,10 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> tuple[dict, bool]:
         w *= c + 1
     full = sum(wc * c for wc, c in zip(weights, caps))
     # sum key of a suffix: its exact sum under a sum target, its parity
-    # under parity_even, else 0; "& fold" reduces a sum to its key
+    # under parity_even, else 0; "& fold" reduces a sum to its key.  A state
+    # is one int, key * W + filter state.
     fold = -1 if S is not None else (1 if domain.parity_even else 0)
-    total = S or 0
+    total, W = S or 0, full + 1
 
     # Per coordinate: its box and its least term, taken at the integer
     # nearest the continuous minimizer -B/(2A), clamped to the box.
@@ -325,65 +339,80 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> tuple[dict, bool]:
     # Per coordinate, in spiral order (outward from the minimizer, positive
     # offset first): (value, term minus the least term, class weight, class
     # capacity), for the values of the box whose offset is at most top,
-    # i.e. |2Av + B| <= isqrt(4A(top + low) + B^2).
-    rows, closed = [], not clamped
+    # i.e. |2Av + B| <= isqrt(4A(top + low) + B^2).  by_class[i] groups the
+    # same values by class, in increasing order, with the state step each
+    # adds: v * W under a sum target; else 0, the group sharing v & fold.
+    rows, by_class, closed = [], [], not clamped
+    shifts, step = domain.shifts or (0,) * n, W if S is not None else 0
     for i, (lo, hi, center, low) in enumerate(boxes):
         b, a2 = B[i], 2 * A
         s = isqrt(2 * a2 * (top + low) + b * b)
         wlo, whi = -((s + b) // a2), (s - b) // a2
         closed &= lo <= wlo and whi <= hi
+        vals = range(max(lo, wlo), min(hi, whi) + 1)
+        cs = _classes(domain, vals, repeat(shifts[i]))
         row = [(v, A * v * v + b * v - low, weights[c], caps[c])
-               for v in range(max(lo, wlo), min(hi, whi) + 1)
-               for c in (cls(i, v),) if caps[c]]
+               for v, c in zip(vals, cs) if caps[c]]
+        groups = {}
+        for v, off, wc, cap in row if i else ():
+            p = v & fold if S is None else 0
+            g = groups.get(2 * wc + p)
+            if g is None:
+                g = groups[2 * wc + p] = (wc, cap, p, [], [])
+            g[3].append(v)
+            g[4].append((v * step, off))
+        by_class.append(groups.values())
         row.sort(key=lambda e: (abs(e[0] - center), e[0] < center))
         rows.append(row)
 
-    # tables[i]: (suffix sum key, suffix filter state) -> bitset of the
-    # offset values coordinates i..n-1 reach.  tables[0] is never needed.
-    tables = [None] * n + [{(0, 0): 1}]
+    # tables[i]: state of coordinates i..n-1 -> bitset of the offset values
+    # they reach.  tables[0] is never needed.
+    tables = [None] * n + [{0: 1}]
     work = 0
     for i in range(n - 1, 0, -1):
-        nxt, layer, by_class = tables[i + 1], {}, {}
+        nxt, layer = tables[i + 1], {}
         work += len(nxt) * len(rows[i])
         budget.check(work, what="representation table")
-        for v, off, wc, cap in rows[i]:
-            by_class.setdefault((wc, cap), []).append((v, off))
-        # the suffix sums the i bounded prefix coordinates can complete (a
-        # sum key without a sum target is 0 or 1)
+        # the suffix sums the i bounded prefix coordinates can complete:
+        # under a sum target each class group is cut to them
         lo, hi = (S - i * radius, S + i * radius) if S is not None else (0, 1)
-        for (key, f), bits in nxt.items():
-            for (wc, cap), vals in by_class.items():
+        for st, bits in nxt.items():
+            key, f = divmod(st, W)
+            for wc, cap, p, vs, steps in by_class[i]:
                 if f // wc % (cap + 1) == cap:
                     continue
-                g = f + wc
-                for v, off in vals:
-                    s = (key + v) & fold
-                    if lo <= s <= hi:
-                        b = bits << off & mask
-                        if b:
-                            layer[s, g] = layer.get((s, g), 0) | b
+                g = ((key + p) & fold) * W + f + wc
+                if S is not None and (vs[0] < lo - key or vs[-1] > hi - key):
+                    steps = steps[bisect_left(vs, lo - key):
+                                  bisect_right(vs, hi - key)]
+                for dw, off in steps:
+                    b = bits << off & mask
+                    if b:
+                        t = g + dw
+                        layer[t] = layer.get(t, 0) | b
         tables[i] = layer
 
     # reach: bitset of the offset values whole vectors reach, the first
     # coordinate folded into tables[1]
     reach = 0
     for v, off, wc, cap in rows[0]:
-        reach |= tables[1].get(((total - v) & fold, full - wc), 0) << off
+        reach |= tables[1].get(((total - v) & fold) * W + full - wc, 0) << off
 
     # route the targets on the row; a group is the bitset of its remaining
     # offsets and, per offset, the targets that travel together
     vecs = {K: [] for K in targets if K >= base and reach >> (K - base) & 1}
     if not vecs:
         return {}, closed
-    groups = {(total & fold, full): (sum(1 << (K - base) for K in vecs),
-                                     {K - base: [K] for K in vecs})}
+    groups = {(total & fold) * W + full: (
+        sum(1 << (K - base) for K in vecs), {K - base: [K] for K in vecs})}
     for i in range(n):
         nxt, moved = tables[i + 1], {}
-        for (key, f), (want, rems) in groups.items():
+        for st, (want, rems) in groups.items():
+            key, f = divmod(st, W)
             for v, off, wc, cap in rows[i]:
                 if not f // wc % (cap + 1):
                     continue  # the prefix fills this class
-                state = ((key - v) & fold, f - wc)
+                state = ((key - v) & fold) * W + f - wc
                 take = nxt.get(state, 0) << off & want
                 if take:
                     want ^= take
@@ -430,32 +459,32 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
         raise DomainViolation(
             f"form {form.form_id} cannot be searched on {domain.label}: "
             f"arity {form.nvars} vs {domain.nvars} coordinates")
-    nums, denom, const = {}, form.denom, form.const
+    _, quad, lin, const, denom = form
+    nums, found = {}, {}
     for k in targets:
         knum = denom * k - const
         if k >= 0 and knum.denominator == 1:
             nums[k] = int(knum)
-    found = {}
     for r in _radius_schedule(radius):
         pending = set(nums.values()) - found.keys()
         if not pending:
             break
-        witnesses, closed = _witnesses_at_radius(form.quad, form.lin,
-                                                 pending, domain, r)
+        witnesses, closed = _witnesses_at_radius(quad, lin, pending, domain, r)
         found.update(witnesses)
         if closed:
             break
-    hits, projected = [], domain.projected
+    hits, projected, is_member = [], domain.projected, _membership(domain)
     for k in targets:
         hit = found.get(nums.get(k))
         if hit is not None:
-            if form.numerator(hit) != denom * k:
+            if (len(hit) != len(lin) or quad * sum(map(mul, hit, hit))
+                    + sum(map(mul, lin, hit)) != nums[k]):
                 raise InvariantViolation(
                     f"witness {hit} evaluates to {form.evaluate(hit)}, "
                     f"wanted {k}")
             if projected:
                 hit = hit[:-1]
-            if not member(domain, hit):
+            if not is_member(hit):
                 raise InvariantViolation(
                     f"witness {hit} escaped {domain.label}")
         hits.append(hit)

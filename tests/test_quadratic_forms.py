@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from atomlen import quadratic_forms as qf
 from atomlen.affine_classical import LATTICE_TAGS, AffineLatticeSpec
 from atomlen.cores_abaci import WeightSpec, refined_size_form
-from atomlen.errors import BadLength, BudgetExceeded, DomainViolation
+from atomlen import budget
+from atomlen.errors import (BadLength, BudgetExceeded, DomainViolation,
+                            InvariantViolation)
 
 from test_affine_permutations import random_window_strategy
 
@@ -952,3 +955,185 @@ def test_table_over_budget_raises(monkeypatch):
     with pytest.raises(BudgetExceeded, match="representation table"):
         qf.universality_scan(qf.form_Q(7), qf.domain_Delta(7), 200, 30)
     assert qf.represent(qf.form_Q(3), qf.domain_Delta(3), 1, 2) is not None
+
+
+# ---------------------------------------------------------------------------
+# The tuple-keyed table engine, kept as the differential oracle for the
+# int-keyed one in quadratic_forms: its tables and route groups are keyed by
+# (suffix sum key, filter state) pairs, each row value takes one class
+# lookup, and the inner loop tests the suffix sum range.
+# ---------------------------------------------------------------------------
+
+def old_cls(domain, i, v):
+    mod, shifts = domain.mod, domain.shifts
+    r = (v + shifts[i] if shifts else v) % mod
+    return min(r, mod - r) if domain.signed else r
+
+
+def old_witnesses_at_radius(A, B, targets, domain, radius):
+    n, S = domain.nvars, domain.sum_target
+    caps = domain.caps
+    if sum(caps) != n:
+        raise DomainViolation(f"the classes of {domain.label} do not cover "
+                              f"{n} coordinates exactly")
+    weights, w = [], 1
+    for c in caps:
+        weights.append(w)
+        w *= c + 1
+    full = sum(wc * c for wc, c in zip(weights, caps))
+    fold = -1 if S is not None else (1 if domain.parity_even else 0)
+    total = S or 0
+
+    boxes, base, clamped = [], 0, False
+    for i in range(n):
+        last = domain.projected and i == n - 1
+        lo, hi = (S - i * radius, S + i * radius) if last else (-radius, radius)
+        center = (A - B[i]) // (2 * A)
+        v = min(max(center, lo), hi)
+        clamped |= v != center
+        low = A * v * v + B[i] * v
+        base += low
+        boxes.append((lo, hi, center, low))
+    top = max(targets) - base
+    if top < 0:
+        return {}, not clamped
+    mask = (2 << top) - 1
+
+    rows, closed = [], not clamped
+    for i, (lo, hi, center, low) in enumerate(boxes):
+        b, a2 = B[i], 2 * A
+        s = math.isqrt(2 * a2 * (top + low) + b * b)
+        wlo, whi = -((s + b) // a2), (s - b) // a2
+        closed &= lo <= wlo and whi <= hi
+        row = [(v, A * v * v + b * v - low, weights[c], caps[c])
+               for v in range(max(lo, wlo), min(hi, whi) + 1)
+               for c in (old_cls(domain, i, v),) if caps[c]]
+        row.sort(key=lambda e: (abs(e[0] - center), e[0] < center))
+        rows.append(row)
+
+    tables = [None] * n + [{(0, 0): 1}]
+    work = 0
+    for i in range(n - 1, 0, -1):
+        nxt, layer, by_class = tables[i + 1], {}, {}
+        work += len(nxt) * len(rows[i])
+        budget.check(work, what="representation table")
+        for v, off, wc, cap in rows[i]:
+            by_class.setdefault((wc, cap), []).append((v, off))
+        lo, hi = (S - i * radius, S + i * radius) if S is not None else (0, 1)
+        for (key, f), bits in nxt.items():
+            for (wc, cap), vals in by_class.items():
+                if f // wc % (cap + 1) == cap:
+                    continue
+                g = f + wc
+                for v, off in vals:
+                    s = (key + v) & fold
+                    if lo <= s <= hi:
+                        b = bits << off & mask
+                        if b:
+                            layer[s, g] = layer.get((s, g), 0) | b
+        tables[i] = layer
+
+    reach = 0
+    for v, off, wc, cap in rows[0]:
+        reach |= tables[1].get(((total - v) & fold, full - wc), 0) << off
+
+    vecs = {K: [] for K in targets if K >= base and reach >> (K - base) & 1}
+    if not vecs:
+        return {}, closed
+    groups = {(total & fold, full): (sum(1 << (K - base) for K in vecs),
+                                     {K - base: [K] for K in vecs})}
+    for i in range(n):
+        nxt, moved = tables[i + 1], {}
+        for (key, f), (want, rems) in groups.items():
+            for v, off, wc, cap in rows[i]:
+                if not f // wc % (cap + 1):
+                    continue
+                state = ((key - v) & fold, f - wc)
+                take = nxt.get(state, 0) << off & want
+                if take:
+                    want ^= take
+                    bits, dest = moved.get(state, (0, {}))
+                    moved[state] = (bits | take >> off, dest)
+                    while take:
+                        r = take.bit_length() - 1
+                        take ^= 1 << r
+                        for K in rems[r]:
+                            vecs[K].append(v)
+                        dest.setdefault(r - off, []).extend(rems[r])
+                    if not want:
+                        break
+            if want:
+                K = rems[(want & -want).bit_length() - 1][0]
+                raise InvariantViolation(
+                    f"the table reaches {K} on {domain.label} but no route "
+                    f"does")
+        groups = moved
+    return {K: tuple(vec) for K, vec in vecs.items()}, closed
+
+
+def _engine_forms(nvars, data):
+    """The P, Q and q forms and the core-size and Ps forms of nvars
+    variables: unit and larger quadratic coefficients, centred and
+    off-centre minimizers."""
+    forms = [qf.form_P(nvars), qf.form_Q(nvars), qf.form_q(nvars - 1),
+             qf.form_core_size(nvars)]
+    if nvars >= 2:
+        ell = data.draw(st.integers(1, nvars))
+        charges = sorted(data.draw(st.integers(0, nvars - 1))
+                         for _ in range(ell))
+        forms.append(WeightSpec(nvars, ell, tuple(charges)).form())
+    return forms
+
+
+def _engine_run(engine, form, dom, targets, radius):
+    """The engine's witnesses and closed flag, and the budget checks it
+    made: the table sizes it counted, level by level."""
+    checks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(budget, "check", lambda work, what: checks.append(work))
+        return engine(form.quad, form.lin, targets, dom, radius), checks
+
+
+@given(domains_with_oracle(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_int_keyed_engine_matches_the_tuple_keyed_one(dom_lit, data):
+    # every domain constructor (the lattice rows, parity-even ones included)
+    # with every form family, at radii up to 6: the same witnesses, closed
+    # flag and budget counts
+    dom, _ = dom_lit
+    form = data.draw(st.sampled_from(_engine_forms(dom.nvars, data)))
+    radius = data.draw(st.integers(0, 6))
+    targets = data.draw(st.sets(st.integers(-10, 120), min_size=1,
+                                max_size=40))
+    assert _engine_run(qf._witnesses_at_radius, form, dom, targets,
+                       radius) == _engine_run(old_witnesses_at_radius, form,
+                                              dom, targets, radius)
+
+
+@pytest.mark.parametrize("kind", SCAN_SIZE_KINDS)
+def test_int_keyed_engine_matches_at_scan_size(kind):
+    # from boxes whose sums all lie on the range ends to wide value windows,
+    # where most class groups are cut by the sum range
+    form, dom = SCAN_SIZE_KINDS[kind]
+    targets = set(range(-5, 400))
+    for radius in (0, 1, 2, 8, 30):
+        assert _engine_run(qf._witnesses_at_radius, form, dom, targets,
+                           radius) == _engine_run(old_witnesses_at_radius,
+                                                  form, dom, targets, radius)
+
+
+@pytest.mark.parametrize("form,dom,wrong,outside", [
+    (qf.form_P(3), qf.domain_D(3), (1, 2, 3), (0, 3, 3)),
+    (qf.form_q(3), qf.domain_X(4), (0, 0, 0, 0), (-1, 1, 0, 0)),
+], ids=["D", "X"])
+def test_every_witness_is_rechecked(form, dom, wrong, outside, monkeypatch):
+    # the engine hands represent_all, for target 1, a vector of value 0,
+    # then one of value 1 outside the domain (its classes repeat)
+    num = form.denom - form.const
+    shown = outside[:dom.dim()]  # a projected witness drops its last
+    for vec, message in ((wrong, f"witness {wrong} evaluates to 0, wanted 1"),
+                         (outside, f"witness {shown} escaped {dom.label}")):
+        monkeypatch.setattr(qf, "_witnesses_at_radius",
+                            lambda *args, vec=vec: ({num: vec}, True))
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            qf.represent_all(form, dom, [3, 1], 5)
