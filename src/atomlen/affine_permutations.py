@@ -20,20 +20,11 @@ class AffinePermutation(namedtuple("AffinePermutation", "n window")):
 
     __slots__ = ()
 
-    def __call__(self, i: int) -> int:
-        return apply(self, i)
-
-    def __str__(self) -> str:
-        return format_window(self.window)
-
 
 class FinitePermutation(namedtuple("FinitePermutation", "n images")):
     """Permutation of {1, ..., n}, stored by its image tuple."""
 
     __slots__ = ()
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
 
 
 class TranslationVector(namedtuple("TranslationVector", "n coords")):
@@ -151,17 +142,13 @@ def root_lattice_vectors(n: int, max_norm: int) -> list[tuple[int, ...]]:
         # remaining coordinates sum to -s; Cauchy-Schwarz floor on their norm
         if s * s > norm_left * m:
             return
-        b = _isqrt(norm_left)
+        b = math.isqrt(norm_left)
         for v in range(-b, b + 1):
             rec(prefix + [v], norm_left - v * v, s + v)
 
     rec([], max_norm, 0)
     out.sort(key=lambda v: (sum(c * c for c in v), v))
     return out
-
-
-def _isqrt(v: int) -> int:
-    return math.isqrt(v) if v >= 0 else 0
 
 
 def enumerate_bounded(n: int, max_norm: int):
@@ -179,14 +166,3 @@ def enumerate_bounded(n: int, max_norm: int):
             win = tuple(images[i] + n * x[images[i] - 1] for i in range(n))
             yield AffinePermutation(n, win)
 
-
-def parse_window(text: str) -> tuple[int, ...]:
-    """Parse a comma-separated window like "3,0"."""
-    try:
-        return tuple(int(part.strip()) for part in text.split(","))
-    except ValueError as exc:
-        raise BadLength(f"cannot parse window {text!r}") from exc
-
-
-def format_window(window: tuple[int, ...]) -> str:
-    return ",".join(str(v) for v in window)

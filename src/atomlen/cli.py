@@ -37,7 +37,7 @@ def _parse_csv_ints(text: str) -> tuple[int, ...]:
 
 
 def _cmd_entropy(args) -> int:
-    window = affine_permutations.parse_window(args.window)
+    window = _parse_csv_ints(args.window)
     w = affine_permutations.make_affine(args.n, window)
     e = affine_permutations.entropy(w)
     al = affine_permutations.atomic_length_rho(w)
@@ -59,20 +59,15 @@ def _scan_report(args):
         rep = qf.universality_scan(qf.form_q(n - 1), qf.domain_Z_full(n - 1),
                                    args.max_k, args.radius)
         return rep, n >= 5
-    if form == "Ps":
+    if form in ("Ps", "trunc"):
         if args.ell is None:
-            raise AtomlenError("form Ps needs --ell")
-        charges = (_parse_csv_ints(args.s) if args.s
+            raise AtomlenError(f"form {form} needs --ell")
+        # trunc is Ps at the staircase charges 0..l-1, its --s ignored
+        charges = (_parse_csv_ints(args.s) if args.s and form == "Ps"
                    else tuple(range(args.ell)))
         spec = cores_abaci.WeightSpec(n, args.ell, charges)
         rep = qf.universality_scan(spec.form(), spec.domain(), args.max_k,
                                    args.radius)
-        return rep, False
-    if form == "trunc":
-        if args.ell is None:
-            raise AtomlenError("form trunc needs --ell")
-        rep = cores_abaci.scan_truncated_weight(n, args.ell, args.max_k,
-                                                args.radius)
         return rep, False
     if form == "refined-go":
         rep = cores_abaci.scan_refined_GO(n, args.max_k, args.radius)
@@ -83,14 +78,13 @@ def _scan_report(args):
     if form == "deltaC":
         rep = affine_classical.scan_deltaC(n, args.max_k, args.radius)
         return rep, n >= 4 and sumsets.is_prime(2 * n + 1)
-    if form == "lattice":
-        if not args.type:
-            raise AtomlenError("form lattice needs --type")
-        spec = affine_classical.AffineLatticeSpec(args.type, n)
-        rep = affine_classical.norm_universality_scan(spec, args.max_k,
-                                                      args.radius)
-        return rep, n >= 4
-    raise AtomlenError(f"unknown scan form {form!r}")
+    # lattice, the last of SCAN_FORMS
+    if not args.type:
+        raise AtomlenError("form lattice needs --type")
+    spec = affine_classical.AffineLatticeSpec(args.type, n)
+    rep = affine_classical.norm_universality_scan(spec, args.max_k,
+                                                  args.radius)
+    return rep, n >= 4
 
 
 def _cmd_scan(args) -> int:
@@ -137,8 +131,8 @@ def _cmd_core(args) -> int:
     lam = _parse_multipartition(args.npartition)
     charges = _parse_csv_ints(args.charges)
     quotient, sn = cores_abaci.phi(lam, charges, args.n)
-    (core_lam, core_charges), multicharge = cores_abaci._phi_core(
-        sn, len(lam))
+    (core_lam, core_charges), multicharge = cores_abaci.ns_core_of(
+        lam, charges, args.n)
     payload = {
         "n": args.n,
         "input": [list(p) for p in lam], "charges": list(charges),

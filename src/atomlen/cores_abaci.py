@@ -245,13 +245,9 @@ def ns_core_of(multipartition, charges, n: int):
     multicharge is reported in bottom-to-top runner order, i.e. the reverse
     of the phi output order, matching the worked example.
     """
-    return _phi_core(_phi_charges(multipartition, charges, n),
-                     len(multipartition))
-
-
-def _phi_core(sn, level: int):
-    """ns_core_of from the level-n charges sn of a phi result."""
-    return phi_inverse(((),) * len(sn), sn, level), tuple(reversed(sn))
+    sn = _phi_charges(multipartition, charges, n)
+    return (phi_inverse(((),) * n, sn, len(multipartition)),
+            tuple(reversed(sn)))
 
 
 def is_ns_core(multipartition, charges, n: int) -> bool:
@@ -304,10 +300,6 @@ class WeightSpec(namedtuple("WeightSpec", "n ell charges")):
         partition in an (n-1) x l box), padded to n parts, increasing."""
         conj = conjugate(tuple(sorted(self.charges, reverse=True)))
         return tuple(sorted(conj + (0,) * (self.n - len(conj))))
-
-    @property
-    def total(self) -> int:
-        return sum(self.charges)
 
     def domain(self) -> ConstrainedDomain:
         """The charge orbit: coordinate sum of the charges, residues mod l
@@ -394,12 +386,9 @@ def refined_size_form(n: int) -> FormSpec:
     """Unshifted size polynomial on the distinct-residue orbit: its value at
     an orbit point is the number of boxes of the attached classical core."""
     s = n * (n - 1) // 2
-    const = -Fraction(s * (n - 1), 2) - Fraction(s * s, 2)
-    c0 = 2 * const
-    if c0.denominator != 1:
-        raise InvariantViolation("size constant is not integral")
-    return FormSpec(f"refined-go-size[{n}]", n,
-                    tuple(2 * (i - 1) for i in range(1, n + 1)), int(c0), 2)
+    # twice the constant -s(n-1)/2 - s^2/2, an integer for every n
+    return form_core_size(n)._replace(form_id=f"refined-go-size[{n}]",
+                                      const=-s * (n - 1) - s * s)
 
 
 def refined_base_value(n: int) -> int:

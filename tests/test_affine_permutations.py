@@ -1,10 +1,12 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from atomlen import affine_permutations as ap
+from atomlen.cli import main
 from atomlen.errors import BadLength, BadSum, RankMismatch, ResidueClash
 
 
@@ -154,9 +156,14 @@ def test_entropy_image_covers_initial_segment():
     assert not wanted
 
 
-def test_window_parsing():
-    assert ap.parse_window("3,0") == (3, 0)
-    assert ap.format_window((3, 0)) == "3,0"
-    assert ap.parse_window(" 1 , -2 ") == (1, -2)
-    with pytest.raises(BadLength):
-        ap.parse_window("1,a")
+def test_window_parsing(capsys):
+    # --window is read by the CLI's one comma-separated integer parser
+    assert main(["entropy", "--n", "2", "--window", "3,0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["window"] == [3, 0]
+    assert main(["entropy", "--n", "2", "--window", " 4 , -1 "]) == 0
+    assert capsys.readouterr().out == "9\n"
+    assert main(["entropy", "--n", "2", "--window", "1,a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "expected comma-separated integers, got '1,a'\n"

@@ -354,6 +354,25 @@ def test_scan_conjectural_forms_exit_zero(capsys):
     assert code == 0  # misses are expected below the theorem's rank
 
 
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_trunc_is_ps_at_the_staircase_charges(capsys, extra):
+    # one branch serves both forms: trunc takes the charges 0..l-1 and
+    # ignores --s, as Ps does by default
+    scan = ("--n", "5", "--ell", "2", "--max-k", "100", "--radius", "30",
+            *extra)
+    trunc = run(capsys, "scan", "--form", "trunc", *scan)
+    assert trunc[0] == 0 and trunc[1] and trunc[2] == ""
+    for form, charges in (("trunc", ("--s", "1,4")), ("Ps", ()),
+                          ("Ps", ("--s", "0,1"))):
+        assert run(capsys, "scan", "--form", form, *scan, *charges) == trunc
+
+
+@pytest.mark.parametrize("form", ["trunc", "Ps"])
+def test_weight_forms_need_a_level(capsys, form):
+    assert run(capsys, "scan", "--form", form, "--n", "5", "--max-k", "3",
+               "--radius", "3") == (2, "", f"form {form} needs --ell\n")
+
+
 @pytest.mark.parametrize("n, radius, expected", [
     (2, 15, 0), (3, 15, 0),   # three squares never make 7: no theorem here
     (4, 15, 0), (5, 15, 0), (6, 15, 0),

@@ -2,7 +2,8 @@
 class of src/atomlen, and each public method or property of such a class,
 appears as a whole word in src/, scripts/, tests/ or README.md somewhere
 other than its own def or class line; each private top-level def, class or
-assignment appears in src/ somewhere other than its own line."""
+assignment appears in src/ somewhere other than its own line; and no file of
+src/atomlen or scripts/ reads another atomlen module's private name."""
 import ast
 import collections
 import pathlib
@@ -63,3 +64,42 @@ def test_every_private_name_is_referenced_in_src():
             if words[name] <= own.count(name):
                 dead.append(f"{path.name}:{lineno} {name}")
     assert not dead, f"private names referenced nowhere in src/: {dead}"
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_file_reads_another_modules_private_names():
+    """Files under src/atomlen and scripts read only the public names of the
+    other atomlen modules; tests may still reach (and monkeypatch) private
+    ones."""
+    misuse = []
+    for path in sorted([*ROOT.glob("src/atomlen/*.py"),
+                        *ROOT.glob("scripts/*.py")]):
+        own = path.stem if path.parent.name == "atomlen" else None
+        tree = ast.parse(path.read_text())
+        modules = {}  # local name -> atomlen module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = node.module or ""
+                if node.level:  # relative imports occur only in src/atomlen
+                    source = f"atomlen.{source}".rstrip(".")
+                if source == "atomlen":
+                    modules.update((a.asname or a.name, a.name)
+                                   for a in node.names)
+                elif source.startswith("atomlen."):
+                    misuse += [f"{path.name}:{node.lineno} {source}.{a.name}"
+                               for a in node.names if _private(a.name)
+                               and source != f"atomlen.{own}"]
+            elif isinstance(node, ast.Import):
+                modules.update((a.asname, a.name.split(".", 1)[1])
+                               for a in node.names if a.asname
+                               and a.name.startswith("atomlen."))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and _private(node.attr)
+                    and isinstance(node.value, ast.Name)
+                    and modules.get(node.value.id, own) != own):
+                misuse.append(f"{path.name}:{node.lineno} "
+                              f"{modules[node.value.id]}.{node.attr}")
+    assert not misuse, f"private names read across modules: {misuse}"

@@ -1,7 +1,8 @@
 """The 26 universality reports of scripts/scan_sweeps.py, pinned byte for
 byte: the test iterates the script's own sweeps(), so both share one list.
-Also the two scripts' entry points, and the PASS/FAIL loop of
-scripts/run_paper_checks.py."""
+Also the two scripts' entry points, the PASS/FAIL loop of
+scripts/run_paper_checks.py, and which not-found entries are already proofs:
+those whose radius box closes."""
 import hashlib
 import importlib.util
 import json
@@ -11,6 +12,9 @@ import subprocess
 import sys
 
 import pytest
+
+from atomlen import affine_classical as ac
+from atomlen import quadratic_forms as qf
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "scan_sweeps.py"
 
@@ -88,14 +92,67 @@ def test_paper_checks_all_pass(monkeypatch, capsys):
 
 
 def test_paper_checks_report_a_failure(monkeypatch, capsys):
+    # the loop alone: stubs stand in for the real checks, which
+    # test_paper_checks_all_pass and test_acceptance.py run
     def broken():
         assert 1 + 1 == 3, "arithmetic is off"
 
     module = _load_script(SCRIPT.parent / "run_paper_checks.py")
-    name = module.CHECKS[0][0]
-    monkeypatch.setattr(module, "CHECKS", [(name, broken)] + module.CHECKS[1:])
+    names = [name for name, _ in module.CHECKS]
+    monkeypatch.setattr(module, "CHECKS", [(names[0], broken)] + [
+        (name, lambda: "stub holds") for name in names[1:]])
     code, lines = _run_main(module, monkeypatch, capsys)
     assert code == 1 and lines[-1] == "1 CHECKS FAILED"
-    assert lines[0].split()[:2] == ["FAIL", name]
+    assert lines[0].split()[:2] == ["FAIL", names[0]]
     assert "arithmetic is off" in lines[0]
-    assert all(line.startswith("PASS") for line in lines[1:-1])
+    assert [line.split() for line in lines[1:-1]] == \
+        [["PASS", name, "stub", "holds"] for name in names[1:]]
+
+
+def _searched(monkeypatch, scans):
+    """(name, report, form, domain, radius) of each (name, scan, args):
+    represent_all, which every universality scan calls once, records what
+    the scan searched."""
+    seen, represent_all = [], qf.represent_all
+    monkeypatch.setattr(qf, "represent_all", lambda form, dom, ks, r: (
+        seen.append((form, dom, r)) or represent_all(form, dom, ks, r)))
+    for name, scan, args in scans:
+        report = scan(*args)
+        yield (name, report, *seen[-1])
+
+
+def _closed_misses(report, form, domain, radius):
+    """For each not-found target, run alone at the scan's radius: whether
+    its box closes (no witness, and no larger box reaches more)."""
+    out = []
+    for e in report.entries:
+        if e.status == "not-found":
+            knum = form.denom * e.target - form.const
+            witnesses, closed = qf._witnesses_at_radius(
+                form.quad, form.lin, {int(knum)}, domain, radius)
+            assert not witnesses
+            out.append(closed)
+    return out
+
+
+def test_every_sweep_miss_is_closed_at_its_radius(monkeypatch):
+    # each not-found entry of the pinned reports is already a proof of
+    # non-representability: its box holds every coordinate's value window
+    counts = {}
+    for name, *record in _searched(monkeypatch, _load_script()._scans()):
+        closed = _closed_misses(*record)
+        assert all(closed), name
+        if closed:
+            counts[name] = len(closed)
+    assert counts == {"delta_2": 12, "delta_3": 24, "go_3": 67,
+                      "refined_go_5": 1, "deltaC_3": 23}
+
+
+def test_lattice_misses_are_radius_artifacts(monkeypatch):
+    # C1 at rank 4 takes the values sum(y^2), universal by Lagrange: its
+    # misses at radius 25 are boxes that do not close, never proofs
+    scan = ("C1", ac.norm_universality_scan,
+            (ac.AffineLatticeSpec("C1", 4), 500, 25))
+    [(_, *record)] = _searched(monkeypatch, [scan])
+    closed = _closed_misses(*record)
+    assert len(closed) == 57 and not any(closed)
