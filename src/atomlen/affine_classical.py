@@ -123,8 +123,8 @@ class AffineLatticeSpec(namedtuple("AffineLatticeSpec", "tag n")):
     def domain(self) -> ConstrainedDomain:
         tag, n = self.tag, self.n
         if tag == "C1":  # every coordinate even: odd class 1 has capacity 0
-            return ConstrainedDomain(f"M[{tag}]({n})", n, n, (n, 0), mod=2)
-        return ConstrainedDomain(f"M[{tag}]({n})", n, n, (n,),
+            return ConstrainedDomain(f"M[{tag}]({n})", n, (n, 0), mod=2)
+        return ConstrainedDomain(f"M[{tag}]({n})", n, (n,),
                                  parity_even=tag in ("B1", "D1", "A2odd"))
 
     def form(self) -> FormSpec:

@@ -131,6 +131,8 @@ def atomic_length_rho(w: AffinePermutation) -> int:
 def root_lattice_vectors(n: int, max_norm: int) -> list[tuple[int, ...]]:
     """All zero-sum integer vectors of length n with squared norm <= max_norm,
     sorted by (norm, lexicographic)."""
+    if n < 1:
+        raise BadLength(f"rank must be positive, got {n}")
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], norm_left: int, s: int) -> None:

@@ -116,15 +116,9 @@ def _cmd_sumset(args) -> int:
 
 
 def _parse_multipartition(text: str):
-    comps = text.split(";")
-    out = []
-    for comp in comps:
-        comp = comp.strip()
-        if not comp:
-            out.append(())
-        else:
-            out.append(cores_abaci.as_partition(_parse_csv_ints(comp)))
-    return tuple(out)
+    comps = (comp.strip() for comp in text.split(";"))
+    return tuple(cores_abaci.as_partition(_parse_csv_ints(comp)) if comp
+                 else () for comp in comps)
 
 
 def _cmd_core(args) -> int:

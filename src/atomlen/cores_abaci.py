@@ -308,7 +308,7 @@ class WeightSpec(namedtuple("WeightSpec", "n ell charges")):
         residues = [v % ell for v in self.sprime]
         caps = tuple(map(residues.count, range(ell)))
         label = f"Ds(n={n},l={ell},s={','.join(map(str, charges))})"
-        return ConstrainedDomain(label, n, n, caps, sum(charges), ell)
+        return ConstrainedDomain(label, n, caps, sum(charges), ell)
 
     def normalizing_constant(self) -> Fraction:
         """The constant making the polynomial vanish at sprime; always
@@ -338,12 +338,10 @@ def eval_Ps(spec: WeightSpec, t) -> int:
     t = tuple(t)
     if not member(spec.domain(), t):
         raise NotInDs(f"{t} is not in the charge orbit domain of {spec}")
-    val = (Fraction(spec.n, 2 * spec.ell) * sum(v * v for v in t)
-           - sum((i - 1) * v for i, v in enumerate(t, 1))
-           - spec.normalizing_constant())
-    if val.denominator != 1:
+    val = spec.form().evaluate(t)
+    if not isinstance(val, int):
         raise InvariantViolation(f"polynomial value {val} is not an integer")
-    return int(val)
+    return val
 
 
 def affine_action_on_charges(word, t, ell: int) -> tuple[int, ...]:

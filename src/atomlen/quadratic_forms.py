@@ -44,7 +44,9 @@ lexicographic spiral order, the one a depth-first search in that order
 finds first, and witnesses are deterministic.  The tables are exact, so a
 target left without a value would raise InvariantViolation.  Integer
 targets are turned into table offsets in plain integers; Fraction
-arithmetic is kept for targets on the half grid.
+arithmetic is kept for targets on the half grid.  A miss takes q's residue
+classes only when quad = 1, denom = 2, lin = -2c with c integral,
+const = |c|^2 and the domain's sum target is sum(c); labels decide nothing.
 """
 from __future__ import annotations
 
@@ -139,28 +141,32 @@ def map_pr_inv(x, n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 class ConstrainedDomain(namedtuple(
-        "ConstrainedDomain", "label n nvars caps sum_target mod shifts signed "
+        "ConstrainedDomain", "label n caps sum_target mod shifts signed "
         "parity_even projected",
         defaults=(None, 1, (), False, False, False))):
     """A decidable subset of an integer lattice, in the form the search
     engine reads it.
 
-    The full vector has nvars coordinates.  Coordinate i with value v falls
-    in class (v + shifts[i]) % mod, folded to min(r, mod - r) when signed;
-    a member uses class c at most caps[c] times, and the caps add up to
-    nvars.  A member also has coordinate sum sum_target (when set) and an
-    even sum under parity_even.  A projected domain omits the last
-    coordinate, which its sum forces.  Empty shifts mean no shift.
+    The full vector has nvars = sum(caps) coordinates.  Coordinate i with
+    value v falls in class (v + shifts[i]) % mod, folded to min(r, mod - r)
+    when signed; a member uses class c at most caps[c] times.  A member also
+    has coordinate sum sum_target (when set) and an even sum under
+    parity_even.  A projected domain omits the last coordinate, which its
+    sum forces.  Empty shifts mean no shift.
     """
 
     __slots__ = ()
+
+    @property
+    def nvars(self) -> int:
+        return sum(self.caps)
 
     def dim(self) -> int:
         return self.nvars - self.projected
 
 
 def _distinct(label, n, sum_target, shifts):
-    return ConstrainedDomain(label, n, n, (1,) * n, sum_target, n, shifts)
+    return ConstrainedDomain(label, n, (1,) * n, sum_target, n, shifts)
 
 
 def domain_D(n: int) -> ConstrainedDomain:
@@ -176,7 +182,7 @@ def domain_X(n: int) -> ConstrainedDomain:
 
 
 def domain_Q_full(n: int) -> ConstrainedDomain:
-    return ConstrainedDomain(f"Q_full({n})", n, n, (n,), 0)
+    return ConstrainedDomain(f"Q_full({n})", n, (n,), 0)
 
 
 def domain_Z_full(dim: int) -> ConstrainedDomain:
@@ -186,7 +192,7 @@ def domain_Z_full(dim: int) -> ConstrainedDomain:
 
 def domain_DeltaC(n: int) -> ConstrainedDomain:
     # class 0 (the fixed point of the mirror) is excluded
-    return ConstrainedDomain(f"DeltaC({n})", n, n, (0,) + (1,) * n,
+    return ConstrainedDomain(f"DeltaC({n})", n, (0,) + (1,) * n,
                              mod=2 * n + 1, shifts=tuple(range(1, n + 1)),
                              signed=True)
 
@@ -304,9 +310,6 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> tuple[dict, bool]:
     that has one; and whether the box holds every coordinate's value window
     with no minimizer clamped, so that no larger box reaches more."""
     n, S, caps = domain.nvars, domain.sum_target, domain.caps
-    if sum(caps) != n:
-        raise DomainViolation(f"the classes of {domain.label} do not cover "
-                              f"{n} coordinates exactly")
     # filter state: mixed radix, digit c counts the uses of class c
     weights, w = [], 1
     for c in caps:
@@ -549,19 +552,20 @@ def _certificates(form: FormSpec, domain: ConstrainedDomain, targets,
     """{k: (m, k mod m)} for each missed integer target k, m the first
     modulus of DEFAULT_OBSTRUCTION_MODULI that certifies k.
 
-    The ground: P, Q and q are each |t - c|^2/2 with lin = -2c.  On a domain
-    inside the coset sum(t) = sum(c), x = t - c sums to zero and |x|^2/2 is
-    q of x's first nvars - 1 coordinates, so a class q misses there is
-    missed by the pair.  No other pair is certified, nor any from four
-    variables on, where q attains every class.  The moduli are walked once:
-    at each, the misses still open whose class no witnessed integer target
-    attains read its table (a witness is a value of q, so its class is
-    attained), and those the table excludes are certified at m.  A table
-    over the budget raises BudgetExceeded instead of being skipped.
+    The ground, in the data: quad 1, lin = -2c, const = |c|^2 and denom 2
+    make the form |t - c|^2/2 (as for P, Q and q); on a domain of sum_target
+    sum(c), x = t - c sums to zero and |x|^2/2 is q of x's first nvars - 1
+    coordinates, so a class q misses is missed by the pair.  No other pair,
+    whatever its label, is certified, nor any from four variables on, where
+    q attains every class.  The moduli are walked once: at each, the misses
+    still open whose class no witnessed integer target attains read its
+    table (a witness is a value of q, so its class is attained), and those
+    the table excludes are certified at m.  A table over the budget raises
+    BudgetExceeded instead of being skipped.
     """
-    arity = form.nvars - 1
-    if (form.form_id not in ("P", "Q", "q") or arity >= 4
-            or domain.sum_target != -sum(form.lin) // 2):
+    c, arity = [-b // 2 for b in form.lin], form.nvars - 1
+    if (form[1:] != (1, tuple(-2 * v for v in c), sum(v * v for v in c), 2)
+            or arity >= 4 or domain.sum_target != sum(c)):
         return {}
     missed = [int(k) for k, hit in zip(targets, hits)
               if hit is None and k.denominator == 1]

@@ -140,6 +140,15 @@ def test_enumerate_bounded_counts():
         ap.make_affine(e.n, e.window)  # closure under validation
 
 
+def test_root_lattice_vectors_need_a_positive_rank():
+    # rank 0 used to recurse until RecursionError
+    for n in (0, -1):
+        with pytest.raises(BadLength, match="rank must be positive"):
+            ap.root_lattice_vectors(n, 0)
+    assert ap.root_lattice_vectors(1, 5) == [(0,)]
+    assert ap.root_lattice_vectors(2, 2) == [(0, 0), (-1, 1), (1, -1)]
+
+
 def test_enumeration_order_is_deterministic():
     # identity first, then translations ascending by (norm, lex):
     # x = (-1,0,1) -> (-2,2,6), (-1,1,0) -> (-2,5,3), (0,-1,1) -> (1,-1,6), ...

@@ -2,8 +2,9 @@
 class of src/atomlen, and each public method or property of such a class,
 appears as a whole word in src/, scripts/, tests/ or README.md somewhere
 other than its own def or class line; each private top-level def, class or
-assignment appears in src/ somewhere other than its own line; and no file of
-src/atomlen or scripts/ reads another atomlen module's private name."""
+assignment appears in src/ somewhere other than its own line; no file of
+src/atomlen or scripts/ reads another atomlen module's private name; and no
+decision in src/atomlen reads a form's display label."""
 import ast
 import collections
 import pathlib
@@ -103,3 +104,31 @@ def test_no_file_reads_another_modules_private_names():
                 misuse.append(f"{path.name}:{node.lineno} "
                               f"{modules[node.value.id]}.{node.attr}")
     assert not misuse, f"private names read across modules: {misuse}"
+
+
+def _decisions(tree):
+    """The expressions whose value picks a branch or a table entry:
+    comparisons, boolean operators, subscript keys and the tests of if,
+    while, assert, conditional expressions and match statements."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Compare, ast.BoolOp)):
+            yield node
+        elif isinstance(node, ast.Subscript):
+            yield node.slice
+        elif isinstance(node, (ast.If, ast.While, ast.Assert, ast.IfExp)):
+            yield node.test
+        elif isinstance(node, ast.Match):
+            yield node.subject
+
+
+def test_no_decision_reads_a_form_label():
+    """form_id only names a form in reports and messages; what a form is
+    (and so which certificates it takes) is read off its data."""
+    reads = set()
+    for path in sorted(ROOT.glob("src/atomlen/*.py")):
+        for expr in _decisions(ast.parse(path.read_text())):
+            reads.update(f"{path.name}:{node.lineno}"
+                         for node in ast.walk(expr)
+                         if isinstance(node, ast.Attribute)
+                         and node.attr == "form_id")
+    assert not reads, f"decisions read form_id: {sorted(reads)}"

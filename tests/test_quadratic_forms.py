@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from atomlen import quadratic_forms as qf
 from atomlen.affine_classical import LATTICE_TAGS, AffineLatticeSpec
-from atomlen.cores_abaci import WeightSpec, refined_size_form
+from atomlen.cores_abaci import (WeightSpec, affine_action_on_charges, eval_Ps,
+                                 granville_ono_scan, refined_size_form,
+                                 scan_refined_GO, scan_truncated_weight)
 from atomlen import budget
 from atomlen.errors import (BadLength, BudgetExceeded, DomainViolation,
                             InvariantViolation)
@@ -478,6 +480,44 @@ def test_certificates_need_the_forms_own_coset():
     assert all(e.status == "not-found" for e in rep.misses)
 
 
+def test_certificates_read_the_form_not_its_label():
+    # twice Q's data under Q's label takes no residue class of q: k = 2
+    # is 2 mod 3, which q(2) misses, yet (0, 1, -1) in Delta(3) reaches it
+    form, dom = qf.FormSpec("Q", 2, (0, 0, 0), 0, 2), qf.domain_Delta(3)
+    reached = {k for k, hit in enumerate(qf.represent_all(form, dom,
+                                                          range(17), 3))
+               if hit is not None}
+    assert 2 in reached
+    rep = qf.universality_scan(form, dom, 16, 0)
+    assert not {e.target for e in rep.entries
+                if e.status == "obstructed"} & reached
+
+
+def test_a_relabelled_form_keeps_its_certificates():
+    dom = qf.domain_Delta(3)
+    rep = qf.universality_scan(qf.form_Q(3), dom, 16, 30)
+    renamed = qf.universality_scan(qf.form_Q(3)._replace(form_id="half-norm"),
+                                   dom, 16, 30)
+    assert renamed == rep._replace(form="half-norm")
+    assert sum(e.status == "obstructed" for e in rep.entries) == 7
+
+
+def test_one_variable_weight_scans_are_certified_from_k_1():
+    # at n = 1 the go, trunc, Ps and refined-go forms are Q(1)'s data on
+    # the one-point domain {0}: every k >= 1 up to 383 is missed by some
+    # modulus of the ladder
+    reps = [granville_ono_scan(1, 40, 5), scan_truncated_weight(1, 1, 40, 5),
+            scan_refined_GO(1, 40, 5)]
+    spec = WeightSpec(1, 1, (0,))
+    reps.append(qf.universality_scan(spec.form(), spec.domain(), 40, 5))
+    for rep in reps:
+        assert [(e.target, e.status) for e in rep.entries] == [
+            (0, "witness")] + [(k, "obstructed") for k in range(1, 41)], (
+            rep.form)
+        assert all(e.residue == e.target % e.modulus != 0
+                   for e in rep.misses)
+
+
 def test_certificates_survive_a_brute_force_listing():
     # a class mod m that some value of the pair takes refutes a certificate
     rng = random.Random(16)
@@ -765,6 +805,24 @@ def _Ps_anywhere(spec):
                       - spec.normalizing_constant())
 
 
+@pytest.mark.parametrize("spec", [WeightSpec(5, 3, (2, 2, 4)),
+                                  WeightSpec(4, 2, (0, 1)),
+                                  WeightSpec(3, 1, (2,))], ids=str)
+def test_eval_Ps_matches_the_restated_polynomial(spec, monkeypatch):
+    # eval_Ps reads its value off spec.form(); _Ps_anywhere restates it
+    rng = random.Random(21)
+    for _ in range(40):
+        word = [rng.randrange(spec.n) for _ in range(rng.randint(0, 12))]
+        t = affine_action_on_charges(word, spec.sprime, spec.ell)
+        assert eval_Ps(spec, t) == _Ps_anywhere(spec)(t)
+    # a value off the integers is a broken invariant, not a result
+    form = spec.form()
+    monkeypatch.setattr(WeightSpec, "form",
+                        lambda self: form._replace(const=form.const + 1))
+    with pytest.raises(InvariantViolation, match="not an integer"):
+        eval_Ps(spec, spec.sprime)
+
+
 # the paper's norm denominator on ||x||^2 of each lattice row
 NORM_DENOM = {"B1": 2, "C1": 4, "D1": 2, "A2odd": 2, "A2even": 2, "D2": 1}
 
@@ -973,9 +1031,6 @@ def old_cls(domain, i, v):
 def old_witnesses_at_radius(A, B, targets, domain, radius):
     n, S = domain.nvars, domain.sum_target
     caps = domain.caps
-    if sum(caps) != n:
-        raise DomainViolation(f"the classes of {domain.label} do not cover "
-                              f"{n} coordinates exactly")
     weights, w = [], 1
     for c in caps:
         weights.append(w)

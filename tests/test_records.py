@@ -57,28 +57,30 @@ def test_keyword_construction_and_defaults():
     report = qf.UniversalityReport(form="Q", domain="Delta(3)", n=3, max_k=0,
                                    radius=1, grid="int", entries=(entry,))
     assert report.min_k == 0 and report.misses == (entry,)
-    domain = qf.ConstrainedDomain("L", 2, 2, (2,))
+    domain = qf.ConstrainedDomain("L", 2, (2,))
     assert (domain.sum_target, domain.mod, domain.shifts, domain.signed,
             domain.parity_even, domain.projected) == (
         None, 1, (), False, False, False)
-    assert qf.FormSpec("Q", 1, (0, 0), 0, 2).nvars == 2
+    # each record reads its coordinate count off its data
+    assert domain.nvars == qf.FormSpec("Q", 1, (0, 0), 0, 2).nvars == 2
     # every scan record field is a decision the engine reads: pinned, so
     # that a new one is reviewed
     assert qf.ConstrainedDomain._fields == (
-        "label", "n", "nvars", "caps", "sum_target", "mod", "shifts",
-        "signed", "parity_even", "projected")
+        "label", "n", "caps", "sum_target", "mod", "shifts", "signed",
+        "parity_even", "projected")
     assert qf.FormSpec._fields == ("form_id", "quad", "lin", "const", "denom")
 
 
 def test_replaced_domains_keep_their_fields():
     assert qf.domain_X(4)._asdict() == {
-        "label": "X(4)", "n": 4, "nvars": 4, "caps": (1, 1, 1, 1),
+        "label": "X(4)", "n": 4, "caps": (1, 1, 1, 1),
         "sum_target": 0, "mod": 4, "shifts": (1, 2, 3, 4), "signed": False,
         "parity_even": False, "projected": True}
     assert qf.domain_Z_full(3)._asdict() == {
-        "label": "Z^3", "n": 3, "nvars": 4, "caps": (4,), "sum_target": 0,
+        "label": "Z^3", "n": 3, "caps": (4,), "sum_target": 0,
         "mod": 1, "shifts": (), "signed": False, "parity_even": False,
         "projected": True}
+    assert qf.domain_X(4).nvars == qf.domain_Z_full(3).nvars == 4
 
 
 def test_repr_names_the_fields():
