@@ -27,17 +27,14 @@ class TypeCAffineElement(namedtuple("TypeCAffineElement", "n window")):
         m = 2 * n + 1
         if len(window) != n:
             raise BadLength(f"reduced window needs {n} entries")
-        classes = set()
         for v in window:
-            r = v % m
-            if r == 0:
+            if v % m == 0:
                 raise MirrorViolation(
                     f"entry {v} is 0 mod {m}, clashing with the fixed point")
-            c = min(r, m - r)
-            if c in classes:
-                raise MirrorViolation(
-                    f"entries of {window} clash up to sign mod {m}")
-            classes.add(c)
+        # x_i = w(i) - i is in DeltaC iff the w(i) are distinct up to sign
+        if not member_DeltaC(n, (v - i for i, v in enumerate(window, 1))):
+            raise MirrorViolation(
+                f"entries of {window} clash up to sign mod {m}")
         return tuple.__new__(cls, (n, window))
 
 

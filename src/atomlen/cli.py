@@ -143,7 +143,8 @@ def _cmd_core(args) -> int:
         f"multicharge {','.join(map(str, multicharge))}",
     ]
     if args.render:
-        lines.append(cores_abaci.l_abacus(lam, charges).render())
+        lines.append(cores_abaci.render_abacus(
+            cores_abaci.l_abacus(lam, charges)))
     _emit(args, payload, "\n".join(lines))
     return 0
 

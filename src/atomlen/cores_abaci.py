@@ -98,7 +98,7 @@ class BetaAbacus(namedtuple("BetaAbacus", "threshold beads")):
 def beta_set(parts: Partition, s: int) -> BetaAbacus:
     """Charged beta-set: positions part_j - j + s, j = 1, 2, ..., padded by
     every position below s - len(parts)."""
-    return l_abacus((parts,), (s,)).runners[0]
+    return l_abacus((parts,), (s,))[0]
 
 
 def partition_of(runner: BetaAbacus) -> Partition:
@@ -114,25 +114,18 @@ def is_n_core_abacus(runner: BetaAbacus, n: int) -> bool:
     return all(runner.occupied(b - n) for b in runner.beads)
 
 
-class LAbacus(namedtuple("LAbacus", "runners")):
-    """Stack of runners, bottom (index 0) to top."""
-
-    __slots__ = ()
-
-    def render(self) -> str:
-        """Top runner printed first, position ruler underneath."""
-        lo = min(r.threshold for r in self.runners) - 2
-        hi = max(r.beads[-1] if r.beads else r.threshold
-                 for r in self.runners) + 2
-        budget.check(len(self.runners) * (hi - lo + 1),
-                     what="abacus rendering")
-        width = max(len(str(p)) for p in range(lo, hi + 1))
-        rows = []
-        for runner in reversed(self.runners):
-            cells = ["O" if runner.occupied(p) else "." for p in range(lo, hi + 1)]
-            rows.append(" ".join(c.rjust(width) for c in cells))
-        ruler = " ".join(str(p).rjust(width) for p in range(lo, hi + 1))
-        return "\n".join(rows + [ruler])
+def render_abacus(runners) -> str:
+    """Top runner printed first, position ruler underneath."""
+    lo = min(r.threshold for r in runners) - 2
+    hi = max(r.beads[-1] if r.beads else r.threshold for r in runners) + 2
+    budget.check(len(runners) * (hi - lo + 1), what="abacus rendering")
+    width = max(len(str(p)) for p in range(lo, hi + 1))
+    rows = []
+    for runner in reversed(runners):
+        cells = ["O" if runner.occupied(p) else "." for p in range(lo, hi + 1)]
+        rows.append(" ".join(c.rjust(width) for c in cells))
+    ruler = " ".join(str(p).rjust(width) for p in range(lo, hi + 1))
+    return "\n".join(rows + [ruler])
 
 
 def _beta_numbers(multipartition, charges) -> list[tuple[int, list[int]]]:
@@ -149,10 +142,10 @@ def _beta_numbers(multipartition, charges) -> list[tuple[int, list[int]]]:
     return out
 
 
-def l_abacus(multipartition, charges) -> LAbacus:
-    return LAbacus(tuple(BetaAbacus(t, tuple(reversed(beads)))
-                         for t, beads in _beta_numbers(multipartition,
-                                                       charges)))
+def l_abacus(multipartition, charges) -> tuple[BetaAbacus, ...]:
+    """The runners, bottom (index 0) to top."""
+    return tuple(BetaAbacus(t, tuple(reversed(beads)))
+                 for t, beads in _beta_numbers(multipartition, charges))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +248,7 @@ def is_ns_core(multipartition, charges, n: int) -> bool:
     beads on the top runner must repeat n positions lower on the bottom."""
     if n < 2:
         raise BadLength(f"need n >= 2, got {n}")
-    runners = l_abacus(multipartition, charges).runners
+    runners = l_abacus(multipartition, charges)
     ell = len(runners)
     for j in range(ell - 1):
         below, above = runners[j], runners[j + 1]
@@ -318,13 +311,13 @@ class WeightSpec(namedtuple("WeightSpec", "n ell charges")):
                 - sum((i - 1) * v for i, v in enumerate(sp, 1)))
 
     def form(self) -> FormSpec:
-        n, ell = self.n, self.ell
-        const = -2 * ell * self.normalizing_constant()
-        if const.denominator != 1:
-            raise InvariantViolation("normalizing constant has bad denominator")
+        """2l times the polynomial: n*sum(t^2) - 2l*sum((i-1)t_i) + const,
+        const = -2l * normalizing_constant(), which vanishes at sprime."""
+        n, ell, sp = self.n, self.ell, self.sprime
+        const = (2 * ell * sum(i * v for i, v in enumerate(sp))
+                 - n * sum(v * v for v in sp))
         return FormSpec(f"Ps[n={n},l={ell}]", n,
-                        tuple(-2 * ell * (i - 1) for i in range(1, n + 1)),
-                        int(const), 2 * ell)
+                        tuple(-2 * ell * i for i in range(n)), const, 2 * ell)
 
 
 def truncated_constant_closed_form(n: int, ell: int) -> Fraction:
@@ -421,21 +414,16 @@ def granville_ono_scan(n: int, max_k: int, radius: int) -> UniversalityReport:
 # Dilation
 # ---------------------------------------------------------------------------
 
-def dilation_offset(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
 def dilation_shift(spec: WeightSpec) -> Fraction:
     """Half squared norm of (n/l)*sprime - (0, 1, ..., n-1)."""
     r = Fraction(spec.n, spec.ell)
     return Fraction(1, 2) * sum((r * s - d) ** 2
-                                for s, d in zip(spec.sprime,
-                                                dilation_offset(spec.n)))
+                                for s, d in zip(spec.sprime, range(spec.n)))
 
 
 def dilate_point(spec: WeightSpec, t) -> tuple[Fraction, ...]:
     r = Fraction(spec.n, spec.ell)
-    return tuple(r * v - d for v, d in zip(t, dilation_offset(spec.n)))
+    return tuple(r * v - d for v, d in zip(t, range(spec.n)))
 
 
 def eval_dilated(spec: WeightSpec, z) -> Fraction:
@@ -445,7 +433,7 @@ def eval_dilated(spec: WeightSpec, z) -> Fraction:
     if len(z) != spec.n:
         raise BadLength(f"need {spec.n} coordinates")
     r = Fraction(spec.n, spec.ell)
-    t = tuple((zi + d) / r for zi, d in zip(z, dilation_offset(spec.n)))
+    t = tuple((zi + d) / r for zi, d in zip(z, range(spec.n)))
     if any(v.denominator != 1 for v in t):
         raise DomainViolation(f"{z} is not on the dilated lattice")
     if not member(spec.domain(), tuple(int(v) for v in t)):

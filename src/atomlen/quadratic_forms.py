@@ -310,17 +310,18 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> tuple[dict, bool]:
     that has one; and whether the box holds every coordinate's value window
     with no minimizer clamped, so that no larger box reaches more."""
     n, S, caps = domain.nvars, domain.sum_target, domain.caps
-    # filter state: mixed radix, digit c counts the uses of class c
-    weights, w = [], 1
+    # filter state: mixed radix below W, digit c counts the uses of class c;
+    # every class at its capacity is W - 1
+    weights, W = [], 1
     for c in caps:
-        weights.append(w)
-        w *= c + 1
-    full = sum(wc * c for wc, c in zip(weights, caps))
+        weights.append(W)
+        W *= c + 1
+    full = W - 1
     # sum key of a suffix: its exact sum under a sum target, its parity
     # under parity_even, else 0; "& fold" reduces a sum to its key.  A state
     # is one int, key * W + filter state.
     fold = -1 if S is not None else (1 if domain.parity_even else 0)
-    total, W = S or 0, full + 1
+    total = S or 0
 
     # Per coordinate: its box and its least term, taken at the integer
     # nearest the continuous minimizer -B/(2A), clamped to the box.
@@ -462,6 +463,10 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
         raise DomainViolation(
             f"form {form.form_id} cannot be searched on {domain.label}: "
             f"arity {form.nvars} vs {domain.nvars} coordinates")
+    # one table per coordinate, each state a mixed-radix int of about
+    # sum(log2(cap + 1)) bits: their width is checked before any is built
+    budget.check(domain.nvars * sum(c.bit_length() + 1 for c in domain.caps),
+                 what=f"representation tables on {domain.label}")
     _, quad, lin, const, denom = form
     nums, found = {}, {}
     for k in targets:
@@ -569,8 +574,6 @@ def _certificates(form: FormSpec, domain: ConstrainedDomain, targets,
         return {}
     missed = [int(k) for k, hit in zip(targets, hits)
               if hit is None and k.denominator == 1]
-    if not missed:
-        return {}
     seen = [int(k) for k, hit in zip(targets, hits)
             if hit is not None and k.denominator == 1]
     certs = {}

@@ -112,9 +112,10 @@ def _difference_classes(family: str, e, m: int) -> dict:
               for j, y in enumerate(e) for s in signs] for x in e]
     field = {c: n + r * width for r, c in
              enumerate(sorted({c for row in moves for _, c in row}))}
+    words = -(-(n + len(field) * width) // 64)   # 64-bit words of a key
     states, work = {0: 1}, 0
     for row in moves:
-        work += len(states) * len(row)
+        work += len(states) * len(row) * words
         budget.check(work, what=f"orbit classes of {family}{n} mod {m} "
                                 f"(DP states x moves)")
         row = [(bit, bit + (1 << field[c])) for bit, c in row]

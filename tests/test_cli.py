@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomlen import cli, cores_abaci, finite_weyl, sumsets
+from atomlen import quadratic_forms as qf
 from atomlen.affine_classical import LATTICE_TAGS
 from atomlen.cli import main
 from atomlen.errors import InvariantViolation
@@ -174,6 +175,18 @@ def test_scan_target_list_over_the_budget_exits_two(capsys, monkeypatch):
     assert code == 2 and out == "" and "needs ~2100 steps" in err
     monkeypatch.setenv("ATOMLEN_BUDGET", "2100")
     assert run(capsys, *lattice)[0] == 0
+
+
+def test_scan_of_a_large_rank_exits_two_before_any_table(capsys,
+                                                         monkeypatch):
+    # a table state of Delta(20000) is a 20000-digit mixed-radix int
+    def no_tables(*args):
+        raise AssertionError("a table was built before the budget check")
+    monkeypatch.setattr(qf, "_witnesses_at_radius", no_tables)
+    code, out, err = run(capsys, "scan", "--form", "Q-delta", "--n", "20000",
+                         "--max-k", "1", "--radius", "0")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("representation tables on Delta(20000) needs")
 
 
 def test_hall_over_the_budget_exits_two(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -249,7 +250,7 @@ def test_abacus_core_test_matches_hooks(lam, s, n):
 
 def test_render_matches_worked_example_layout():
     ab = ca.l_abacus(((3, 1), (2, 1)), (0, 0))
-    lines = ab.render().splitlines()
+    lines = ca.render_abacus(ab).splitlines()
     assert lines[-1].split() == [str(p) for p in range(-4, 5)]
     # top runner (second component) printed first
     assert lines[0].split() == list("OO.O.O...")
@@ -593,6 +594,23 @@ def test_truncated_constant_closed_form_regression():
             spec = ca.WeightSpec(n, ell, tuple(range(ell)))
             assert spec.normalizing_constant() == \
                 ca.truncated_constant_closed_form(n, ell), (n, ell)
+
+
+def test_weight_forms_are_integer_data():
+    # every weight of rank n <= 7: the form's integer constant is -2l times
+    # the normalizing constant, and the polynomial vanishes at sprime
+    count = 0
+    for n in range(1, 8):
+        for ell in range(1, n + 1):
+            for charges in itertools.combinations_with_replacement(range(n),
+                                                                   ell):
+                spec = ca.WeightSpec(n, ell, charges)
+                const = spec.form().const
+                assert type(const) is int
+                assert const == -2 * ell * spec.normalizing_constant()
+                assert ca.eval_Ps(spec, spec.sprime) == 0
+                count += 1
+    assert count == 4699
 
 
 @given(st.integers(3, 8), st.data())

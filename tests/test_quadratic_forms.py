@@ -1015,6 +1015,17 @@ def test_table_over_budget_raises(monkeypatch):
     assert qf.represent(qf.form_Q(3), qf.domain_Delta(3), 1, 2) is not None
 
 
+def test_table_width_is_budgeted_before_any_table(monkeypatch):
+    # Delta(3): 3 coordinates times 3 classes of capacity 1, two bits each
+    form, dom = qf.form_Q(3), qf.domain_Delta(3)
+    monkeypatch.setenv("ATOMLEN_BUDGET", "17")
+    with pytest.raises(BudgetExceeded, match=r"^representation tables on "
+                                             r"Delta\(3\) needs ~18 steps"):
+        qf.represent(form, dom, 1, 1)
+    monkeypatch.setenv("ATOMLEN_BUDGET", "18")
+    assert qf.represent(form, dom, 1, 1) is not None
+
+
 # ---------------------------------------------------------------------------
 # The tuple-keyed table engine, kept as the differential oracle for the
 # int-keyed one in quadratic_forms: its tables and route groups are keyed by

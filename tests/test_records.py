@@ -21,6 +21,9 @@ from atomlen.finite_weyl import FiniteType, SignedPermutation
      "beads must be sorted and distinct"),
     (lambda: TypeCAffineElement(2, (1, 4)), MirrorViolation,
      "entries of (1, 4) clash up to sign mod 5"),
+    # a zero entry is reported before a clash (1 and 6 clash mod 7)
+    (lambda: TypeCAffineElement(3, (1, 6, 7)), MirrorViolation,
+     "entry 7 is 0 mod 7, clashing with the fixed point"),
     (lambda: AffineLatticeSpec("E8", 4), DomainViolation,
      "unknown affine type tag 'E8'"),
 ])

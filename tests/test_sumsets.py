@@ -332,6 +332,20 @@ def test_orbit_class_dp_is_budgeted(monkeypatch):
     assert ss.verify_sumset_equality("C", 6).equal
 
 
+def test_orbit_class_dp_counts_key_words(monkeypatch):
+    # A8 mod 100: the moves make 15 classes, so a key takes 8 + 15 * 4 = 68
+    # bits, two 64-bit words; the layers hold 1, 8, 56, 330, 1527, 5030,
+    # 10341 and 11478 states, each trying 8 moves
+    work = (1 + 8 + 56 + 330 + 1527 + 5030 + 10341 + 11478) * 8 * 2
+    monkeypatch.setenv("ATOMLEN_BUDGET", str(work - 1))
+    with pytest.raises(BudgetExceeded, match=r"orbit classes of A8 mod 100 "):
+        ss.verify_sumset_equality("A", 8, 100)
+    # at the DP's own work, the check on the ~100^7 missing vectors stops it
+    monkeypatch.setenv("ATOMLEN_BUDGET", str(work))
+    with pytest.raises(BudgetExceeded, match="missing vectors"):
+        ss.verify_sumset_equality("A", 8, 100)
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda: ss.verify_sumset_equality("A", 0), "n >= 1"),
     (lambda: ss.verify_sumset_equality("A", 3, 0), "modulus >= 1"),
