@@ -71,10 +71,10 @@ def criterion_02_diagram_commutativity():
     for _ in range(10_000):
         n = rng.randint(2, 7)
         win = _random_window(rng, n)
-        p = qf.eval_P(win, n)
-        x = qf.map_C(win, n)
+        p = qf.eval_P(win)
+        x = qf.map_C(win)
         assert qf.eval_Q(x) == p, win
-        assert qf.eval_q(qf.map_pr(x, n)) == p, win
+        assert qf.eval_q(qf.map_pr(x)) == p, win
     return "P == Q(C(y)) == q(pr(C(y))) on 10^4 random windows, n <= 7"
 
 
@@ -149,7 +149,7 @@ def criterion_07_type_c_sumsets():
         p = 2 * n + 1
         for _ in range(100):
             a = tuple(rng.randrange(p) for _ in range(n))
-            w1, w2 = ss.c_difference_witness(n, a)
+            w1, w2 = ss.c_difference_witness(a)
             assert all((x - y) % p == t for x, y, t in zip(w1, w2, a)), a
     return ("signed orbits cover the full group (n=2..7; 2n+1=9,15 are "
             "evidence for the composite-modulus conjecture, not the paper's "
@@ -254,10 +254,10 @@ def criterion_13_affine_type_c_entropy():
     while done < 1000:
         n = rng.randint(2, 6)
         x = tuple(rng.randint(-7, 7) for _ in range(n))
-        if not ac.member_DeltaC(n, x):
+        if not ac.member_DeltaC(x):
             continue
-        e = ac.from_displacement(n, x)
-        assert ap.entropy(ac.lift_to_A(e)) == ac.entropy_C(n, x), (n, x)
+        e = ac.from_displacement(x)
+        assert ap.entropy(ac.lift_to_A(e)) == ac.entropy_C(x), (n, x)
         done += 1
     return ("constrained Euclidean scans all-witness for n=4,5,6; embedding "
             "identity on 10^3 samples")

@@ -32,7 +32,7 @@ class TypeCAffineElement(namedtuple("TypeCAffineElement", "n window")):
                 raise MirrorViolation(
                     f"entry {v} is 0 mod {m}, clashing with the fixed point")
         # x_i = w(i) - i is in DeltaC iff the w(i) are distinct up to sign
-        if not member_DeltaC(n, (v - i for i, v in enumerate(window, 1))):
+        if not member_DeltaC(v - i for i, v in enumerate(window, 1)):
             raise MirrorViolation(
                 f"entries of {window} clash up to sign mod {m}")
         return tuple.__new__(cls, (n, window))
@@ -49,24 +49,26 @@ def lift_to_A(e: TypeCAffineElement) -> AffinePermutation:
     return make_affine(m, tuple(full))
 
 
-def member_DeltaC(n: int, x) -> bool:
-    """The three congruence conditions mod 2n+1 on displacement vectors."""
-    return member(domain_DeltaC(n), tuple(x))
+def member_DeltaC(x) -> bool:
+    """The three congruence conditions mod 2n+1, n = len(x), on displacement
+    vectors."""
+    x = tuple(x)
+    return member(domain_DeltaC(len(x)), x)
 
 
-def from_displacement(n: int, x) -> TypeCAffineElement:
+def from_displacement(x) -> TypeCAffineElement:
     """Element with reduced window x_i + i."""
     x = tuple(x)
-    if not member_DeltaC(n, x):
+    if not member_DeltaC(x):
         raise DomainViolation(f"{x} violates the displacement congruences")
-    return TypeCAffineElement(n, tuple(v + i for i, v in enumerate(x, 1)))
+    return TypeCAffineElement(len(x), tuple(v + i for i, v in enumerate(x, 1)))
 
 
-def entropy_C(n: int, x) -> int:
+def entropy_C(x) -> int:
     """Euclidean norm squared of the displacement vector; equals the entropy
     of the lifted rank-(2n+1) element."""
     x = tuple(x)
-    if not member_DeltaC(n, x):
+    if not member_DeltaC(x):
         raise DomainViolation(f"{x} violates the displacement congruences")
     return sum(v * v for v in x)
 
@@ -120,8 +122,8 @@ class AffineLatticeSpec(namedtuple("AffineLatticeSpec", "tag n")):
     def domain(self) -> ConstrainedDomain:
         tag, n = self.tag, self.n
         if tag == "C1":  # every coordinate even: odd class 1 has capacity 0
-            return ConstrainedDomain(f"M[{tag}]({n})", n, (n, 0), mod=2)
-        return ConstrainedDomain(f"M[{tag}]({n})", n, (n,),
+            return ConstrainedDomain(f"M[{tag}]({n})", (n, 0), mod=2)
+        return ConstrainedDomain(f"M[{tag}]({n})", (n,),
                                  parity_even=tag in ("B1", "D1", "A2odd"))
 
     def form(self) -> FormSpec:

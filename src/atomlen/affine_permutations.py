@@ -125,7 +125,7 @@ def entropy(w: AffinePermutation) -> int:
 def atomic_length_rho(w: AffinePermutation) -> int:
     """Atomic length for the sum of the fundamental weights: the window
     polynomial P at the window; agrees with entropy() on every element."""
-    return eval_P(w.window, w.n)
+    return eval_P(w.window)
 
 
 def root_lattice_vectors(n: int, max_norm: int) -> list[tuple[int, ...]]:

@@ -301,7 +301,7 @@ class WeightSpec(namedtuple("WeightSpec", "n ell charges")):
         residues = [v % ell for v in self.sprime]
         caps = tuple(map(residues.count, range(ell)))
         label = f"Ds(n={n},l={ell},s={','.join(map(str, charges))})"
-        return ConstrainedDomain(label, n, caps, sum(charges), ell)
+        return ConstrainedDomain(label, caps, sum(charges), ell)
 
     def normalizing_constant(self) -> Fraction:
         """The constant making the polynomial vanish at sprime; always
@@ -344,12 +344,13 @@ def affine_action_on_charges(word, t, ell: int) -> tuple[int, ...]:
     t = list(t)
     n = len(t)
     for g in word:
-        if g == 0:
-            t = [t[-1] - ell] + t[1:-1] + [t[0] + ell]
-        elif 1 <= g <= n - 1:
+        # s_0 moves the last coordinate to the first: rank 2 at least
+        if n < 2 or not 0 <= g < n:
+            raise BadIndex(f"generator index {g} out of range for n={n}")
+        if g:
             t[g - 1], t[g] = t[g], t[g - 1]
         else:
-            raise BadIndex(f"generator index {g} out of range for n={n}")
+            t = [t[-1] - ell] + t[1:-1] + [t[0] + ell]
     return tuple(t)
 
 
@@ -415,10 +416,9 @@ def granville_ono_scan(n: int, max_k: int, radius: int) -> UniversalityReport:
 # ---------------------------------------------------------------------------
 
 def dilation_shift(spec: WeightSpec) -> Fraction:
-    """Half squared norm of (n/l)*sprime - (0, 1, ..., n-1)."""
-    r = Fraction(spec.n, spec.ell)
-    return Fraction(1, 2) * sum((r * s - d) ** 2
-                                for s, d in zip(spec.sprime, range(spec.n)))
+    """Half squared norm of sprime's dilated point."""
+    z = dilate_point(spec, spec.sprime)
+    return Fraction(1, 2) * sum(v * v for v in z)
 
 
 def dilate_point(spec: WeightSpec, t) -> tuple[Fraction, ...]:

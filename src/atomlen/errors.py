@@ -50,8 +50,9 @@ class BudgetExceeded(AtomlenError):
 
 
 class SearchFailed(AtomlenError):
-    """A search that is guaranteed to succeed came back empty; treated as an
-    invariant violation, never as a normal outcome."""
+    """A search or identity that a theorem guarantees came back empty or
+    false: a failed theorem-backed check, not an internal error.  The CLI
+    exits 1 for it and 3 for InvariantViolation."""
 
 
 class InvariantViolation(AtomlenError):

@@ -140,15 +140,10 @@ def fundamental_weight_eps(t: FiniteType, i: int) -> tuple[Fraction, ...]:
         base = [Fraction(1)] * i + [Fraction(0)] * (n + 1 - i)
         shift = Fraction(i, n + 1)
         return tuple(b - shift for b in base)
-    if series == "B":
-        if i < n:
-            return tuple([Fraction(1)] * i + [Fraction(0)] * (n - i))
-        return tuple([Fraction(1, 2)] * n)
-    if series == "C":
+    # e_1 + ... + e_i, below the spin weights of B (i = n) and D (i >= n-1)
+    if i < {"B": n, "C": n + 1, "D": n - 1}[series]:
         return tuple([Fraction(1)] * i + [Fraction(0)] * (n - i))
-    if i <= n - 2:
-        return tuple([Fraction(1)] * i + [Fraction(0)] * (n - i))
-    if i == n - 1:
+    if series == "D" and i == n - 1:
         return tuple([Fraction(1, 2)] * (n - 1) + [Fraction(-1, 2)])
     return tuple([Fraction(1, 2)] * n)
 

@@ -79,12 +79,11 @@ _TARGET_WEIGHT = 100
 # The three equivalent forms and the maps between their domains
 # ---------------------------------------------------------------------------
 
-def eval_P(y, n: int) -> int:
+def eval_P(y) -> int:
     """Window polynomial: half sum of squares, minus position-weighted sum,
-    plus the constant that vanishes on the identity window."""
+    plus the constant that vanishes on the identity window of rank len(y)."""
     y = tuple(y)
-    if len(y) != n:
-        raise BadLength(f"expected {n} coordinates, got {len(y)}")
+    n = len(y)
     num = 6 * sum(v * v for v in y) - 12 * sum(i * v for i, v in enumerate(y, 1))
     num += n * (n + 1) * (2 * n + 1)
     q, r = divmod(num, 12)
@@ -106,32 +105,35 @@ def eval_q(x) -> int:
     return num // 2  # sum(x^2) == sum(x) mod 2, so num is even
 
 
-def map_C(y, n: int) -> tuple[int, ...]:
+def map_C(y) -> tuple[int, ...]:
     """Shift a window vector to its zero-sum displacement vector."""
     y = tuple(y)
-    if not member(domain_D(n), y):
-        raise DomainViolation(f"{y} is not a window vector of rank {n}")
+    if not member(domain_D(len(y)), y):
+        raise DomainViolation(f"{y} is not a window vector of rank {len(y)}")
     return tuple(v - i for i, v in enumerate(y, 1))
 
 
-def map_C_inv(x, n: int) -> tuple[int, ...]:
+def map_C_inv(x) -> tuple[int, ...]:
     x = tuple(x)
-    if not member(domain_Delta(n), x):
-        raise DomainViolation(f"{x} is not a valid displacement vector, rank {n}")
+    if not member(domain_Delta(len(x)), x):
+        raise DomainViolation(
+            f"{x} is not a valid displacement vector, rank {len(x)}")
     return tuple(v + i for i, v in enumerate(x, 1))
 
 
-def map_pr(x, n: int) -> tuple[int, ...]:
+def map_pr(x) -> tuple[int, ...]:
     """Drop the last coordinate (it is minus the sum of the others)."""
     x = tuple(x)
-    if not member(domain_Delta(n), x):
-        raise DomainViolation(f"{x} is not a valid displacement vector, rank {n}")
+    if not member(domain_Delta(len(x)), x):
+        raise DomainViolation(
+            f"{x} is not a valid displacement vector, rank {len(x)}")
     return x[:-1]
 
 
-def map_pr_inv(x, n: int) -> tuple[int, ...]:
+def map_pr_inv(x) -> tuple[int, ...]:
+    """Append the forced last coordinate: rank len(x) + 1."""
     x = tuple(x)
-    if not member(domain_X(n), x):
+    if not member(domain_X(len(x) + 1), x):
         raise DomainViolation(f"{x} fails the projected congruence conditions")
     return x + (-sum(x),)
 
@@ -141,7 +143,7 @@ def map_pr_inv(x, n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 class ConstrainedDomain(namedtuple(
-        "ConstrainedDomain", "label n caps sum_target mod shifts signed "
+        "ConstrainedDomain", "label caps sum_target mod shifts signed "
         "parity_even projected",
         defaults=(None, 1, (), False, False, False))):
     """A decidable subset of an integer lattice, in the form the search
@@ -166,7 +168,7 @@ class ConstrainedDomain(namedtuple(
 
 
 def _distinct(label, n, sum_target, shifts):
-    return ConstrainedDomain(label, n, (1,) * n, sum_target, n, shifts)
+    return ConstrainedDomain(label, (1,) * n, sum_target, n, shifts)
 
 
 def domain_D(n: int) -> ConstrainedDomain:
@@ -182,17 +184,16 @@ def domain_X(n: int) -> ConstrainedDomain:
 
 
 def domain_Q_full(n: int) -> ConstrainedDomain:
-    return ConstrainedDomain(f"Q_full({n})", n, (n,), 0)
+    return ConstrainedDomain(f"Q_full({n})", (n,), 0)
 
 
 def domain_Z_full(dim: int) -> ConstrainedDomain:
-    return domain_Q_full(dim + 1)._replace(label=f"Z^{dim}", n=dim,
-                                           projected=True)
+    return domain_Q_full(dim + 1)._replace(label=f"Z^{dim}", projected=True)
 
 
 def domain_DeltaC(n: int) -> ConstrainedDomain:
     # class 0 (the fixed point of the mirror) is excluded
-    return ConstrainedDomain(f"DeltaC({n})", n, (0,) + (1,) * n,
+    return ConstrainedDomain(f"DeltaC({n})", (0,) + (1,) * n,
                              mod=2 * n + 1, shifts=tuple(range(1, n + 1)),
                              signed=True)
 
@@ -679,5 +680,5 @@ def universality_scan(form: FormSpec, domain: ConstrainedDomain, max_k: int,
                else ReportEntry(k, "obstructed", None, *certs[k]) if k in certs
                else ReportEntry(k, "not-found")
                for k, hit in zip(targets, hits)]
-    return UniversalityReport(form.form_id, domain.label, domain.n, max_k,
-                              radius, grid, tuple(entries), min_k)
+    return UniversalityReport(form.form_id, domain.label, domain.dim(),
+                              max_k, radius, grid, tuple(entries), min_k)

@@ -198,9 +198,9 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def c_difference_witness(n: int, a) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Write a in (Z/pZ)^n, p = 2n+1 prime, as w1 - w2 with both factors in
-    the signed-permutation orbit of (1, ..., n).
+def c_difference_witness(a) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Write a in (Z/pZ)^n, n = len(a) and p = 2n+1 prime, as w1 - w2 with
+    both factors in the signed-permutation orbit of (1, ..., n).
 
     The orbit consists exactly of the vectors with nonzero, pairwise
     +/- distinct coordinates, so it is enough to backtrack over x with
@@ -208,36 +208,34 @@ def c_difference_witness(n: int, a) -> tuple[tuple[int, ...], tuple[int, ...]]:
     A failure would contradict the existence theorem, so it raises.  Every
     dead end of the search counts against the budget.
     """
+    n = len(a)
     p = 2 * n + 1
     if not is_prime(p):
         raise NotPrime(f"2n+1 = {p} is not prime")
     a = tuple(v % p for v in a)
-    if len(a) != n:
-        raise BadLength(f"need {n} coordinates, got {len(a)}")
 
     x = [0] * n
     used_x = bytearray(p)   # +/- classes 1..n
     used_y = bytearray(p)
     dead_ends = 0
 
-    def cls(v: int) -> int:
-        return min(v, p - v)
-
     def rec(i: int) -> bool:
         nonlocal dead_ends
         if i == n:
             return True
         for v in range(1, p):
-            if used_x[cls(v)]:
+            cv = _class("C", v, p)
+            if used_x[cv]:
                 continue
             w = (v - a[i]) % p
-            if w == 0 or used_y[cls(w)]:
+            cw = _class("C", w, p)
+            if w == 0 or used_y[cw]:
                 continue
-            used_x[cls(v)] = used_y[cls(w)] = 1
+            used_x[cv] = used_y[cw] = 1
             x[i] = v
             if rec(i + 1):
                 return True
-            used_x[cls(v)] = used_y[cls(w)] = 0
+            used_x[cv] = used_y[cw] = 0
         dead_ends += 1
         if not dead_ends & 1023:
             budget.check(dead_ends, what=f"difference witness mod {p} "

@@ -32,27 +32,27 @@ def test_reduced_window_validation():
 
 
 def test_member_deltaC_examples():
-    assert ac.member_DeltaC(3, (0, 0, 0))
-    assert not ac.member_DeltaC(2, (0, 3))    # x2 + 2 = 5 = 0 mod 5
-    assert not ac.member_DeltaC(2, (0, 2))    # classes +/-2 clash
-    assert ac.member_DeltaC(2, (0, 1))
+    assert ac.member_DeltaC((0, 0, 0))
+    assert not ac.member_DeltaC((0, 3))    # x2 + 2 = 5 = 0 mod 5
+    assert not ac.member_DeltaC((0, 2))    # classes +/-2 clash
+    assert ac.member_DeltaC((0, 1))
 
 
 def test_entropy_C_examples():
-    assert ac.entropy_C(4, (0, 0, 0, 0)) == 0
-    assert ac.entropy_C(2, (0, 1)) == 1
+    assert ac.entropy_C((0, 0, 0, 0)) == 0
+    assert ac.entropy_C((0, 1)) == 1
     with pytest.raises(DomainViolation):
-        ac.entropy_C(2, (0, 3))
+        ac.entropy_C((0, 3))
 
 
 @given(st.integers(2, 5), st.data())
 @settings(max_examples=80)
 def test_entropy_matches_lifted_entropy(n, data):
     x = tuple(data.draw(st.integers(-6, 6)) for _ in range(n))
-    if not ac.member_DeltaC(n, x):
+    if not ac.member_DeltaC(x):
         return
-    e = ac.from_displacement(n, x)
-    assert ap.entropy(ac.lift_to_A(e)) == ac.entropy_C(n, x)
+    e = ac.from_displacement(x)
+    assert ap.entropy(ac.lift_to_A(e)) == ac.entropy_C(x)
 
 
 def test_scan_deltaC_small():
@@ -60,8 +60,8 @@ def test_scan_deltaC_small():
     assert rep.all_witnessed
     assert rep.entries[0].witness == (0, 0, 0, 0)
     for e in rep.entries:
-        assert ac.member_DeltaC(4, e.witness)
-        assert ac.entropy_C(4, e.witness) == e.target
+        assert ac.member_DeltaC(e.witness)
+        assert ac.entropy_C(e.witness) == e.target
 
 
 def test_lattice_membership_and_norms():

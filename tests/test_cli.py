@@ -420,6 +420,11 @@ def test_scan_misses_below_the_theorem_rank_exit_zero(capsys, argv,
     assert f"witnesses {witnessed}" in out
 
 
+def test_scan_lattice_needs_a_type(capsys):
+    assert run(capsys, "scan", "--form", "lattice", "--n", "4", "--max-k",
+               "5", "--radius", "3") == (2, "", "form lattice needs --type\n")
+
+
 def test_scan_ps_needs_ell(capsys):
     code, _, err = run(capsys, "scan", "--form", "Ps", "--n", "5", "--max-k",
                        "5", "--radius", "10")
@@ -490,6 +495,14 @@ def test_internal_error_is_exit_three(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err == ("atomlen entropy: internal error: RuntimeError: "
                    "unexpected state\n")
+
+
+def test_failed_entropy_identity_is_exit_one(capsys, monkeypatch):
+    # a theorem-backed check that fails is a verdict (exit 1), not a bug
+    monkeypatch.setattr(cli.affine_permutations, "atomic_length_rho",
+                        lambda w: 5)
+    assert run(capsys, "entropy", "--n", "2", "--window", "3,0") == (
+        1, "", "entropy 4 differs from atomic length 5\n")
 
 
 def test_broken_invariant_is_exit_three(capsys, monkeypatch):

@@ -281,6 +281,13 @@ def test_phi_on_trivial_stack():
     assert not ca.is_ns_core(((), (), ()), (1, 0, 2), 4)
 
 
+def test_ns_core_wraps_from_the_top_runner_to_the_bottom():
+    # charges 0 and 5 leave the bottom runner's first gap more than n = 2
+    # below the top one's, so the top's beads do not repeat n lower
+    assert not ca.is_ns_core(((), ()), (0, 5), 2)
+    assert ca.ns_core_of(((), ()), (0, 5), 2) == ((((), ()), (2, 3)), (3, 2))
+
+
 @st.composite
 def charged_multipartitions(draw):
     ell = draw(st.integers(1, 4))
@@ -541,7 +548,7 @@ def test_rho_charges_reduce_to_window_polynomial(nw):
     n, win = nw
     spec = ca.WeightSpec(n, n, tuple(range(n)))
     t = tuple(v - 1 for v in win)
-    assert ca.eval_Ps(spec, t) == qf.eval_P(win, n)
+    assert ca.eval_Ps(spec, t) == qf.eval_P(win)
     assert ca.eval_Ps(spec, t) == ap.entropy(ap.make_affine(n, win))
 
 
@@ -555,6 +562,15 @@ def test_affine_action_examples():
     assert ca.affine_action_on_charges((1,), (0, 6, 7), 2) == (6, 0, 7)
     with pytest.raises(BadIndex):
         ca.affine_action_on_charges((3,), (0, 6, 7), 2)
+
+
+@pytest.mark.parametrize("t", [(0,), ()])
+def test_affine_action_has_no_s0_below_rank_two(t):
+    # s_0 exchanges the first and last coordinates, so it needs two
+    with pytest.raises(BadIndex, match=f"generator index 0 out of range "
+                                       f"for n={len(t)}"):
+        ca.affine_action_on_charges((0,), t, 1)
+    assert ca.affine_action_on_charges((), t, 1) == t
 
 
 @given(weight_specs(), st.data())

@@ -1,6 +1,9 @@
 """The library's records are immutable named tuples: validated ones check
 their arguments on construction, every one is built by position or keyword,
 keeps its defaults, refuses field assignment and prints as Name(field=...)."""
+import ast
+import inspect
+
 import pytest
 
 from atomlen import quadratic_forms as qf
@@ -60,30 +63,43 @@ def test_keyword_construction_and_defaults():
     report = qf.UniversalityReport(form="Q", domain="Delta(3)", n=3, max_k=0,
                                    radius=1, grid="int", entries=(entry,))
     assert report.min_k == 0 and report.misses == (entry,)
-    domain = qf.ConstrainedDomain("L", 2, (2,))
+    domain = qf.ConstrainedDomain("L", (2,))
     assert (domain.sum_target, domain.mod, domain.shifts, domain.signed,
             domain.parity_even, domain.projected) == (
         None, 1, (), False, False, False)
     # each record reads its coordinate count off its data
     assert domain.nvars == qf.FormSpec("Q", 1, (0, 0), 0, 2).nvars == 2
-    # every scan record field is a decision the engine reads: pinned, so
-    # that a new one is reviewed
+    # pinned, so that a new field is reviewed (and read: see below)
     assert qf.ConstrainedDomain._fields == (
-        "label", "n", "caps", "sum_target", "mod", "shifts", "signed",
+        "label", "caps", "sum_target", "mod", "shifts", "signed",
         "parity_even", "projected")
     assert qf.FormSpec._fields == ("form_id", "quad", "lin", "const", "denom")
 
 
 def test_replaced_domains_keep_their_fields():
     assert qf.domain_X(4)._asdict() == {
-        "label": "X(4)", "n": 4, "caps": (1, 1, 1, 1),
+        "label": "X(4)", "caps": (1, 1, 1, 1),
         "sum_target": 0, "mod": 4, "shifts": (1, 2, 3, 4), "signed": False,
         "parity_even": False, "projected": True}
     assert qf.domain_Z_full(3)._asdict() == {
-        "label": "Z^3", "n": 3, "caps": (4,), "sum_target": 0,
+        "label": "Z^3", "caps": (4,), "sum_target": 0,
         "mod": 1, "shifts": (), "signed": False, "parity_even": False,
         "projected": True}
     assert qf.domain_X(4).nvars == qf.domain_Z_full(3).nvars == 4
+
+
+def test_every_domain_field_is_read_by_the_engine():
+    # membership, classes, search, witness checks and certificates read a
+    # domain as `domain.<field>`; a field none of them reads decides nothing
+    read = set()
+    for fn in (qf._membership, qf._classes, qf._witnesses_at_radius,
+               qf.represent_all, qf._certificates):
+        read |= {node.attr for node in ast.walk(ast.parse(
+                     inspect.getsource(fn)))
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id == "domain"}
+    assert set(qf.ConstrainedDomain._fields) <= read
 
 
 def test_repr_names_the_fields():

@@ -154,12 +154,12 @@ def test_certificate_serialization():
 
 
 def test_c_difference_witness_examples():
-    w1, w2 = ss.c_difference_witness(3, (0, 0, 0))
+    w1, w2 = ss.c_difference_witness((0, 0, 0))
     assert w1 == w2
-    w1, w2 = ss.c_difference_witness(3, (1, 1, 1))
+    w1, w2 = ss.c_difference_witness((1, 1, 1))
     assert all((x - y) % 7 == 1 for x, y in zip(w1, w2))
     with pytest.raises(NotPrime):
-        ss.c_difference_witness(4, (0, 0, 0, 0))
+        ss.c_difference_witness((0, 0, 0, 0))
 
 
 def test_c_difference_witness_random_targets():
@@ -169,7 +169,7 @@ def test_c_difference_witness_random_targets():
         orbit = orbit_closure("C", n, p)
         for _ in range(40):
             a = tuple(rng.randrange(p) for _ in range(n))
-            w1, w2 = ss.c_difference_witness(n, a)
+            w1, w2 = ss.c_difference_witness(a)
             assert all((x - y) % p == t for x, y, t in zip(w1, w2, a))
             assert w1 in orbit and w2 in orbit
 
@@ -389,9 +389,9 @@ def test_hall_exchange_steps_are_budgeted(monkeypatch):
 def test_backtracking_dead_ends_are_budgeted(monkeypatch):
     monkeypatch.setenv("ATOMLEN_BUDGET", "1000")
     with pytest.raises(BudgetExceeded, match="difference witness mod 17"):
-        ss.c_difference_witness(8, C_HARD)
+        ss.c_difference_witness(C_HARD)
     monkeypatch.delenv("ATOMLEN_BUDGET")
-    w1, w2 = ss.c_difference_witness(8, C_HARD)
+    w1, w2 = ss.c_difference_witness(C_HARD)
     assert all((x - y) % 17 == t for x, y, t in zip(w1, w2, C_HARD))
 
 
