@@ -28,8 +28,11 @@ suffix fills with one test and cuts a group by bisection to the sums a
 prefix can complete.  Tables are built over an increasing radius schedule
 1, 2, 4, ..., R, each for the targets still missing, so small witnesses are
 found first while "not found" still certifies exhaustion of the full
-radius-R box.  The schedule stops at a box that holds every value window
-with no minimizer clamped: a larger box lists the same candidates.
+radius-R box.  A target leaves the schedule once it is witnessed, once a
+box holds its whole value window with no minimizer clamped (its numerator
+is at most the box's closure bound, so no larger box reaches it), or, just
+before the last radius, once q's residue tables certify it; a scan whose
+misses are all settled so never builds its widest table.
 
 Misses cost one bit test.  Folding the first coordinate's candidates into
 the table of the other coordinates gives one reachability row: the bitset
@@ -42,11 +45,11 @@ first), and each candidate takes, with one AND, every remaining offset its
 next state still reaches.  So each target takes the first vector in the
 lexicographic spiral order, the one a depth-first search in that order
 finds first, and witnesses are deterministic.  The tables are exact, so a
-target left without a value would raise InvariantViolation.  Integer
-targets are turned into table offsets in plain integers; Fraction
-arithmetic is kept for targets on the half grid.  A miss takes q's residue
-classes only when quad = 1, denom = 2, lin = -2c with c integral,
-const = |c|^2 and the domain's sum target is sum(c); labels decide nothing.
+target left without a value would raise InvariantViolation.  Every target,
+int or on the half grid, becomes its numerator denom*k - const in plain
+integers, held by list position.  A miss takes q's residue classes only
+when quad = 1, denom = 2, lin = -2c with c integral, const = |c|^2 and the
+domain's sum target is sum(c); labels decide nothing.
 """
 from __future__ import annotations
 
@@ -59,7 +62,8 @@ from math import isqrt
 from operator import mul
 
 from . import budget
-from .errors import BadLength, DomainViolation, InvariantViolation
+from .errors import (BadLength, BudgetExceeded, DomainViolation,
+                     InvariantViolation)
 
 S290 = frozenset({1, 2, 3, 5, 6, 7, 10, 13, 14, 15, 17, 19, 21, 22, 23, 26,
                   29, 30, 31, 34, 35, 37, 42, 58, 93, 110, 145, 203, 290})
@@ -305,11 +309,38 @@ def _radius_schedule(radius: int) -> list[int]:
     return out + [radius]
 
 
+@lru_cache(maxsize=16)  # read by the engine and by represent_all's stop rule
+def _boxes(A, B, domain, radius):
+    """Per coordinate (lo, hi, center, low): its box and its least term,
+    taken at the integer nearest the continuous minimizer -B/(2A), clamped
+    to the box; the sum of the least terms; and the closure bound, the
+    largest K whose every coordinate value window lies inside its box (None
+    when a minimizer is clamped).  The window of K holds the values v with
+    |2Av + B| <= s = isqrt(4A(K - base + low) + B^2), so it lies inside
+    [lo, hi] while s <= smax = min(2A(hi + 1) + B - 1, 2A(1 - lo) - B - 1):
+    up to K = base + ((smax + 1)^2 - 1 - B^2) // 4A - low.  No vector of
+    value K <= bound lies outside the box, however large."""
+    n, S = domain.nvars, domain.sum_target
+    boxes, base, clamped, room = [], 0, False, []
+    for i, b in enumerate(B):
+        last = domain.projected and i == n - 1  # forced: S -/+ i * radius
+        lo, hi = (S - i * radius, S + i * radius) if last else (-radius, radius)
+        center = (A - b) // (2 * A)
+        v = min(max(center, lo), hi)
+        clamped |= v != center
+        low = A * v * v + b * v
+        base += low
+        boxes.append((lo, hi, center, low))
+        smax = min(2 * A * (hi + 1) + b - 1, 2 * A * (1 - lo) - b - 1)
+        room.append(((smax + 1) ** 2 - 1 - b * b) // (4 * A) - low)
+    return tuple(boxes), base, None if clamped or not room else base + min(room)
+
+
 def _witnesses_at_radius(A, B, targets, domain, radius) -> tuple[dict, bool]:
     """First full vector of the domain, in the fixed search order, with
     A*sum(t^2) + sum(B*t) == K inside the radius box, for every K in targets
-    that has one; and whether the box holds every coordinate's value window
-    with no minimizer clamped, so that no larger box reaches more."""
+    that has one; and whether every target is at most the closure bound, so
+    that no larger box reaches more."""
     n, S, caps = domain.nvars, domain.sum_target, domain.caps
     # filter state: mixed radix below W, digit c counts the uses of class c;
     # every class at its capacity is W - 1
@@ -324,21 +355,11 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> tuple[dict, bool]:
     fold = -1 if S is not None else (1 if domain.parity_even else 0)
     total = S or 0
 
-    # Per coordinate: its box and its least term, taken at the integer
-    # nearest the continuous minimizer -B/(2A), clamped to the box.
-    boxes, base, clamped = [], 0, False
-    for i in range(n):
-        last = domain.projected and i == n - 1  # forced: S -/+ i * radius
-        lo, hi = (S - i * radius, S + i * radius) if last else (-radius, radius)
-        center = (A - B[i]) // (2 * A)
-        v = min(max(center, lo), hi)
-        clamped |= v != center
-        low = A * v * v + B[i] * v
-        base += low
-        boxes.append((lo, hi, center, low))
+    boxes, base, bound = _boxes(A, B, domain, radius)
     top = max(targets) - base
+    closed = bound is not None and top + base <= bound
     if top < 0:
-        return {}, not clamped
+        return {}, closed
     mask = (2 << top) - 1
 
     # Per coordinate, in spiral order (outward from the minimizer, positive
@@ -347,14 +368,12 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> tuple[dict, bool]:
     # i.e. |2Av + B| <= isqrt(4A(top + low) + B^2).  by_class[i] groups the
     # same values by class, in increasing order, with the state step each
     # adds: v * W under a sum target; else 0, the group sharing v & fold.
-    rows, by_class, closed = [], [], not clamped
+    rows, by_class = [], []
     shifts, step = domain.shifts or (0,) * n, W if S is not None else 0
     for i, (lo, hi, center, low) in enumerate(boxes):
         b, a2 = B[i], 2 * A
         s = isqrt(2 * a2 * (top + low) + b * b)
-        wlo, whi = -((s + b) // a2), (s - b) // a2
-        closed &= lo <= wlo and whi <= hi
-        vals = range(max(lo, wlo), min(hi, whi) + 1)
+        vals = range(max(lo, -((s + b) // a2)), min(hi, (s - b) // a2) + 1)
         cs = _classes(domain, vals, repeat(shifts[i]))
         row = [(v, A * v * v + b * v - low, weights[c], caps[c])
                for v, c in zip(vals, cs) if caps[c]]
@@ -444,6 +463,26 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> tuple[dict, bool]:
 # Pairing forms with domains
 # ---------------------------------------------------------------------------
 
+def _numerators(form: FormSpec, targets) -> list:
+    """denom*k - const of each target k, in plain integers: the quotient of
+    denom*k.numerator - const*k.denominator by k.denominator.  None for a
+    negative target or a nonzero remainder: a miss that needs no search."""
+    _, _, _, const, denom = form
+    out = []
+    for k in targets:
+        p, q = k.numerator, k.denominator
+        K, rem = ((denom * p - const, 0) if q == 1
+                  else divmod(denom * p - const * q, q))
+        out.append(None if rem or p < 0 else K)
+    return out
+
+
+def _ints(form: FormSpec, nums) -> list:
+    """The integer targets (K + const) / denom among the numerators K."""
+    _, _, _, const, denom = form
+    return [(K + const) // denom for K in nums if (K + const) % denom == 0]
+
+
 def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
                   radius: int) -> list:
     """Witness or None for each target, in order: the first domain vector in
@@ -452,8 +491,12 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
     Targets may be ints or Fractions; negative ones and those whose scaled
     value denom*k - const is not an integer are misses without a search.
     Each radius of the schedule routes only the targets on its reachability
-    row, and it stops at a box that holds every value window.  None is not
-    a proof of non-representability, only exhaustion of the radius box.
+    row.  A target unfound at a radius leaves the schedule when its
+    numerator is at most that box's closure bound (see _boxes); before the
+    last radius, so do the pending integer targets that _certificates
+    excludes, given the witnesses found so far (a residue table over the
+    budget leaves them pending).  None is not a proof of
+    non-representability, only exhaustion of the radius box.
     Every witness is re-evaluated in integers (its numerator must be
     denom*k) and member-checked; a projected domain's witness then drops
     its forced last coordinate.
@@ -469,25 +512,30 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
     budget.check(domain.nvars * sum(c.bit_length() + 1 for c in domain.caps),
                  what=f"representation tables on {domain.label}")
     _, quad, lin, const, denom = form
-    nums, found = {}, {}
-    for k in targets:
-        knum = denom * k - const
-        if k >= 0 and knum.denominator == 1:
-            nums[k] = int(knum)
+    nums = _numerators(form, targets)
+    pending, found = {K for K in nums if K is not None}, {}
     for r in _radius_schedule(radius):
-        pending = set(nums.values()) - found.keys()
+        if pending and r == radius > 1:
+            try:
+                certs = _certificates(form, domain, _ints(form, pending),
+                                      _ints(form, found))
+            except BudgetExceeded:
+                certs = {}  # left to the scan's walk after the search
+            pending -= {denom * k - const for k in certs}
         if not pending:
             break
-        witnesses, closed = _witnesses_at_radius(quad, lin, pending, domain, r)
+        witnesses, _ = _witnesses_at_radius(quad, lin, pending, domain, r)
         found.update(witnesses)
-        if closed:
-            break
+        pending -= witnesses.keys()
+        bound = _boxes(quad, lin, domain, r)[2]
+        if bound is not None:
+            pending = {K for K in pending if K > bound}
     hits, projected, is_member = [], domain.projected, _membership(domain)
-    for k in targets:
-        hit = found.get(nums.get(k))
+    for k, K in zip(targets, nums):
+        hit = found.get(K)
         if hit is not None:
             if (len(hit) != len(lin) or quad * sum(map(mul, hit, hit))
-                    + sum(map(mul, lin, hit)) != nums[k]):
+                    + sum(map(mul, lin, hit)) != K):
                 raise InvariantViolation(
                     f"witness {hit} evaluates to {form.evaluate(hit)}, "
                     f"wanted {k}")
@@ -553,30 +601,27 @@ def attained_classes(arity: int, m: int) -> frozenset[int]:
     return frozenset(c for c in range(m) if acc >> c & 1)
 
 
-def _certificates(form: FormSpec, domain: ConstrainedDomain, targets,
-                  hits) -> dict:
-    """{k: (m, k mod m)} for each missed integer target k, m the first
-    modulus of DEFAULT_OBSTRUCTION_MODULI that certifies k.
+def _certificates(form: FormSpec, domain: ConstrainedDomain, missed,
+                  seen) -> dict:
+    """{k: (m, k mod m)} for each integer k of missed that a modulus of
+    DEFAULT_OBSTRUCTION_MODULI certifies, m the first that does; seen are
+    the witnessed integer targets.
 
     The ground, in the data: quad 1, lin = -2c, const = |c|^2 and denom 2
     make the form |t - c|^2/2 (as for P, Q and q); on a domain of sum_target
     sum(c), x = t - c sums to zero and |x|^2/2 is q of x's first nvars - 1
     coordinates, so a class q misses is missed by the pair.  No other pair,
     whatever its label, is certified, nor any from four variables on, where
-    q attains every class.  The moduli are walked once: at each, the misses
-    still open whose class no witnessed integer target attains read its
-    table (a witness is a value of q, so its class is attained), and those
-    the table excludes are certified at m.  A table over the budget raises
-    BudgetExceeded instead of being skipped.
+    q attains every class.  So no box, however large, holds a certified k.
+    The moduli are walked once: at each, the misses still open whose class
+    no k of seen attains read its table (a witness is a value of q, so its
+    class is attained), and those the table excludes are certified at m.  A
+    table over the budget raises BudgetExceeded instead of being skipped.
     """
     c, arity = [-b // 2 for b in form.lin], form.nvars - 1
     if (form[1:] != (1, tuple(-2 * v for v in c), sum(v * v for v in c), 2)
             or arity >= 4 or domain.sum_target != sum(c)):
         return {}
-    missed = [int(k) for k, hit in zip(targets, hits)
-              if hit is None and k.denominator == 1]
-    seen = [int(k) for k, hit in zip(targets, hits)
-            if hit is not None and k.denominator == 1]
     certs = {}
     for m in DEFAULT_OBSTRUCTION_MODULI:
         if not missed:
@@ -642,7 +687,8 @@ class UniversalityReport(namedtuple(
         for e in self.entries:
             k = _target_json(e.target)
             if e.status == "witness":
-                lines.append(f"k={k} witness {','.join(map(str, e.witness))}")
+                lines.append(f"k={k} witness {','.join(map(str, e.witness))}"
+                             .rstrip())
             elif e.status == "obstructed":
                 lines.append(f"k={k} obstructed mod={e.modulus} "
                              f"class={e.residue}")
@@ -675,7 +721,11 @@ def universality_scan(form: FormSpec, domain: ConstrainedDomain, max_k: int,
     else:
         targets = list(range(min_k, max_k + 1))
     hits = represent_all(form, domain, targets, radius)
-    certs = _certificates(form, domain, targets, hits)
+    missed = [int(k) for k, hit in zip(targets, hits)
+              if hit is None and k.denominator == 1]
+    seen = [int(k) for k, hit in zip(targets, hits)
+            if hit is not None and k.denominator == 1]
+    certs = _certificates(form, domain, missed, seen)
     entries = [ReportEntry(k, "witness", hit) if hit is not None
                else ReportEntry(k, "obstructed", None, *certs[k]) if k in certs
                else ReportEntry(k, "not-found")

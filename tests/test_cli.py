@@ -343,6 +343,18 @@ def test_scan_text_stability(capsys):
     assert "k=2 obstructed mod=3 class=2" in out1
 
 
+def test_an_empty_witness_line_has_no_trailing_space(capsys):
+    # q-free at n = 1 scans Z^0, whose one vector is empty
+    args = ("scan", "--form", "q-free", "--n", "1", "--max-k", "1",
+            "--radius", "1")
+    code, out, _ = run(capsys, *args)
+    assert out.splitlines()[1] == "k=0 witness"
+    code_json, doc, _ = run(capsys, *args, "--json")
+    assert code == code_json
+    assert json.loads(doc)["entries"][0] == {"k": 0, "status": "witness",
+                                             "witness": []}
+
+
 def test_scan_guaranteed_rank_exit_zero(capsys):
     code, out, _ = run(capsys, "scan", "--form", "Q-delta", "--n", "5",
                        "--max-k", "15", "--radius", "20")

@@ -1026,6 +1026,174 @@ def test_table_width_is_budgeted_before_any_table(monkeypatch):
     assert qf.represent(form, dom, 1, 1) is not None
 
 
+def _record_searches(monkeypatch):
+    """(radius, pending numerators) of each _witnesses_at_radius call of
+    represent_all, filled as they run."""
+    searched, witnesses_at_radius = [], qf._witnesses_at_radius
+
+    def recorded(A, B, pending, domain, r):
+        searched.append((r, set(pending)))
+        return witnesses_at_radius(A, B, pending, domain, r)
+
+    monkeypatch.setattr(qf, "_witnesses_at_radius", recorded)
+    return searched
+
+
+def _window_numerators(form, dom, lit, top):
+    """A*sum(t^2) + sum(B*t) of every domain vector (literal test lit) whose
+    value is at most top: such a vector has each term within top - base of
+    its least value over the integers, so listing those coordinate values
+    (the last one forced by a sum target) lists it."""
+    A, B, S = form.quad, form.lin, dom.sum_target
+    lows = [min(A * v * v + b * v for v in (-b // (2 * A), -b // (2 * A) + 1))
+            for b in B]
+    room = top - sum(lows)
+    reach = math.isqrt(max(room, 0) // A) + 1
+    windows = [[v for v in range(-b // (2 * A) - reach,
+                                 -b // (2 * A) + reach + 2)
+                if A * v * v + b * v - low <= room]
+               for b, low in zip(B, lows)]
+    values = set()
+    for v in itertools.product(*(windows[:-1] if S is not None else windows)):
+        t = v + (S - sum(v),) if S is not None else v
+        if lit(t[:dom.dim()]):
+            values.add(form.numerator(t) - form.const)
+    return values
+
+
+# (form, domain, literal test, radius, targets, whether misses are certified)
+# on D, Delta, a projected domain, Ds, DeltaC and the A2even half grid
+STOP_RULE_CASES = {
+    "D4": (qf.form_P(4), qf.domain_D(4), literal(qf.domain_D, 4), 30,
+           range(201), True),
+    "Delta3": (qf.form_Q(3), qf.domain_Delta(3), literal(qf.domain_Delta, 3),
+               30, range(201), True),
+    "Z3": (qf.form_q(3), qf.domain_Z_full(3), literal(qf.domain_Z_full, 3),
+           12, range(201), True),
+    "Ds": (DS.form(), DS.domain(), literal(domain_Ds, 4, 2, (0, 0)), 30,
+           range(101), False),
+    "DeltaC3": (qf.form_euclidean(3), qf.domain_DeltaC(3),
+                literal(qf.domain_DeltaC, 3), 30, range(151), False),
+    "A2even": (AffineLatticeSpec("A2even", 3).form(),
+               lattice_domain("A2even", 3),
+               literal(lattice_domain, "A2even", 3), 30,
+               [Fraction(j, 2) for j in range(161)], False),
+}
+
+
+@pytest.mark.parametrize("case", STOP_RULE_CASES)
+def test_dropped_targets_have_no_vector_in_their_window(case, monkeypatch):
+    # a target leaves the schedule unfound when the radius box holds its
+    # whole value window (closed) or when q's residue tables exclude it
+    # (certified): a brute-force listing of the windows must not reach it
+    form, dom, lit, radius, targets, certified = STOP_RULE_CASES[case]
+    targets = list(targets)
+    full = _full_schedule(form, dom, targets, radius)
+    searched = _record_searches(monkeypatch)
+    hits = qf.represent_all(form, dom, targets, radius)
+    assert hits == full
+    nums = qf._numerators(form, targets)
+    unfound = searched[0][1] - {K for K, hit in zip(nums, hits) if hit}
+    kept = searched[-1][1] if searched[-1][0] == radius else set()
+    dropped = unfound - kept
+    assert dropped
+    assert not dropped & _window_numerators(form, dom, lit, max(dropped))
+    # those never at or below a bound of a radius that searched them were
+    # certified before the last radius
+    bounds = {r: qf._boxes(form.quad, form.lin, dom, r)[2]
+              for r, _ in searched}
+    closed = {K for K in dropped for r, pending in searched
+              if K in pending and bounds[r] is not None and K <= bounds[r]}
+    assert bool(dropped - closed) == certified
+
+
+def test_the_scans_that_settle_their_misses_early_skip_the_last_radii(
+        monkeypatch):
+    # Q on Delta(4) and P on D(4): every miss left after radius 32 (16) is
+    # closed or certified, so radius 40 (30) is not built; q on Z^3 runs
+    # radius 20 for its one miss, 224, that no modulus certifies and radius
+    # 16 does not close
+    for form, dom, max_k, radius, radii, not_found in (
+            (qf.form_Q(4), qf.domain_Delta(4), 600, 40,
+             [1, 2, 4, 8, 16, 32], [224, 480]),
+            (qf.form_P(4), qf.domain_D(4), 200, 30, [1, 2, 4, 8, 16], []),
+            (qf.form_q(3), qf.domain_Z_full(3), 300, 20,
+             [1, 2, 4, 8, 16, 20], [224])):
+        ran = _record_radii(monkeypatch)
+        rep = qf.universality_scan(form, dom, max_k, radius)
+        assert ran == radii, dom
+        assert [e.target for e in rep.misses
+                if e.status == "not-found"] == not_found, dom
+    searched = _record_searches(monkeypatch)
+    qf.universality_scan(qf.form_q(3), qf.domain_Z_full(3), 300, 20)
+    assert searched[-1] == (20, {448})
+
+
+def test_an_early_residue_table_over_budget_leaves_its_target_pending(
+        monkeypatch):
+    # Q on Delta(3) reaches k = 12 first at radius 4, and radius 2 does not
+    # close it: before radius 4 its class is asked mod 3, ..., 128, and the
+    # table mod 128 (8385 steps) is over the budget of 8000.  The target
+    # stays pending and radius 4 witnesses it, as without the early step
+    form, dom = qf.form_Q(3), qf.domain_Delta(3)
+    expected = qf.universality_scan(form, dom, 12, 4, min_k=12)
+    assert expected.all_witnessed
+    monkeypatch.setenv("ATOMLEN_BUDGET", "8000")
+    qf.attained_classes.cache_clear()
+    ran = _record_radii(monkeypatch)
+    assert qf.universality_scan(form, dom, 12, 4, min_k=12) == expected
+    assert ran == [1, 2, 4]
+    # k = 15, a miss no modulus certifies, meets the same table after the
+    # search and the scan stops there
+    qf.attained_classes.cache_clear()
+    with pytest.raises(BudgetExceeded, match=r"^residue table of q\(2\) mod "
+                                             r"128 needs ~8385 steps"):
+        qf.universality_scan(form, dom, 15, 2, min_k=15)
+
+
+def _fraction_numerators(form, targets):
+    """denom*k - const of each target in Fraction arithmetic, None for a
+    negative target or a non-integer result."""
+    out = []
+    for k in targets:
+        knum = form.denom * Fraction(k) - form.const
+        out.append(int(knum) if k >= 0 and knum.denominator == 1 else None)
+    return out
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_numerators_match_fraction_arithmetic(data):
+    # int targets, the half grid, other denominators (1/3 of Q is a miss
+    # without a search), negative targets, and the odd constants of P(1),
+    # P(2) and P(5)
+    form, dom = data.draw(st.sampled_from([
+        (qf.form_P(1), qf.domain_D(1)), (qf.form_P(2), qf.domain_D(2)),
+        (qf.form_P(5), qf.domain_D(5)), (qf.form_Q(3), qf.domain_Delta(3)),
+        (qf.form_q(2), qf.domain_Z_full(2)),
+        (qf.form_euclidean(2), qf.domain_DeltaC(2)),
+        (AffineLatticeSpec("A2even", 2).form(), lattice_domain("A2even", 2)),
+    ]))
+    targets = data.draw(st.lists(
+        st.integers(-10, 60) | st.builds(Fraction, st.integers(-30, 120),
+                                         st.sampled_from([1, 2, 3, 4, 6])),
+        min_size=1, max_size=30))
+    assert qf._numerators(form, targets) == _fraction_numerators(form,
+                                                                 targets)
+    radius = data.draw(st.integers(0, 6))
+    assert qf.represent_all(form, dom, targets, radius) == _full_schedule(
+        form, dom, targets, radius)
+
+
+def test_a_third_of_q_is_a_miss_without_a_search(monkeypatch):
+    searched = _record_searches(monkeypatch)
+    targets = [Fraction(1, 3), Fraction(-1, 2), -3]
+    assert qf._numerators(qf.form_Q(3), targets) == [None] * 3
+    assert qf.represent_all(qf.form_Q(3), qf.domain_Delta(3), targets,
+                            5) == [None] * 3
+    assert searched == []
+
+
 # ---------------------------------------------------------------------------
 # The tuple-keyed table engine, kept as the differential oracle for the
 # int-keyed one in quadratic_forms: its tables and route groups are keyed by
