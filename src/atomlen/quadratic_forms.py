@@ -313,13 +313,12 @@ def _radius_schedule(radius: int) -> list[int]:
 def _boxes(A, B, domain, radius):
     """Per coordinate (lo, hi, center, low): its box and its least term,
     taken at the integer nearest the continuous minimizer -B/(2A), clamped
-    to the box; the sum of the least terms; and the closure bound, the
-    largest K whose every coordinate value window lies inside its box (None
-    when a minimizer is clamped).  The window of K holds the values v with
-    |2Av + B| <= s = isqrt(4A(K - base + low) + B^2), so it lies inside
-    [lo, hi] while s <= smax = min(2A(hi + 1) + B - 1, 2A(1 - lo) - B - 1):
-    up to K = base + ((smax + 1)^2 - 1 - B^2) // 4A - low.  No vector of
-    value K <= bound lies outside the box, however large."""
+    to the box; the sum of the least terms, base; and the closure bound, the
+    largest K whose every value window lies inside its box, so that no
+    vector of value K lies outside (None when a minimizer is clamped).  K's
+    window holds the v with |2Av + B| <= isqrt(4A(K - base + low) + B^2),
+    inside [lo, hi] while that root is at most smax = min(2A(hi + 1) + B - 1,
+    2A(1 - lo) - B - 1): up to K = base + ((smax+1)^2 - 1 - B^2) // 4A - low."""
     n, S = domain.nvars, domain.sum_target
     boxes, base, clamped, room = [], 0, False, []
     for i, b in enumerate(B):
@@ -471,8 +470,7 @@ def _numerators(form: FormSpec, targets) -> list:
     out = []
     for k in targets:
         p, q = k.numerator, k.denominator
-        K, rem = ((denom * p - const, 0) if q == 1
-                  else divmod(denom * p - const * q, q))
+        K, rem = divmod(denom * p - const * q, q)
         out.append(None if rem or p < 0 else K)
     return out
 
@@ -494,8 +492,8 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
     row.  A target unfound at a radius leaves the schedule when its
     numerator is at most that box's closure bound (see _boxes); before the
     last radius, so do the pending integer targets that _certificates
-    excludes, given the witnesses found so far (a residue table over the
-    budget leaves them pending).  None is not a proof of
+    excludes, given the witnesses found so far, when the pair takes q's
+    residue classes (a table over the budget leaves them pending).  None is not a proof of
     non-representability, only exhaustion of the radius box.
     Every witness is re-evaluated in integers (its numerator must be
     denom*k) and member-checked; a projected domain's witness then drops
@@ -514,10 +512,11 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
     _, quad, lin, const, denom = form
     nums = _numerators(form, targets)
     pending, found = {K for K in nums if K is not None}, {}
+    arity = _q_arity(form, domain)
     for r in _radius_schedule(radius):
-        if pending and r == radius > 1:
+        if pending and r == radius > 1 and arity is not None:
             try:
-                certs = _certificates(form, domain, _ints(form, pending),
+                certs = _certificates(arity, _ints(form, pending),
                                       _ints(form, found))
             except BudgetExceeded:
                 certs = {}  # left to the scan's walk after the search
@@ -601,27 +600,35 @@ def attained_classes(arity: int, m: int) -> frozenset[int]:
     return frozenset(c for c in range(m) if acc >> c & 1)
 
 
-def _certificates(form: FormSpec, domain: ConstrainedDomain, missed,
-                  seen) -> dict:
-    """{k: (m, k mod m)} for each integer k of missed that a modulus of
-    DEFAULT_OBSTRUCTION_MODULI certifies, m the first that does; seen are
-    the witnessed integer targets.
+def _q_arity(form: FormSpec, domain: ConstrainedDomain):
+    """The arity of q when every class q misses is missed by the pair's
+    values too, else None.
 
     The ground, in the data: quad 1, lin = -2c, const = |c|^2 and denom 2
     make the form |t - c|^2/2 (as for P, Q and q); on a domain of sum_target
     sum(c), x = t - c sums to zero and |x|^2/2 is q of x's first nvars - 1
     coordinates, so a class q misses is missed by the pair.  No other pair,
-    whatever its label, is certified, nor any from four variables on, where
-    q attains every class.  So no box, however large, holds a certified k.
+    whatever its label, takes q's classes, nor any from four variables on,
+    where q attains every class.
+    """
+    c, arity = [-b // 2 for b in form.lin], form.nvars - 1
+    if (form[1:] != (1, tuple(-2 * v for v in c), sum(v * v for v in c), 2)
+            or arity >= 4 or domain.sum_target != sum(c)):
+        return None
+    return arity
+
+
+def _certificates(arity: int, missed, seen) -> dict:
+    """{k: (m, k mod m)} for each integer k of missed that q's residue
+    table mod m excludes, m the first modulus of DEFAULT_OBSTRUCTION_MODULI
+    that does; q has arity variables (see _q_arity), so no box, however
+    large, holds a certified k.  seen are the witnessed integer targets.
+
     The moduli are walked once: at each, the misses still open whose class
     no k of seen attains read its table (a witness is a value of q, so its
     class is attained), and those the table excludes are certified at m.  A
     table over the budget raises BudgetExceeded instead of being skipped.
     """
-    c, arity = [-b // 2 for b in form.lin], form.nvars - 1
-    if (form[1:] != (1, tuple(-2 * v for v in c), sum(v * v for v in c), 2)
-            or arity >= 4 or domain.sum_target != sum(c)):
-        return {}
     certs = {}
     for m in DEFAULT_OBSTRUCTION_MODULI:
         if not missed:
@@ -712,7 +719,7 @@ def universality_scan(form: FormSpec, domain: ConstrainedDomain, max_k: int,
     """Represent every target in [min_k, max_k] (or the half-integer grid)
     and attach to each missed target the first modulus of
     DEFAULT_OBSTRUCTION_MODULI that certifies it, where one does (see
-    _certificates)."""
+    _q_arity and _certificates)."""
     budget.check(_TARGET_WEIGHT
                  * ((2 if grid == "half" else 1) * (max_k - min_k) + 1),
                  what="scan target list")
@@ -721,11 +728,13 @@ def universality_scan(form: FormSpec, domain: ConstrainedDomain, max_k: int,
     else:
         targets = list(range(min_k, max_k + 1))
     hits = represent_all(form, domain, targets, radius)
-    missed = [int(k) for k, hit in zip(targets, hits)
-              if hit is None and k.denominator == 1]
-    seen = [int(k) for k, hit in zip(targets, hits)
-            if hit is not None and k.denominator == 1]
-    certs = _certificates(form, domain, missed, seen)
+    arity, certs = _q_arity(form, domain), {}
+    if arity is not None:
+        certs = _certificates(
+            arity, [int(k) for k, hit in zip(targets, hits)
+                    if hit is None and k.denominator == 1],
+            [int(k) for k, hit in zip(targets, hits)
+             if hit is not None and k.denominator == 1])
     entries = [ReportEntry(k, "witness", hit) if hit is not None
                else ReportEntry(k, "obstructed", None, *certs[k]) if k in certs
                else ReportEntry(k, "not-found")
