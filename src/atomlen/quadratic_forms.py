@@ -470,7 +470,8 @@ def _numerators(form: FormSpec, targets) -> list:
     out = []
     for k in targets:
         p, q = k.numerator, k.denominator
-        K, rem = divmod(denom * p - const * q, q)
+        K, rem = ((denom * p - const, 0) if q == 1
+                  else divmod(denom * p - const * q, q))
         out.append(None if rem or p < 0 else K)
     return out
 
@@ -493,8 +494,8 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
     numerator is at most that box's closure bound (see _boxes); before the
     last radius, so do the pending integer targets that _certificates
     excludes, given the witnesses found so far, when the pair takes q's
-    residue classes (a table over the budget leaves them pending).  None is not a proof of
-    non-representability, only exhaustion of the radius box.
+    residue classes (a table over the budget leaves them pending).  None is
+    not a proof of non-representability, only exhaustion of the radius box.
     Every witness is re-evaluated in integers (its numerator must be
     denom*k) and member-checked; a projected domain's witness then drops
     its forced last coordinate.
@@ -512,7 +513,9 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
     _, quad, lin, const, denom = form
     nums = _numerators(form, targets)
     pending, found = {K for K in nums if K is not None}, {}
-    arity = _q_arity(form, domain)
+    # the bound only grows with the radius: each drop is the next slice of
+    # the numerators in order
+    order, dropped, arity = sorted(pending), 0, _q_arity(form, domain)
     for r in _radius_schedule(radius):
         if pending and r == radius > 1 and arity is not None:
             try:
@@ -528,7 +531,9 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
         pending -= witnesses.keys()
         bound = _boxes(quad, lin, domain, r)[2]
         if bound is not None:
-            pending = {K for K in pending if K > bound}
+            upto = bisect_right(order, bound)
+            pending.difference_update(order[dropped:upto])
+            dropped = upto
     hits, projected, is_member = [], domain.projected, _membership(domain)
     for k, K in zip(targets, nums):
         hit = found.get(K)
