@@ -6,6 +6,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
+from . import LATTICE_TAGS
 from .affine_permutations import AffinePermutation, make_affine
 from .errors import BadLength, DomainViolation, MirrorViolation
 from .quadratic_forms import (ConstrainedDomain, FormSpec, UniversalityReport,
@@ -83,8 +84,8 @@ def scan_deltaC(n: int, max_k: int, radius: int) -> UniversalityReport:
 # Lattice table for the classical affine families
 # ---------------------------------------------------------------------------
 
-# tag -> (underlying finite series, coxeter h, half-integer-valued flag,
-# norm denominator on ||x||_2^2).  The translation lattice is 2Z^n for C1,
+# tag of LATTICE_TAGS -> (underlying finite series, coxeter h,
+# half-integer-valued flag, norm denominator on ||x||_2^2).  The translation lattice is 2Z^n for C1,
 # the even-sum lattice for B1, D1 and A2odd, and Z^n for A2even and D2.
 _TABLE = {
     "B1": ("B", lambda n: 2 * n, False, 2),
@@ -94,7 +95,6 @@ _TABLE = {
     "A2even": ("C", lambda n: 2 * n + 1, True, 2),
     "D2": ("B", lambda n: n + 1, False, 1),
 }
-LATTICE_TAGS = tuple(_TABLE)
 
 
 class AffineLatticeSpec(namedtuple("AffineLatticeSpec", "tag n")):

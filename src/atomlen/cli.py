@@ -6,6 +6,9 @@ passed, 1 when a report misses a value that the invoked theorem guarantees,
 2 for invalid input (including a computation over the budget), 3 for an
 internal error or a broken internal invariant; every error is one line on
 stderr, never a traceback.
+
+Each handler imports the modules its own command runs, so that a command
+loads only those; quadratic_forms, which the scans share, is loaded here.
 """
 from __future__ import annotations
 
@@ -13,9 +16,8 @@ import argparse
 import json
 import sys
 
-from . import affine_classical, affine_permutations, cores_abaci, finite_weyl
+from . import LATTICE_TAGS, SERIES
 from . import quadratic_forms as qf
-from . import sumsets
 from .errors import AtomlenError, InvariantViolation, SearchFailed
 
 SCAN_FORMS = ("rho", "Q-delta", "q-free", "Ps", "trunc", "refined-go", "go",
@@ -37,6 +39,8 @@ def _parse_csv_ints(text: str) -> tuple[int, ...]:
 
 
 def _cmd_entropy(args) -> int:
+    from . import affine_permutations
+
     window = _parse_csv_ints(args.window)
     w = affine_permutations.make_affine(args.n, window)
     e = affine_permutations.entropy(w)
@@ -59,6 +63,22 @@ def _scan_report(args):
         rep = qf.universality_scan(qf.form_q(n - 1), qf.domain_Z_full(n - 1),
                                    args.max_k, args.radius)
         return rep, n >= 5
+    if form == "deltaC":
+        from . import affine_classical, sumsets
+
+        rep = affine_classical.scan_deltaC(n, args.max_k, args.radius)
+        return rep, n >= 4 and sumsets.is_prime(2 * n + 1)
+    if form == "lattice":
+        if not args.type:
+            raise AtomlenError("form lattice needs --type")
+        from . import affine_classical
+
+        spec = affine_classical.AffineLatticeSpec(args.type, n)
+        rep = affine_classical.norm_universality_scan(spec, args.max_k,
+                                                      args.radius)
+        return rep, n >= 4
+    from . import cores_abaci  # the forms left: Ps, trunc, refined-go, go
+
     if form in ("Ps", "trunc"):
         if args.ell is None:
             raise AtomlenError(f"form {form} needs --ell")
@@ -72,18 +92,8 @@ def _scan_report(args):
     if form == "refined-go":
         rep = cores_abaci.scan_refined_GO(n, args.max_k, args.radius)
         return rep, False
-    if form == "go":
-        rep = cores_abaci.granville_ono_scan(n, args.max_k, args.radius)
-        return rep, n >= 4
-    if form == "deltaC":
-        rep = affine_classical.scan_deltaC(n, args.max_k, args.radius)
-        return rep, n >= 4 and sumsets.is_prime(2 * n + 1)
-    # lattice, the last of SCAN_FORMS
-    if not args.type:
-        raise AtomlenError("form lattice needs --type")
-    spec = affine_classical.AffineLatticeSpec(args.type, n)
-    rep = affine_classical.norm_universality_scan(spec, args.max_k,
-                                                  args.radius)
+    # go, the one form left
+    rep = cores_abaci.granville_ono_scan(n, args.max_k, args.radius)
     return rep, n >= 4
 
 
@@ -94,6 +104,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_hall(args) -> int:
+    from . import sumsets
+
     d = _parse_csv_ints(args.d)
     a, b = sumsets.hall_decompose(args.mod, d)
     payload = {"mod": args.mod, "d": list(d), "a": list(a), "b": list(b)}
@@ -104,6 +116,8 @@ def _cmd_hall(args) -> int:
 
 
 def _cmd_sumset(args) -> int:
+    from . import sumsets
+
     cert = sumsets.verify_sumset_equality(args.family, args.n, args.mod)
     text = (f"family={cert.family} n={cert.n} mod={cert.modulus} "
             f"equal={'yes' if cert.equal else 'no'} "
@@ -116,12 +130,16 @@ def _cmd_sumset(args) -> int:
 
 
 def _parse_multipartition(text: str):
+    from . import cores_abaci
+
     comps = (comp.strip() for comp in text.split(";"))
     return tuple(cores_abaci.as_partition(_parse_csv_ints(comp)) if comp
                  else () for comp in comps)
 
 
 def _cmd_core(args) -> int:
+    from . import cores_abaci
+
     lam = _parse_multipartition(args.npartition)
     charges = _parse_csv_ints(args.charges)
     quotient, sn = cores_abaci.phi(lam, charges, args.n)
@@ -150,6 +168,8 @@ def _cmd_core(args) -> int:
 
 
 def _cmd_finite(args) -> int:
+    from . import finite_weyl
+
     t = finite_weyl.FiniteType(args.type, args.n)
     if args.bound:
         b = finite_weyl.b_bound(t, args.ell)
@@ -166,6 +186,8 @@ def _cmd_finite(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
+    from . import affine_classical
+
     n0 = affine_classical.large_rank_threshold(args.type)
     check_range = 40
     ok = all(affine_classical.intervals_overlap(args.type, n)
@@ -223,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=NONNEGATIVE, required=True)
     p.add_argument("--ell", type=int, help="level, for Ps/trunc")
     p.add_argument("--s", help="charge vector for Ps, comma-separated")
-    p.add_argument("--type", choices=affine_classical.LATTICE_TAGS,
+    p.add_argument("--type", choices=LATTICE_TAGS,
                    help="affine type tag, for lattice")
 
     p = add("hall", _cmd_hall, help="difference-vector decomposition")
@@ -244,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the abacus of the input")
 
     p = add("finite", _cmd_finite, help="finite-type bound or saturation")
-    p.add_argument("--type", choices=finite_weyl.SERIES, required=True)
+    p.add_argument("--type", choices=SERIES, required=True)
     p.add_argument("--n", type=POSITIVE, required=True)
     p.add_argument("--ell", type=int, required=True)
     g = p.add_mutually_exclusive_group(required=True)
@@ -252,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--saturate", action="store_true")
 
     p = add("threshold", _cmd_threshold, help="large-rank threshold of a type")
-    p.add_argument("--type", choices=affine_classical.LATTICE_TAGS,
-                   required=True)
+    p.add_argument("--type", choices=LATTICE_TAGS, required=True)
 
     return parser
 

@@ -14,11 +14,9 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from . import budget
+from . import SERIES, budget
 from .errors import (BadEll, BadIndex, BadLength, InvariantViolation,
                      RankMismatch)
-
-SERIES = ("A", "B", "C", "D")
 
 
 class FiniteType(namedtuple("FiniteType", "series n")):

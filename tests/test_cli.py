@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomlen import cli, cores_abaci, finite_weyl, sumsets
+from atomlen import (affine_permutations, cli, cores_abaci, finite_weyl,
+                     sumsets)
 from atomlen import quadratic_forms as qf
 from atomlen.affine_classical import LATTICE_TAGS
 from atomlen.cli import main
@@ -105,6 +107,51 @@ def test_cli_import_loads_no_dataclasses():
     assert os.path.samefile(os.path.dirname(path),
                             os.path.join(src, "atomlen"))
     assert loaded == "[]"
+
+
+# The atomlen modules each README command loads beyond the CLI's own (cli,
+# errors, budget and quadratic_forms), keyed by subcommand and scan form.
+# affine_classical brings affine_permutations, into which it lifts type C.
+CORES = ("cores_abaci",)
+CLASSICAL = ("affine_classical", "affine_permutations")
+README_MODULES = {
+    "entropy": ("affine_permutations",), "core": CORES,
+    "hall": ("sumsets",), "sumset": ("sumsets",), "finite": ("finite_weyl",),
+    "threshold": CLASSICAL, "scan Q-delta": (), "scan q-free": (),
+    "scan go": CORES, "scan trunc": CORES, "scan Ps": CORES,
+    "scan refined-go": CORES, "scan deltaC": CLASSICAL + ("sumsets",),
+    "scan lattice": CLASSICAL,
+}
+
+
+def test_each_readme_command_loads_only_its_modules():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    code = ("import contextlib, io, json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from atomlen import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(json.loads(sys.argv[2]))\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules\n"
+            "                               if m.startswith('atomlen.'))]))")
+    with open(os.path.join(src, os.pardir, "README.md")) as f:
+        commands = [line for line in f if line.startswith("atomlen ")]
+    keys, wrong = [], []
+    for command in commands:
+        argv = shlex.split(command, comments=True)[1:]
+        key = (f"scan {argv[argv.index('--form') + 1]}" if argv[0] == "scan"
+               else argv[0])
+        keys.append(key)
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code, src, json.dumps(argv)],
+            capture_output=True, text=True, check=True).stdout
+        expect = sorted(f"atomlen.{m}" for m in (
+            "cli", "errors", "budget", "quadratic_forms",
+            *README_MODULES[key]))
+        if json.loads(out) != [0, expect]:
+            wrong.append((key, out))
+    assert not wrong
+    assert sorted(set(keys)) == sorted(README_MODULES)
 
 
 def test_entropy_text(capsys):
@@ -511,7 +558,7 @@ def test_internal_error_is_exit_three(capsys, monkeypatch):
 
 def test_failed_entropy_identity_is_exit_one(capsys, monkeypatch):
     # a theorem-backed check that fails is a verdict (exit 1), not a bug
-    monkeypatch.setattr(cli.affine_permutations, "atomic_length_rho",
+    monkeypatch.setattr(affine_permutations, "atomic_length_rho",
                         lambda w: 5)
     assert run(capsys, "entropy", "--n", "2", "--window", "3,0") == (
         1, "", "entropy 4 differs from atomic length 5\n")
