@@ -341,6 +341,9 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> tuple[dict, bool]:
     that has one; and whether every target is at most the closure bound, so
     that no larger box reaches more."""
     n, S, caps = domain.nvars, domain.sum_target, domain.caps
+    if not n:  # the empty vector alone, of value 0, in every box
+        empty = 0 in targets and _membership(domain)(())
+        return ({0: ()} if empty else {}), True
     # filter state: mixed radix below W, digit c counts the uses of class c;
     # every class at its capacity is W - 1
     weights, W = [], 1
@@ -614,9 +617,10 @@ def _q_arity(form: FormSpec, domain: ConstrainedDomain):
     sum(c), x = t - c sums to zero and |x|^2/2 is q of x's first nvars - 1
     coordinates, so a class q misses is missed by the pair.  No other pair,
     whatever its label, takes q's classes, nor any from four variables on,
-    where q attains every class.
+    where q attains every class.  With no coordinates, x = () and |x|^2/2
+    is q of none, 0.
     """
-    c, arity = [-b // 2 for b in form.lin], form.nvars - 1
+    c, arity = [-b // 2 for b in form.lin], max(form.nvars - 1, 0)
     if (form[1:] != (1, tuple(-2 * v for v in c), sum(v * v for v in c), 2)
             or arity >= 4 or domain.sum_target != sum(c)):
         return None

@@ -748,6 +748,25 @@ def test_engine_matches_brute_force(data):
                     for k in targets]
 
 
+@pytest.mark.parametrize("form,ctor", [(qf.form_Q(0), qf.domain_Q_full),
+                                       (qf.form_P(0), qf.domain_D),
+                                       (qf.form_q(0), qf.domain_Z_full)])
+def test_a_domain_with_no_coordinates_is_answered_exactly(form, ctor):
+    # its one vector is (), of value 0: every radius witnesses 0 and nothing
+    # else, and the scan certifies each other target, q of no coordinates
+    # being 0 in every class
+    dom, lit = with_oracle(ctor, 0)
+    targets = [3, 0, -1, Fraction(1, 2), 1, 48]
+    for radius in range(4):
+        assert qf.represent_all(form, dom, targets, radius) == [
+            _brute_force_first(form, dom, lit, k, radius) for k in targets]
+    rep = qf.universality_scan(form, dom, 50, 3)
+    assert rep.entries[0] == (0, "witness", (), None, None)
+    assert [(e.status, e.residue) for e in rep.misses] == [
+        ("obstructed", k % e.modulus) for k, e in enumerate(rep.misses, 1)]
+    assert all(e.residue for e in rep.misses)
+
+
 def test_batch_targets_below_the_box_minimum_are_misses():
     # on the radius-2 box P(3) is at least 1/2, so target 0 lies below every
     # table value; at radius 3 the identity window reaches it
