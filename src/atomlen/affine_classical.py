@@ -85,8 +85,9 @@ def scan_deltaC(n: int, max_k: int, radius: int) -> UniversalityReport:
 # ---------------------------------------------------------------------------
 
 # tag of LATTICE_TAGS -> (underlying finite series, coxeter h,
-# half-integer-valued flag, norm denominator on ||x||_2^2).  The translation lattice is 2Z^n for C1,
-# the even-sum lattice for B1, D1 and A2odd, and Z^n for A2even and D2.
+# half-integer-valued flag, norm denominator on ||x||_2^2).  The translation
+# lattice is 2Z^n for C1, the even-sum lattice for B1, D1 and A2odd, and Z^n
+# for A2even and D2.
 _TABLE = {
     "B1": ("B", lambda n: 2 * n, False, 2),
     "C1": ("C", lambda n: 2 * n, False, 4),

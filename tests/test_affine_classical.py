@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import atomlen
 from atomlen import affine_classical as ac
 from atomlen import affine_permutations as ap
+from atomlen import finite_weyl as fw
 from atomlen.quadratic_forms import member
 from atomlen.errors import DomainViolation, MirrorViolation
 
@@ -78,6 +80,13 @@ def test_lattice_membership_and_norms():
     assert a2.form().evaluate((1, 0, 0, 0)) == Fraction(1, 2)
     d2 = ac.AffineLatticeSpec("D2", 4)
     assert d2.form().evaluate((1, 1, 0, 0)) == 2
+
+
+def test_the_tag_lists_are_the_packages_and_the_table_follows_them():
+    # the package defines each list once, for the CLI's parser
+    assert ac.LATTICE_TAGS is atomlen.LATTICE_TAGS
+    assert fw.SERIES is atomlen.SERIES
+    assert tuple(ac._TABLE) == ac.LATTICE_TAGS
 
 
 def test_coxeter_numbers():

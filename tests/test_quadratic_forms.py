@@ -753,8 +753,8 @@ def test_engine_matches_brute_force(data):
                                        (qf.form_q(0), qf.domain_Z_full)])
 def test_a_domain_with_no_coordinates_is_answered_exactly(form, ctor):
     # its one vector is (), of value 0: every radius witnesses 0 and nothing
-    # else, and the scan certifies each other target, q of no coordinates
-    # being 0 in every class
+    # else, and the scan certifies each other target, since q of no
+    # coordinates takes the class 0 alone
     dom, lit = with_oracle(ctor, 0)
     targets = [3, 0, -1, Fraction(1, 2), 1, 48]
     for radius in range(4):
