@@ -8,7 +8,9 @@ internal error or a broken internal invariant; every error is one line on
 stderr, never a traceback.
 
 Each handler imports the modules its own command runs, so that a command
-loads only those; quadratic_forms, which the scans share, is loaded here.
+loads only those.  quadratic_forms stays imported here: perfbench's tracer
+wraps only the modules loaded when it installs, and every scan reaches
+universality_scan through this one.
 """
 from __future__ import annotations
 
