@@ -7,7 +7,6 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import LATTICE_TAGS
-from .affine_permutations import AffinePermutation, make_affine
 from .errors import BadLength, DomainViolation, MirrorViolation
 from .quadratic_forms import (ConstrainedDomain, FormSpec, UniversalityReport,
                               domain_DeltaC, form_euclidean, member,
@@ -39,8 +38,10 @@ class TypeCAffineElement(namedtuple("TypeCAffineElement", "n window")):
         return tuple.__new__(cls, (n, window))
 
 
-def lift_to_A(e: TypeCAffineElement) -> AffinePermutation:
+def lift_to_A(e: TypeCAffineElement):
     """Full rank-(2n+1) affine permutation of a reduced window."""
+    from .affine_permutations import make_affine
+
     n = e.n
     m = 2 * n + 1
     full = list(e.window)
@@ -147,15 +148,13 @@ def norm_universality_scan(spec: AffineLatticeSpec, max_k: int,
 
 def rank4_slice_bound(tag: str, n: int) -> Fraction:
     """Maximum of the finite atomic length on the rank-(n-4) slice fixed by
-    the translation part; halved for the family whose atomic length is
-    half-integer valued."""
-    spec = AffineLatticeSpec(tag, n)
-    m = n - 4
-    if _TABLE[tag][0] in ("B", "C"):
-        b = Fraction(m * (m + 1) * (4 * m - 1), 6)
-    else:
-        b = Fraction(m * (m - 1) * (2 * m - 1), 3)
-    return b / 2 if spec.half_grid else b
+    the translation part, b_bound of the row's series at full level (0 on
+    the one-point slice D1); halved on the half-integer grid."""
+    from .finite_weyl import FiniteType, b_bound
+
+    spec, series, m = AffineLatticeSpec(tag, n), _TABLE[tag][0], n - 4
+    b = 0 if series == "D" and m == 1 else b_bound(FiniteType(series, m), m)
+    return Fraction(b, 2 if spec.half_grid else 1)
 
 
 def intervals_overlap(tag: str, n: int) -> bool:

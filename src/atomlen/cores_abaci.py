@@ -304,15 +304,12 @@ class WeightSpec(namedtuple("WeightSpec", "n ell charges")):
         return ConstrainedDomain(label, caps, sum(charges), ell)
 
     def normalizing_constant(self) -> Fraction:
-        """The constant making the polynomial vanish at sprime; always
-        recomputed from that normalization."""
-        sp = self.sprime
-        return (Fraction(self.n, 2 * self.ell) * sum(v * v for v in sp)
-                - sum((i - 1) * v for i, v in enumerate(sp, 1)))
+        """The constant making the polynomial vanish at sprime: -const/2l."""
+        return Fraction(-self.form().const, 2 * self.ell)
 
     def form(self) -> FormSpec:
         """2l times the polynomial: n*sum(t^2) - 2l*sum((i-1)t_i) + const,
-        const = -2l * normalizing_constant(), which vanishes at sprime."""
+        with the integer const that makes it vanish at sprime."""
         n, ell, sp = self.n, self.ell, self.sprime
         const = (2 * ell * sum(i * v for i, v in enumerate(sp))
                  - n * sum(v * v for v in sp))
@@ -322,7 +319,7 @@ class WeightSpec(namedtuple("WeightSpec", "n ell charges")):
 
 def truncated_constant_closed_form(n: int, ell: int) -> Fraction:
     """Closed form of the normalizing constant for the staircase charges
-    (0, ..., l-1); regression-tested against the recomputed value."""
+    (0, ..., l-1); regression-tested against normalizing_constant."""
     return Fraction(ell - 1, 12) * (2 * ell * ell - 4 * n * ell + 2 * ell - n)
 
 

@@ -294,20 +294,11 @@ def _image(t: FiniteType, ell: int, rho) -> tuple[int, ...]:
     a = [[int(q * scale) for q in row] for row in terms]
     # partial sums stay >= 0 once shifted by the largest possible drop
     offset = sum(max(abs(x) for x in row) for row in a)
-    full = (1 << d) - 1
-    table = [0] * (full + 1)
-    table[0] = 1 << offset
-    for mask in range(full):   # every transition goes to a larger mask
-        bits, table[mask] = table[mask], 0
-        row = a[mask.bit_count()]
-        for j in range(d):
-            if mask >> j & 1:
-                continue
-            for s in signs:
-                step = -s * row[j]
-                table[mask | 1 << j] |= (bits << step if step >= 0
-                                         else bits >> -step)
-    bits = table[full]
+    # one shift per (mask, free target) pair and sign, d * 2^(d-1) pairs,
+    # over a bitset of 2 * offset + 1 bits
+    budget.check((d << d - 1) * len(signs) * -(-(2 * offset + 1) // 64),
+                 what=f"saturation DP of {series}{n}")
+    bits = _subset_dp(a, signs, offset)
     base = sum(a[i][i] for i in range(d)) - offset
     image = []
     while bits:
@@ -322,6 +313,25 @@ def _image(t: FiniteType, ell: int, rho) -> tuple[int, ...]:
     return tuple(image)
 
 
+def _subset_dp(a, signs, offset: int) -> int:
+    """Bitset of offset + sum_i s_i a_i[pi(i)] over the signed permutations."""
+    d = len(a)
+    full = (1 << d) - 1
+    table = [0] * (full + 1)
+    table[0] = 1 << offset
+    for mask in range(full):   # every transition goes to a larger mask
+        bits, table[mask] = table[mask], 0
+        row = a[mask.bit_count()]
+        for j in range(d):
+            if mask >> j & 1:
+                continue
+            for s in signs:
+                step = -s * row[j]
+                table[mask | 1 << j] |= (bits << step if step >= 0
+                                         else bits >> -step)
+    return table[full]
+
+
 def saturation_check(t: FiniteType, ell: int) -> SaturationResult:
     """Test whether the atomic length image is the full interval [0, b].
 
@@ -331,10 +341,6 @@ def saturation_check(t: FiniteType, ell: int) -> SaturationResult:
     staircase weight is built once for all three.
     """
     b = b_bound(t, ell)
-    # the DP of _image: 2^d masks, d targets, 2 signs (1 for A), b+1 values
-    d = t.dim
-    budget.check((1 << d) * d * (1 if t.series == "A" else 2) * (b + 1),
-                 what=f"saturation DP of {t.series}{t.n}")
     rho = truncated_staircase_eps(t, ell)
     image = _image(t, ell, rho)
     if image[-1] > b:

@@ -335,15 +335,13 @@ def _boxes(A, B, domain, radius):
     return tuple(boxes), base, None if clamped or not room else base + min(room)
 
 
-def _witnesses_at_radius(A, B, targets, domain, radius) -> tuple[dict, bool]:
+def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
     """First full vector of the domain, in the fixed search order, with
     A*sum(t^2) + sum(B*t) == K inside the radius box, for every K in targets
-    that has one; and whether every target is at most the closure bound, so
-    that no larger box reaches more."""
+    that has one."""
     n, S, caps = domain.nvars, domain.sum_target, domain.caps
     if not n:  # the empty vector alone, of value 0, in every box
-        empty = 0 in targets and _membership(domain)(())
-        return ({0: ()} if empty else {}), True
+        return {0: ()} if 0 in targets and _membership(domain)(()) else {}
     # filter state: mixed radix below W, digit c counts the uses of class c;
     # every class at its capacity is W - 1
     weights, W = [], 1
@@ -357,11 +355,10 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> tuple[dict, bool]:
     fold = -1 if S is not None else (1 if domain.parity_even else 0)
     total = S or 0
 
-    boxes, base, bound = _boxes(A, B, domain, radius)
+    boxes, base, _ = _boxes(A, B, domain, radius)
     top = max(targets) - base
-    closed = bound is not None and top + base <= bound
     if top < 0:
-        return {}, closed
+        return {}
     mask = (2 << top) - 1
 
     # Per coordinate, in spiral order (outward from the minimizer, positive
@@ -428,7 +425,7 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> tuple[dict, bool]:
     # offsets and, per offset, the targets that travel together
     vecs = {K: [] for K in targets if K >= base and reach >> (K - base) & 1}
     if not vecs:
-        return {}, closed
+        return {}
     groups = {(total & fold) * W + full: (
         sum(1 << (K - base) for K in vecs), {K - base: [K] for K in vecs})}
     for i in range(n):
@@ -458,7 +455,7 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> tuple[dict, bool]:
                     f"the table reaches {K} on {domain.label} but no route "
                     f"does")
         groups = moved
-    return {K: tuple(vec) for K, vec in vecs.items()}, closed
+    return {K: tuple(vec) for K, vec in vecs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +526,7 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
             pending -= {denom * k - const for k in certs}
         if not pending:
             break
-        witnesses, _ = _witnesses_at_radius(quad, lin, pending, domain, r)
+        witnesses = _witnesses_at_radius(quad, lin, pending, domain, r)
         found.update(witnesses)
         pending -= witnesses.keys()
         bound = _boxes(quad, lin, domain, r)[2]

@@ -9,7 +9,7 @@ from atomlen import affine_classical as ac
 from atomlen import affine_permutations as ap
 from atomlen import finite_weyl as fw
 from atomlen.quadratic_forms import member
-from atomlen.errors import DomainViolation, MirrorViolation
+from atomlen.errors import BadLength, DomainViolation, MirrorViolation
 
 
 def test_identity_lift():
@@ -127,6 +127,31 @@ def test_overlap_monotone_and_sharp():
         assert all(ac.intervals_overlap(tag, n) for n in range(n0, 41))
 
 
+# Coxeter number of each row at rank n, and the slice maximum as a cubic in
+# m = n - 4: m(m+1)(4m-1)/6 on the B or C slice, m(m-1)(2m-1)/3 on D1's D
+# slice; both are halved on A2even's half-integer grid
+COXETER = {"B1": lambda n: 2 * n, "C1": lambda n: 2 * n,
+           "D1": lambda n: 2 * n - 2, "A2odd": lambda n: 2 * n - 1,
+           "A2even": lambda n: 2 * n + 1, "D2": lambda n: n + 1}
+
+
+def _cubic_slice_bound(tag, m):
+    b = (Fraction(m * (m - 1) * (2 * m - 1), 3) if tag == "D1"
+         else Fraction(m * (m + 1) * (4 * m - 1), 6))
+    return b / 2 if tag == "A2even" else b
+
+
+def test_slice_bound_and_overlap_match_the_cubics():
+    # the slice bound read from b_bound, and the overlap test built on it,
+    # agree with the cubics at every rank 5..199
+    for tag in ac.LATTICE_TAGS:
+        for n in range(5, 200):
+            cubic, h = _cubic_slice_bound(tag, n - 4), COXETER[tag](n)
+            spacing = Fraction(h * h, 2 if tag == "A2even" else 1)
+            assert ac.rank4_slice_bound(tag, n) == cubic, (tag, n)
+            assert ac.intervals_overlap(tag, n) == (cubic >= spacing)
+
+
 def test_rank4_slice_bound_values():
     # underlying B/C slice: m(m+1)(4m-1)/6; halved on the half-integer row
     assert ac.rank4_slice_bound("B1", 15) == Fraction(11 * 12 * 43, 6)
@@ -134,6 +159,9 @@ def test_rank4_slice_bound_values():
     assert ac.rank4_slice_bound("D1", 16) == Fraction(12 * 11 * 23, 3)
     with pytest.raises(DomainViolation, match="unknown affine type tag"):
         ac.rank4_slice_bound("E8", 5)
+    # below rank 5 there is no slice
+    with pytest.raises(BadLength, match="rank 0 invalid for series B"):
+        ac.rank4_slice_bound("B1", 4)
 
 
 @given(st.sampled_from(ac.LATTICE_TAGS), st.lists(st.integers(-6, 6),

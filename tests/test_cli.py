@@ -111,16 +111,17 @@ def test_cli_import_loads_no_dataclasses():
 
 # The atomlen modules each README command loads beyond the CLI's own (cli,
 # errors, budget and quadratic_forms), keyed by subcommand and scan form.
-# affine_classical brings affine_permutations, into which it lifts type C.
+# threshold reads the slice bound from finite_weyl; affine_classical loads
+# affine_permutations only to lift a type C element, which no command does.
 CORES = ("cores_abaci",)
-CLASSICAL = ("affine_classical", "affine_permutations")
+CLASSICAL = ("affine_classical",)
 README_MODULES = {
     "entropy": ("affine_permutations",), "core": CORES,
     "hall": ("sumsets",), "sumset": ("sumsets",), "finite": ("finite_weyl",),
-    "threshold": CLASSICAL, "scan Q-delta": (), "scan q-free": (),
-    "scan go": CORES, "scan trunc": CORES, "scan Ps": CORES,
-    "scan refined-go": CORES, "scan deltaC": CLASSICAL + ("sumsets",),
-    "scan lattice": CLASSICAL,
+    "threshold": CLASSICAL + ("finite_weyl",), "scan Q-delta": (),
+    "scan q-free": (), "scan go": CORES, "scan trunc": CORES,
+    "scan Ps": CORES, "scan refined-go": CORES,
+    "scan deltaC": CLASSICAL + ("sumsets",), "scan lattice": CLASSICAL,
 }
 
 
@@ -537,13 +538,28 @@ def test_finite_saturate_rank_nine_is_fast(capsys):
 
 
 def test_finite_saturate_over_budget_before_any_table(capsys, monkeypatch):
+    # the DP's table would hold 2^41 bitsets
     def no_tables(*args):
         raise AssertionError("the DP started before the budget check")
-    monkeypatch.setattr(finite_weyl, "truncated_staircase_eps", no_tables)
+    monkeypatch.setattr(finite_weyl, "_subset_dp", no_tables)
     code, out, err = run(capsys, "finite", "--type", "A", "--n", "40",
                          "--ell", "1", "--saturate")
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "over the budget" in err
+
+
+@pytest.mark.parametrize("series,n", [("B", 12), ("C", 12), ("D", 13)])
+def test_finite_saturate_threshold_slices_run_under_the_default_budget(
+        capsys, monkeypatch, series, n):
+    # slices at and past the threshold ranks: the DP charges 2.7-3.2 * 10^6
+    # word shifts, where a charge of b + 1 steps per shift passed 10^8
+    monkeypatch.delenv("ATOMLEN_BUDGET", raising=False)
+    code, out, err = run(capsys, "finite", "--type", series, "--n", str(n),
+                         "--ell", str(n), "--saturate")
+    assert code == 0 and err == ""
+    b = finite_weyl.b_bound(finite_weyl.FiniteType(series, n), n)
+    assert out == (f"type={series} n={n} ell={n} b={b} interval=yes "
+                   f"missing=-\n")
 
 
 def test_internal_error_is_exit_three(capsys, monkeypatch):
@@ -592,11 +608,14 @@ def test_broken_orbit_count_is_exit_three(capsys, monkeypatch):
 
 
 def test_threshold(capsys):
-    code, out, _ = run(capsys, "threshold", "--type", "C1")
-    assert code == 0 and out == "type=C1 n0=15\n"
-    code, out, _ = run(capsys, "threshold", "--type", "D2", "--json")
-    assert code == 0
-    assert json.loads(out)["n0"] == 10
+    # every tag, text and JSON, byte for byte
+    for tag, n0 in (("B1", 15), ("C1", 15), ("D1", 16), ("A2odd", 15),
+                    ("A2even", 16), ("D2", 10)):
+        code, out, _ = run(capsys, "threshold", "--type", tag)
+        assert code == 0 and out == f"type={tag} n0={n0}\n"
+        code, out, _ = run(capsys, "threshold", "--type", tag, "--json")
+        assert code == 0 and out == ('{"check_range": 40, "n0": %d, '
+                                     '"type": "%s"}\n' % (n0, tag))
 
 
 @pytest.mark.parametrize("schema,argv", [

@@ -614,16 +614,21 @@ def test_truncated_constant_closed_form_regression():
 
 def test_weight_forms_are_integer_data():
     # every weight of rank n <= 7: the form's integer constant is -2l times
-    # the normalizing constant, and the polynomial vanishes at sprime
+    # the normalizing constant, recomputed here from the normalization at
+    # sprime, and the polynomial vanishes at sprime
     count = 0
     for n in range(1, 8):
         for ell in range(1, n + 1):
             for charges in itertools.combinations_with_replacement(range(n),
                                                                    ell):
                 spec = ca.WeightSpec(n, ell, charges)
+                sp = spec.sprime
+                oracle = (Fraction(n, 2 * ell) * sum(v * v for v in sp)
+                          - sum(i * v for i, v in enumerate(sp)))
                 const = spec.form().const
                 assert type(const) is int
-                assert const == -2 * ell * spec.normalizing_constant()
+                assert const == -2 * ell * oracle
+                assert spec.normalizing_constant() == oracle
                 assert ca.eval_Ps(spec, spec.sprime) == 0
                 count += 1
     assert count == 4699

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -200,8 +201,20 @@ def test_saturation_predicted_matches_the_image_through_rank_8():
                                                   ("B", 3, 2, 16, 2)])
 def test_saturation_budget_counts_dp_work(monkeypatch, series, n, ell, b,
                                           signs):
+    # one bitset shift per (set of used targets, free target, sign), over
+    # the 64-bit words of a bitset that holds every scaled partial sum: the
+    # largest drop below the start and the largest rise above it; one word
+    # each here
+    work = {"A": 32, "B": 24}[series]
     t = fw.FiniteType(series, n)
-    work = 2 ** t.dim * t.dim * signs * (b + 1)  # states x targets x signs
+    d = t.dim
+    shifts = signs * sum(1 for mask in range(2 ** d) for j in range(d)
+                         if not mask >> j & 1)
+    u = fw._height_functional(series, n)
+    rows = [[r * x for x in u] for r in fw.truncated_staircase_eps(t, ell)]
+    scale = math.lcm(*(q.denominator for row in rows for q in row))
+    width = 2 * sum(max(map(abs, row)) for row in rows) * scale + 1
+    assert shifts * math.ceil(width / 64) == work
     monkeypatch.setenv("ATOMLEN_BUDGET", str(work - 1))
     with pytest.raises(BudgetExceeded, match="saturation DP"):
         fw.saturation_check(t, ell)

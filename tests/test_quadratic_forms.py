@@ -968,7 +968,7 @@ def _full_schedule(form, dom, targets, radius):
         pending = set(nums.values()) - found.keys()
         if pending:
             found.update(qf._witnesses_at_radius(form.quad, form.lin,
-                                                 pending, dom, r)[0])
+                                                 pending, dom, r))
     hits = [found.get(nums.get(k)) for k in targets]
     return [h[:-1] if h and dom.projected else h for h in hits]
 
@@ -1339,28 +1339,39 @@ def _engine_forms(nvars, data):
 
 
 def _engine_run(engine, form, dom, targets, radius):
-    """The engine's witnesses and closed flag, and the budget checks it
-    made: the table sizes it counted, level by level."""
+    """The engine's result and the budget checks it made: the table sizes
+    it counted, level by level."""
     checks = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(budget, "check", lambda work, what: checks.append(work))
         return engine(form.quad, form.lin, targets, dom, radius), checks
 
 
+def _assert_engines_agree(form, dom, targets, radius):
+    """The same witnesses and budget counts from both engines, and the old
+    engine's per-coordinate closed flag equal to the test against the
+    closure bound of _boxes, the one represent_all drops targets by."""
+    new, checks = _engine_run(qf._witnesses_at_radius, form, dom, targets,
+                              radius)
+    (old, closed), old_checks = _engine_run(old_witnesses_at_radius, form,
+                                            dom, targets, radius)
+    assert (new, checks) == (old, old_checks)
+    bound = qf._boxes(form.quad, form.lin, dom, radius)[2]
+    assert closed == (bound is not None and max(targets) <= bound)
+
+
 @given(domains_with_oracle(), st.data())
 @settings(max_examples=400, deadline=None)
 def test_int_keyed_engine_matches_the_tuple_keyed_one(dom_lit, data):
     # every domain constructor (the lattice rows, parity-even ones included)
-    # with every form family, at radii up to 6: the same witnesses, closed
-    # flag and budget counts
+    # with every form family, at radii up to 6: the same witnesses, budget
+    # counts and closure
     dom, _ = dom_lit
     form = data.draw(st.sampled_from(_engine_forms(dom.nvars, data)))
     radius = data.draw(st.integers(0, 6))
     targets = data.draw(st.sets(st.integers(-10, 120), min_size=1,
                                 max_size=40))
-    assert _engine_run(qf._witnesses_at_radius, form, dom, targets,
-                       radius) == _engine_run(old_witnesses_at_radius, form,
-                                              dom, targets, radius)
+    _assert_engines_agree(form, dom, targets, radius)
 
 
 @pytest.mark.parametrize("kind", SCAN_SIZE_KINDS)
@@ -1370,9 +1381,7 @@ def test_int_keyed_engine_matches_at_scan_size(kind):
     form, dom = SCAN_SIZE_KINDS[kind]
     targets = set(range(-5, 400))
     for radius in (0, 1, 2, 8, 30):
-        assert _engine_run(qf._witnesses_at_radius, form, dom, targets,
-                           radius) == _engine_run(old_witnesses_at_radius,
-                                                  form, dom, targets, radius)
+        _assert_engines_agree(form, dom, targets, radius)
 
 
 @pytest.mark.parametrize("form,dom,wrong,outside", [
@@ -1387,6 +1396,6 @@ def test_every_witness_is_rechecked(form, dom, wrong, outside, monkeypatch):
     for vec, message in ((wrong, f"witness {wrong} evaluates to 0, wanted 1"),
                          (outside, f"witness {shown} escaped {dom.label}")):
         monkeypatch.setattr(qf, "_witnesses_at_radius",
-                            lambda *args, vec=vec: ({num: vec}, True))
+                            lambda *args, vec=vec: {num: vec})
         with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
             qf.represent_all(form, dom, [3, 1], 5)

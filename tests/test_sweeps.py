@@ -123,15 +123,16 @@ def _searched(monkeypatch, scans):
 
 def _closed_misses(report, form, domain, radius):
     """For each not-found target, run alone at the scan's radius: whether
-    its box closes (no witness, and no larger box reaches more)."""
+    its box closes (no witness, and its numerator is at most the closure
+    bound of _boxes, so no larger box reaches more)."""
     out = []
+    bound = qf._boxes(form.quad, form.lin, domain, radius)[2]
     for e in report.entries:
         if e.status == "not-found":
-            knum = form.denom * e.target - form.const
-            witnesses, closed = qf._witnesses_at_radius(
-                form.quad, form.lin, {int(knum)}, domain, radius)
-            assert not witnesses
-            out.append(closed)
+            knum = int(form.denom * e.target - form.const)
+            assert not qf._witnesses_at_radius(form.quad, form.lin, {knum},
+                                               domain, radius)
+            out.append(bound is not None and knum <= bound)
     return out
 
 
