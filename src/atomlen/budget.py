@@ -26,6 +26,9 @@ def cap() -> int:
 def check(estimate: int, *, what: str) -> None:
     limit = cap()
     if estimate > limit:
+        # past 1000 bits a decimal could pass Python's int-to-str digit limit
+        bits = estimate.bit_length()
+        size = estimate if bits <= 1000 else f"2^{bits - 1}"
         raise BudgetExceeded(
-            f"{what} needs ~{estimate} steps, over the budget of {limit} "
+            f"{what} needs ~{size} steps, over the budget of {limit} "
             f"(raise ATOMLEN_BUDGET to override)")

@@ -269,7 +269,7 @@ class SaturationResult(namedtuple("SaturationResult",
                 "missing": list(self.missing)}
 
 
-def _image(t: FiniteType, ell: int, rho) -> tuple[int, ...]:
+def _image(t: FiniteType, ell: int, rho, signs, shifts) -> tuple[int, ...]:
     """Sorted image of the truncated atomic length over the whole group,
     for the staircase weight rho of level ell.
 
@@ -284,7 +284,6 @@ def _image(t: FiniteType, ell: int, rho) -> tuple[int, ...]:
     has an even one with the same length and the signs stay unconstrained.
     """
     series, n, d = t.series, t.n, t.dim
-    signs = (1,) if series == "A" else (1, -1)
     u = _height_functional(series, n)
     if series == "D" and u[-1] != 0:
         raise InvariantViolation(f"height functional {u} of D{n} needs "
@@ -294,11 +293,23 @@ def _image(t: FiniteType, ell: int, rho) -> tuple[int, ...]:
     a = [[int(q * scale) for q in row] for row in terms]
     # partial sums stay >= 0 once shifted by the largest possible drop
     offset = sum(max(abs(x) for x in row) for row in a)
-    # one shift per (mask, free target) pair and sign, d * 2^(d-1) pairs,
-    # over a bitset of 2 * offset + 1 bits
-    budget.check((d << d - 1) * len(signs) * -(-(2 * offset + 1) // 64),
+    # each of saturation_check's shifts moves 2 * offset + 1 bits
+    budget.check(shifts * -(-(2 * offset + 1) // 64),
                  what=f"saturation DP of {series}{n}")
-    bits = _subset_dp(a, signs, offset)
+    full = (1 << d) - 1
+    table = [0] * (full + 1)
+    table[0] = 1 << offset
+    for mask in range(full):   # every transition goes to a larger mask
+        bits, table[mask] = table[mask], 0
+        row = a[mask.bit_count()]
+        for j in range(d):
+            if mask >> j & 1:
+                continue
+            for s in signs:
+                step = -s * row[j]
+                table[mask | 1 << j] |= (bits << step if step >= 0
+                                         else bits >> -step)
+    bits = table[full]
     base = sum(a[i][i] for i in range(d)) - offset
     image = []
     while bits:
@@ -313,25 +324,6 @@ def _image(t: FiniteType, ell: int, rho) -> tuple[int, ...]:
     return tuple(image)
 
 
-def _subset_dp(a, signs, offset: int) -> int:
-    """Bitset of offset + sum_i s_i a_i[pi(i)] over the signed permutations."""
-    d = len(a)
-    full = (1 << d) - 1
-    table = [0] * (full + 1)
-    table[0] = 1 << offset
-    for mask in range(full):   # every transition goes to a larger mask
-        bits, table[mask] = table[mask], 0
-        row = a[mask.bit_count()]
-        for j in range(d):
-            if mask >> j & 1:
-                continue
-            for s in signs:
-                step = -s * row[j]
-                table[mask | 1 << j] |= (bits << step if step >= 0
-                                         else bits >> -step)
-    return table[full]
-
-
 def saturation_check(t: FiniteType, ell: int) -> SaturationResult:
     """Test whether the atomic length image is the full interval [0, b].
 
@@ -341,8 +333,13 @@ def saturation_check(t: FiniteType, ell: int) -> SaturationResult:
     staircase weight is built once for all three.
     """
     b = b_bound(t, ell)
+    signs = (1,) if t.series == "A" else (1, -1)
+    # _image's shifts, d * 2^(d-1) (used targets, free target) pairs per
+    # sign, move a word or more each: refuse before the staircase is built
+    shifts = (t.dim << t.dim - 1) * len(signs)
+    budget.check(shifts, what=f"saturation DP of {t.series}{t.n}")
     rho = truncated_staircase_eps(t, ell)
-    image = _image(t, ell, rho)
+    image = _image(t, ell, rho, signs, shifts)
     if image[-1] > b:
         raise InvariantViolation(
             f"value {image[-1]} above the closed-form bound {b}")

@@ -537,15 +537,32 @@ def test_finite_saturate_rank_nine_is_fast(capsys):
     assert out == "type=A n=9 ell=9 b=165 interval=yes missing=-\n"
 
 
+def no_staircase(*args):
+    raise AssertionError("the staircase was built before the budget check")
+
+
 def test_finite_saturate_over_budget_before_any_table(capsys, monkeypatch):
     # the DP's table would hold 2^41 bitsets
-    def no_tables(*args):
-        raise AssertionError("the DP started before the budget check")
-    monkeypatch.setattr(finite_weyl, "_subset_dp", no_tables)
+    monkeypatch.setattr(finite_weyl, "truncated_staircase_eps", no_staircase)
     code, out, err = run(capsys, "finite", "--type", "A", "--n", "40",
                          "--ell", "1", "--saturate")
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "over the budget" in err
+
+
+@pytest.mark.parametrize("ell", [1, 20000])
+def test_finite_saturate_large_rank_over_budget_at_once(capsys, monkeypatch,
+                                                        ell):
+    # the staircase would be 20001 * ell Fractions, and the shift count has
+    # over 6000 digits, past Python's int-to-str limit
+    monkeypatch.setattr(finite_weyl, "truncated_staircase_eps", no_staircase)
+    monkeypatch.delenv("ATOMLEN_BUDGET", raising=False)
+    code, out, err = run(capsys, "finite", "--type", "A", "--n", "20000",
+                         "--ell", str(ell), "--saturate")
+    assert code == 2 and out == ""
+    assert err == ("saturation DP of A20000 needs ~2^20014 "
+                   "steps, over the budget of 100000000 (raise "
+                   "ATOMLEN_BUDGET to override)\n")
 
 
 @pytest.mark.parametrize("series,n", [("B", 12), ("C", 12), ("D", 13)])

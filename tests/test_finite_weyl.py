@@ -198,14 +198,16 @@ def test_saturation_predicted_matches_the_image_through_rank_8():
 
 
 @pytest.mark.parametrize("series,n,ell,b,signs", [("A", 3, 3, 10, 1),
-                                                  ("B", 3, 2, 16, 2)])
+                                                  ("B", 3, 2, 16, 2),
+                                                  ("B", 4, 4, 50, 2)])
 def test_saturation_budget_counts_dp_work(monkeypatch, series, n, ell, b,
                                           signs):
     # one bitset shift per (set of used targets, free target, sign), over
     # the 64-bit words of a bitset that holds every scaled partial sum: the
     # largest drop below the start and the largest rise above it; one word
-    # each here
-    work = {"A": 32, "B": 24}[series]
+    # each for A3 and B3, three for B4, whose 64 shifts pass the one-word
+    # floor charged before the staircase is built
+    work = {("A", 3): 32, ("B", 3): 24, ("B", 4): 192}[series, n]
     t = fw.FiniteType(series, n)
     d = t.dim
     shifts = signs * sum(1 for mask in range(2 ** d) for j in range(d)
