@@ -1,0 +1,164 @@
+#!/usr/bin/env python3
+"""Run the mutation table: each mutant of src/atomlen must fail its tests.
+
+    python3 scripts/mutants.py
+
+Each row names a mutant: its id, the file under src/atomlen, the function
+that encloses the mutated code, the exact old snippet, its replacement, and
+the pytest node ids that must kill it.  The kill run copies src/, tests/,
+scripts/ and README.md into a temporary directory for each row, applies the
+one replacement there and runs only that row's tests; the mutant is killed
+when pytest reports a failure (exit 1).  Rows marked equivalent give the
+reason no test can kill them and are not run.
+
+Exit 0 when every other mutant is killed, 1 naming each survivor (or a run
+that pytest could not complete), 2 naming each row whose snippet no longer
+occurs exactly once inside its function ("site gone"), before any run.
+tests/test_mutants.py makes that site check in tier-1, so a change that
+moves a mutated line re-homes or retires its row.
+"""
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import namedtuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+Mutant = namedtuple("Mutant", "id file function old new tests equivalent",
+                    defaults=(None,))
+
+_QF, _SS = "quadratic_forms.py", "sumsets.py"
+_RESIDUE_TESTS = (
+    "tests/test_quadratic_forms.py::test_attained_classes_match_enumeration",
+    "tests/test_quadratic_forms.py::test_halved_dp_matches_the_full_dp",
+    "tests/test_quadratic_forms.py::test_residue_table_budget_counts_dp_work",
+)
+_ORBIT_TESTS = (
+    "tests/test_sumsets.py::test_certificate_matches_pairwise_oracle",
+    "tests/test_sumsets.py::test_difference_classes_match_the_streamed_orbit",
+    "tests/test_sumsets.py::test_verify_sumset_equality_family_C",
+)
+
+MUTANTS = (
+    # the residue DP of q (attained_classes)
+    Mutant("residue-rotation+1", _QF, "attained_classes",
+           "d = t * (t - s) % m", "d = (t * (t - s) + 1) % m",
+           _RESIDUE_TESTS),
+    Mutant("residue-wrap+1", _QF, "attained_classes",
+           "                acc |= bits << d | bits >> (m - d)",
+           "                acc |= bits << d | bits >> (m - d + 1)",
+           _RESIDUE_TESTS),
+    Mutant("residue-last-layer-no-vs", _QF, "attained_classes",
+           "for d in {v * (v + s) % m for v in range(m)}:",
+           "for d in {v * v % m for v in range(m)}:", _RESIDUE_TESTS),
+    Mutant("residue-prefix-sum+1", _QF, "attained_classes",
+           "d = t * (t - s) % m", "d = t * (t - s - 1) % m", _RESIDUE_TESTS),
+    Mutant("residue-layer-collapsed", _QF, "attained_classes",
+           "for _ in range(arity - 1):", "for _ in range(arity - 2):",
+           _RESIDUE_TESTS),
+    Mutant("residue-budget-without-m", _QF, "attained_classes",
+           "work += len(sums) * m", "work += len(sums)", _RESIDUE_TESTS),
+    Mutant("residue-inner-layers-no-vs", _QF, "attained_classes",
+           "d = t * (t - s) % m", "d = (t - s) * (t - s) % m",
+           _RESIDUE_TESTS,
+           "appending v adds v^2 instead of v^2 + v*s: x1^2 + x2^2 + x3^2 + "
+           "x3(x1 + x2) is D3, isomorphic to A3, so its classes equal "
+           "q(3)'s for every m <= 40, and at arity 4 for every m <= 23"),
+    # the orbit-class DP of the sumsets (_difference_classes)
+    Mutant("orbit-moves-without-signs", _SS, "_difference_classes",
+           'signs = (1, -1) if family == "C" else (1,)', "signs = (1,)",
+           _ORBIT_TESTS),
+    Mutant("orbit-class-shifted", _SS, "_difference_classes",
+           "_class(family, (s * y - x) % m, m)",
+           "_class(family, (s * y - x + (x == 1)) % m, m)", _ORBIT_TESTS),
+    Mutant("orbit-count-field-narrow", _SS, "_difference_classes",
+           "n, width = len(e), len(e).bit_length()",
+           "n, width = len(e), len(e).bit_length() - 1", _ORBIT_TESTS),
+    # the one table of a scan (represent_all)
+    Mutant("represent-radius-1", _QF, "represent_all",
+           "_witnesses_at_radius(quad, lin, wanted, domain, radius)",
+           "_witnesses_at_radius(quad, lin, wanted, domain, radius - 1)",
+           ("tests/test_quadratic_forms.py::"
+            "test_batch_targets_below_the_box_minimum_are_misses",
+            "tests/test_quadratic_forms.py::test_engine_matches_brute_force")),
+)
+
+
+def site_problem(row: Mutant):
+    """Why row's site is gone, or None: its snippet must occur exactly once
+    in its file, inside the function it names."""
+    path = os.path.join(ROOT, "src", "atomlen", row.file)
+    with open(path) as f:
+        text = f.read()
+    count = text.count(row.old)
+    if count != 1:
+        return f"snippet occurs {count} times in {row.file}"
+    line = text[:text.index(row.old)].count("\n") + 1
+    spans = [(node.lineno, node.end_lineno) for node in ast.walk(ast.parse(
+             text)) if isinstance(node, ast.FunctionDef)
+             and node.name == row.function]
+    if not any(lo <= line <= hi for lo, hi in spans):
+        return f"snippet is not inside {row.function}"
+    return None
+
+
+def _copy(where: str) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis",
+                                    ".pytest_cache")
+    for name in ("src", "tests", "scripts"):
+        shutil.copytree(os.path.join(ROOT, name), os.path.join(where, name),
+                        ignore=ignore)
+    shutil.copy(os.path.join(ROOT, "README.md"), where)
+
+
+def kill(row: Mutant) -> int:
+    """pytest's exit code for row's tests on a copy that carries the
+    mutant: 1 when a test fails (killed), 0 when all pass (survived)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as where:
+        _copy(where)
+        path = os.path.join(where, "src", "atomlen", row.file)
+        with open(path) as f:
+            text = f.read()
+        with open(path, "w") as f:
+            f.write(text.replace(row.old, row.new))
+        env = dict(os.environ, PYTHONPATH=os.path.join(where, "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider", *row.tests], cwd=where, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
+    gone = [(row.id, problem) for row in MUTANTS
+            if (problem := site_problem(row))]
+    for ident, problem in gone:
+        print(f"site gone: {ident}: {problem}")
+    if gone:
+        return 2
+    survivors = []
+    for row in MUTANTS:
+        if row.equivalent:
+            print(f"equivalent {row.id}: {row.equivalent}")
+            continue
+        code = kill(row)
+        verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"pytest exit {code}")
+        print(f"{verdict} {row.id}")
+        if code != 1:
+            survivors.append(row.id)
+    if survivors:
+        print(f"survivors: {', '.join(survivors)}")
+        return 1
+    print(f"all {sum(not row.equivalent for row in MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,8 @@ unbounded.  member checks exactly the conditions the engine enumerates.
 A form always reads the full vector, so it pairs with any domain of its
 arity, projected or not.
 
-One table answers every target of a scan at one radius.  For each suffix of
+One table, at the scan's radius R, answers every target of a scan, so "not
+found" certifies exhaustion of the radius-R box.  For each suffix of
 coordinates it maps one int, sum key * W + filter state, to a big-int bitset
 of the values that suffix can reach, up to the largest target.  The key is
 the suffix sum under a sum target, its parity under an even-sum condition,
@@ -25,14 +26,7 @@ minus its own.  A coordinate's candidates are the values of the box within
 the largest target of its least term, so a wider box lists no more of them;
 a table takes them in class groups sorted by value, skips a class the
 suffix fills with one test and cuts a group by bisection to the sums a
-prefix can complete.  Tables are built over an increasing radius schedule
-1, 2, 4, ..., R, each for the targets still missing, so small witnesses are
-found first while "not found" still certifies exhaustion of the full
-radius-R box.  A target leaves the schedule once it is witnessed, once a
-box holds its whole value window with no minimizer clamped (its numerator
-is at most the box's closure bound, so no larger box reaches it), or, just
-before the last radius, once q's residue tables certify it; a scan whose
-misses are all settled so never builds its widest table.
+prefix can complete.
 
 Misses cost one bit test.  Folding the first coordinate's candidates into
 the table of the other coordinates gives one reachability row: the bitset
@@ -42,14 +36,15 @@ the suffix state they need; those that share a state and a remaining
 offset travel together.  A state scans its candidates once in spiral order
 (outward from the coordinate's continuous minimizer, positive offset
 first), and each candidate takes, with one AND, every remaining offset its
-next state still reaches.  So each target takes the first vector in the
-lexicographic spiral order, the one a depth-first search in that order
-finds first, and witnesses are deterministic.  The tables are exact, so a
-target left without a value would raise InvariantViolation.  Every target,
-int or on the half grid, becomes its numerator denom*k - const in plain
-integers, held by list position.  A miss takes q's residue classes only
-when quad = 1, denom = 2, lin = -2c with c integral, const = |c|^2 and the
-domain's sum target is sum(c); labels decide nothing.
+next state still reaches.  So each target takes the first vector of the
+radius-R box in the lexicographic spiral order, the one a depth-first
+search in that order finds first, and witnesses are deterministic.  The
+tables are exact, so a target left without a value would raise
+InvariantViolation.  Every target, int or on the half grid, becomes its
+numerator denom*k - const in plain integers, held by list position.  A miss
+takes q's residue classes only when quad = 1, denom = 2, lin = -2c with c
+integral, const = |c|^2 and the domain's sum target is sum(c); labels
+decide nothing.
 """
 from __future__ import annotations
 
@@ -62,8 +57,7 @@ from math import isqrt
 from operator import mul
 
 from . import budget
-from .errors import (BadLength, BudgetExceeded, DomainViolation,
-                     InvariantViolation)
+from .errors import BadLength, DomainViolation, InvariantViolation
 
 S290 = frozenset({1, 2, 3, 5, 6, 7, 10, 13, 14, 15, 17, 19, 21, 22, 23, 26,
                   29, 30, 31, 34, 35, 37, 42, 58, 93, 110, 145, 203, 290})
@@ -301,38 +295,21 @@ def form_core_size(n: int) -> FormSpec:
 # Search engine
 # ---------------------------------------------------------------------------
 
-def _radius_schedule(radius: int) -> list[int]:
-    out, r = [], 1
-    while r < radius:
-        out.append(r)
-        r *= 2
-    return out + [radius]
-
-
-@lru_cache(maxsize=16)  # read by the engine and by represent_all's stop rule
 def _boxes(A, B, domain, radius):
     """Per coordinate (lo, hi, center, low): its box and its least term,
     taken at the integer nearest the continuous minimizer -B/(2A), clamped
-    to the box; the sum of the least terms, base; and the closure bound, the
-    largest K whose every value window lies inside its box, so that no
-    vector of value K lies outside (None when a minimizer is clamped).  K's
-    window holds the v with |2Av + B| <= isqrt(4A(K - base + low) + B^2),
-    inside [lo, hi] while that root is at most smax = min(2A(hi + 1) + B - 1,
-    2A(1 - lo) - B - 1): up to K = base + ((smax+1)^2 - 1 - B^2) // 4A - low."""
+    to the box; and the sum of the least terms, base."""
     n, S = domain.nvars, domain.sum_target
-    boxes, base, clamped, room = [], 0, False, []
+    boxes, base = [], 0
     for i, b in enumerate(B):
         last = domain.projected and i == n - 1  # forced: S -/+ i * radius
         lo, hi = (S - i * radius, S + i * radius) if last else (-radius, radius)
         center = (A - b) // (2 * A)
         v = min(max(center, lo), hi)
-        clamped |= v != center
         low = A * v * v + b * v
         base += low
         boxes.append((lo, hi, center, low))
-        smax = min(2 * A * (hi + 1) + b - 1, 2 * A * (1 - lo) - b - 1)
-        room.append(((smax + 1) ** 2 - 1 - b * b) // (4 * A) - low)
-    return tuple(boxes), base, None if clamped or not room else base + min(room)
+    return boxes, base
 
 
 def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
@@ -355,7 +332,7 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
     fold = -1 if S is not None else (1 if domain.parity_even else 0)
     total = S or 0
 
-    boxes, base, _ = _boxes(A, B, domain, radius)
+    boxes, base = _boxes(A, B, domain, radius)
     top = max(targets) - base
     if top < 0:
         return {}
@@ -476,12 +453,6 @@ def _numerators(form: FormSpec, targets) -> list:
     return out
 
 
-def _ints(form: FormSpec, nums) -> list:
-    """The integer targets (K + const) / denom among the numerators K."""
-    _, _, _, const, denom = form
-    return [(K + const) // denom for K in nums if (K + const) % denom == 0]
-
-
 def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
                   radius: int) -> list:
     """Witness or None for each target, in order: the first domain vector in
@@ -489,13 +460,10 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
 
     Targets may be ints or Fractions; negative ones and those whose scaled
     value denom*k - const is not an integer are misses without a search.
-    Each radius of the schedule routes only the targets on its reachability
-    row.  A target unfound at a radius leaves the schedule when its
-    numerator is at most that box's closure bound (see _boxes); before the
-    last radius, so do the pending integer targets that _certificates
-    excludes, given the witnesses found so far, when the pair takes q's
-    residue classes (a table over the budget leaves them pending).  None is
-    not a proof of non-representability, only exhaustion of the radius box.
+    The others share one table at the radius, which routes those on its
+    reachability row: each takes the first vector of the whole radius box.
+    None is not a proof of non-representability, only exhaustion of the
+    radius box.
     Every witness is re-evaluated in integers (its numerator must be
     denom*k) and member-checked; a projected domain's witness then drops
     its forced last coordinate.
@@ -510,30 +478,11 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
     # sum(log2(cap + 1)) bits: their width is checked before any is built
     budget.check(domain.nvars * sum(c.bit_length() + 1 for c in domain.caps),
                  what=f"representation tables on {domain.label}")
-    _, quad, lin, const, denom = form
+    quad, lin = form.quad, form.lin
     nums = _numerators(form, targets)
-    pending, found = {K for K in nums if K is not None}, {}
-    # the bound only grows with the radius: each drop is the next slice of
-    # the numerators in order
-    order, dropped, arity = sorted(pending), 0, _q_arity(form, domain)
-    for r in _radius_schedule(radius):
-        if pending and r == radius > 1 and arity is not None:
-            try:
-                certs = _certificates(arity, _ints(form, pending),
-                                      _ints(form, found))
-            except BudgetExceeded:
-                certs = {}  # left to the scan's walk after the search
-            pending -= {denom * k - const for k in certs}
-        if not pending:
-            break
-        witnesses = _witnesses_at_radius(quad, lin, pending, domain, r)
-        found.update(witnesses)
-        pending -= witnesses.keys()
-        bound = _boxes(quad, lin, domain, r)[2]
-        if bound is not None:
-            upto = bisect_right(order, bound)
-            pending.difference_update(order[dropped:upto])
-            dropped = upto
+    wanted = {K for K in nums if K is not None}
+    found = (_witnesses_at_radius(quad, lin, wanted, domain, radius)
+             if wanted else {})
     hits, projected, is_member = [], domain.projected, _membership(domain)
     for k, K in zip(targets, nums):
         hit = found.get(K)

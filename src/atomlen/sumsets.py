@@ -164,6 +164,7 @@ def verify_sumset_equality(family: str, n: int,
     # classes 0..top-1 in k places; in A the zero sum fixes the last class
     top, k = (m // 2 + 1, n) if family == "C" else (m, n - 1)
     classes = math.comb(top + k - 1, k)
+    budget.check(classes, what=f"target classes of {family}{n} mod {m}")
     e = tuple(i % m for i in range(1, n + 1))
     hit = _difference_classes(family, e, m)
     if family == "A" and any(sum(c) % m for c in hit):

@@ -359,7 +359,7 @@ def test_sumset_family_A(capsys):
 def test_sumset_override_costs_follow_the_modulus_listing(capsys):
     # the orbit-class DP does not grow with the modulus: a large A override
     # lists its missing vectors, and a C override too large to list stops
-    # at the listing's budget before any work
+    # at its count of target classes before any work
     code, out, _ = run(capsys, "sumset", "--family", "A", "--n", "2",
                        "--mod", "100000")
     assert (code, out) == (0, "family=A n=2 mod=100000 equal=no "
@@ -367,9 +367,25 @@ def test_sumset_override_costs_follow_the_modulus_listing(capsys):
     code, out, err = run(capsys, "sumset", "--family", "C", "--n", "2",
                          "--mod", "1000000")
     assert code == 2 and out == ""
-    assert err == ("orbit classes and missing vectors needs "
-                   "~1125000749968 steps, over the budget of 100000000 "
-                   "(raise ATOMLEN_BUDGET to override)\n")
+    assert err == ("target classes of C2 mod 1000000 needs ~125000750001 "
+                   "steps, over the budget of 100000000 (raise "
+                   "ATOMLEN_BUDGET to override)\n")
+
+
+def no_difference_classes(*args):
+    raise AssertionError("the orbit-class DP ran before the budget check")
+
+
+def test_sumset_target_classes_over_budget_before_the_dp(capsys,
+                                                         monkeypatch):
+    # C9 mod 10000 has comb(5009, 9) ~ 5.4 * 10^27 target classes
+    monkeypatch.setattr(sumsets, "_difference_classes", no_difference_classes)
+    monkeypatch.delenv("ATOMLEN_BUDGET", raising=False)
+    code, out, err = run(capsys, "sumset", "--family", "C", "--n", "9",
+                         "--mod", "10000")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("target classes of C9 mod 10000 needs ~5430917")
 
 
 def test_sumset_family_C_override(capsys):

@@ -19,6 +19,7 @@ from atomlen.errors import (BadLength, BudgetExceeded, DomainViolation,
                             InvariantViolation)
 
 from test_affine_permutations import random_window_strategy
+from test_sweeps import closure_bound
 
 
 def test_eval_P_examples():
@@ -658,22 +659,20 @@ def test_q_values_are_half_norms_on_zero_sum_vectors():
 
 def _brute_force_first(form, dom, lit, k, radius):
     """First witness in the documented search order, by plain enumeration
-    filtered with the literal membership test lit: radii 1, 2, 4, ..., R;
-    within a radius, the box in lexicographic order, each coordinate
-    spiralling out from its rounded minimizer, positive offset first.  The
-    last coordinate of a projected domain is forced by its sum, never
-    enumerated, and the form reads it too."""
-    radii = [r for r in (1, 2, 4, 8) if r < radius] + [radius]
-    for r in radii:
-        axes = []
-        for b in form.lin[:dom.dim()]:
-            c = math.floor(Fraction(-b, 2 * form.quad) + Fraction(1, 2))
-            axes.append(sorted(range(-r, r + 1),
-                               key=lambda t, c=c: (abs(t - c), t < c)))
-        for v in itertools.product(*axes):
-            full = v + (dom.sum_target - sum(v),) if dom.projected else v
-            if lit(v) and form.evaluate(full) == k:
-                return v
+    filtered with the literal membership test lit: the radius box in
+    lexicographic order, each coordinate spiralling out from its rounded
+    minimizer, positive offset first.  The last coordinate of a projected
+    domain is forced by its sum, never enumerated, and the form reads it
+    too."""
+    axes = []
+    for b in form.lin[:dom.dim()]:
+        c = math.floor(Fraction(-b, 2 * form.quad) + Fraction(1, 2))
+        axes.append(sorted(range(-radius, radius + 1),
+                           key=lambda t, c=c: (abs(t - c), t < c)))
+    for v in itertools.product(*axes):
+        full = v + (dom.sum_target - sum(v),) if dom.projected else v
+        if lit(v) and form.evaluate(full) == k:
+            return v
     return None
 
 
@@ -777,22 +776,22 @@ def test_batch_targets_below_the_box_minimum_are_misses():
         (1, 2, 3), (2, 3, 1), None, (1, 3, 2)]
 
 
-# Witnesses of the depth-first engine this table engine replaced, recorded
-# from it: one per filter kind, the off-centre minimizers of P, the forced
+# Witnesses recorded from _brute_force_first with the literal membership
+# tests: one per filter kind, the off-centre minimizers of P, the forced
 # last coordinate, the even-coordinate and the parity lattice.  Each is
 # first found beyond radius 1.
 PINNED_WITNESSES = [
-    (qf.form_Q(5), qf.domain_Delta(5), 7, 10, (1, 2, -2, 1, -2)),
+    (qf.form_Q(5), qf.domain_Delta(5), 7, 10, (0, 1, 2, 0, -3)),
     (qf.form_Q(6), qf.domain_Delta(6), 50, 30, (0, 0, 1, -1, 7, -7)),
     (qf.form_P(5), qf.domain_D(5), 13, 30, (1, 2, 4, 0, 8)),
-    (qf.form_P(6), qf.domain_D(6), 40, 30, (1, 3, 8, 6, 4, -1)),
+    (qf.form_P(6), qf.domain_D(6), 40, 30, (1, 2, 5, 10, 3, 0)),
     (qf.form_q(3), qf.domain_Z_full(3), 29, 12, (2, -2, 5)),
-    (qf.form_q(4), qf.domain_X(5), 13, 10, (1, 2, 2, -1)),
-    (qf.form_core_size(4), qf.domain_Q_full(4), 23, 25, (-1, 1, -2, 2)),
-    (qf.form_euclidean(4), qf.domain_DeltaC(4), 31, 15, (-2, 3, 3, 3)),
+    (qf.form_q(4), qf.domain_X(5), 13, 10, (0, 0, 1, -4)),
+    (qf.form_core_size(4), qf.domain_Q_full(4), 23, 25, (0, 2, 1, -3)),
+    (qf.form_euclidean(4), qf.domain_DeltaC(4), 31, 15, (1, 1, 2, -5)),
     (refined_size_form(5), qf.domain_Os(5), 60, 25, (1, -1, 2, 5, 3)),
     (WeightSpec(5, 3, (2, 2, 4)).form(), WeightSpec(5, 3, (2, 2, 4)).domain(),
-     17, 20, (1, -3, 3, 4, 3)),
+     17, 20, (1, 0, 0, 6, 1)),
     (AffineLatticeSpec("C1", 3).form(), lattice_domain("C1", 3), 6, 25,
      (2, 2, 4)),
     (AffineLatticeSpec("B1", 3).form(), lattice_domain("B1", 3), 7, 25,
@@ -902,22 +901,14 @@ SCAN_SIZE_KINDS = {
 }
 
 
-def _share_a_route(dom, radius, u, v):
-    """Whether two witnesses come from one radius of the schedule and leave
-    different prefixes for one suffix: from there on they need the same
-    suffix state and remaining offset, so one batch routes them together."""
-    def lifted_and_radius(w):
-        # a projected domain's forced coordinate lies within (nvars - 1) * r
-        # of the sum
-        forced = (dom.sum_target - sum(w),) if dom.projected else ()
-        return w + forced, next(
-            r for r in qf._radius_schedule(radius)
-            if all(abs(t) <= r for t in w)
-            and all(abs(t - dom.sum_target) <= (dom.nvars - 1) * r
-                    for t in forced))
-    (u, ru), (v, rv) = lifted_and_radius(u), lifted_and_radius(v)
-    return ru == rv and any(u[:i] != v[:i] and u[i:] == v[i:]
-                            for i in range(1, len(u)))
+def _share_a_route(dom, u, v):
+    """Whether two witnesses, lifted by a projected domain's forced
+    coordinate, leave different prefixes for one suffix: from there on they
+    need the same suffix state and remaining offset, so one batch routes
+    them together."""
+    if dom.projected:
+        u, v = (w + (dom.sum_target - sum(w),) for w in (u, v))
+    return any(u[:i] != v[:i] and u[i:] == v[i:] for i in range(1, len(u)))
 
 
 def test_represent_all_matches_represent():
@@ -933,7 +924,7 @@ def test_represent_all_matches_represent():
     hits = qf.represent_all(form, dom, [2, 1], 8)
     assert hits == [(1, -1, 1, -1), (0, 0, 1, -1)]
     assert hits == [qf.represent(form, dom, k, 8) for k in (2, 1)]
-    assert _share_a_route(dom, 8, *hits)
+    assert _share_a_route(dom, *hits)
 
 
 @pytest.mark.parametrize("kind", SCAN_SIZE_KINDS)
@@ -946,7 +937,7 @@ def test_batch_routing_matches_one_target_calls_at_scan_size(kind):
     hits = qf.represent_all(form, dom, targets, 8)
     assert hits == [qf.represent(form, dom, k, 8) for k in targets]
     found = [h for h in hits if h is not None]
-    assert any(_share_a_route(dom, 8, u, v)
+    assert any(_share_a_route(dom, u, v)
                for u, v in itertools.combinations(found, 2))
 
 
@@ -958,72 +949,15 @@ def test_a_box_wider_than_the_value_window_gives_the_same_entries():
     assert far.entries == qf.universality_scan(form, dom, 5, 20000).entries
 
 
-def _full_schedule(form, dom, targets, radius):
-    """represent_all's witnesses with every radius of the schedule run for
-    the targets still missing, however early the box holds every window."""
+def _one_table(form, dom, targets, radius):
+    """represent_all's witnesses from one engine call at the radius, with
+    Fraction arithmetic for the numerators and no witness checks."""
     nums = {k: int(form.denom * k - form.const) for k in targets
             if k >= 0 and (form.denom * k - form.const) % 1 == 0}
-    found = {}
-    for r in qf._radius_schedule(radius):
-        pending = set(nums.values()) - found.keys()
-        if pending:
-            found.update(qf._witnesses_at_radius(form.quad, form.lin,
-                                                 pending, dom, r))
+    found = (qf._witnesses_at_radius(form.quad, form.lin, set(nums.values()),
+                                     dom, radius) if nums else {})
     hits = [found.get(nums.get(k)) for k in targets]
     return [h[:-1] if h and dom.projected else h for h in hits]
-
-
-# (form, domain, radius, targets, radii represent_all runs): D, Delta, a
-# projected domain, Ds and DeltaC stop early with targets still missing.  P
-# on D(5) clamps the last coordinate's minimizer 5 at radii below 5: those
-# boxes witness none of its targets, yet the schedule runs on to radius 8,
-# which witnesses them all
-DS = WeightSpec(4, 2, (0, 0))
-EARLY_STOP_CASES = {
-    "D4": (qf.form_P(4), qf.domain_D(4), 100, range(201),
-           [1, 2, 4, 8, 16, 32]),
-    "Delta3": (qf.form_Q(3), qf.domain_Delta(3), 100, range(201),
-               [1, 2, 4, 8, 16, 32]),
-    "Z3": (qf.form_q(3), qf.domain_Z_full(3), 100, range(301),
-           [1, 2, 4, 8, 16, 32]),
-    "Ds": (DS.form(), DS.domain(), 100, range(81), [1, 2, 4, 8, 16]),
-    "DeltaC3": (qf.form_euclidean(3), qf.domain_DeltaC(3), 100, range(151),
-                [1, 2, 4, 8, 16]),
-    "D5-clamped": (qf.form_P(5), qf.domain_D(5), 100, range(4),
-                   [1, 2, 4, 8]),
-}
-
-
-def _record_radii(monkeypatch):
-    """The list of radii represent_all hands _witnesses_at_radius, filled
-    as they run."""
-    ran, witnesses_at_radius = [], qf._witnesses_at_radius
-
-    def counted(A, B, pending, domain, r):
-        ran.append(r)
-        return witnesses_at_radius(A, B, pending, domain, r)
-
-    monkeypatch.setattr(qf, "_witnesses_at_radius", counted)
-    return ran
-
-
-@pytest.mark.parametrize("case", EARLY_STOP_CASES)
-def test_early_stop_matches_the_full_schedule(case, monkeypatch):
-    form, dom, radius, targets, radii = EARLY_STOP_CASES[case]
-    full = _full_schedule(form, dom, list(targets), radius)
-    ran = _record_radii(monkeypatch)
-    assert qf.represent_all(form, dom, list(targets), radius) == full
-    assert ran == radii
-
-
-def test_the_schedule_stops_once_the_box_holds_every_window(monkeypatch):
-    # the missed targets 2 and 5 need |v| <= 3: the box holds every window
-    # from radius 4 on, so radii 8, ..., 524288 and 10^6 are not run
-    ran = _record_radii(monkeypatch)
-    rep = qf.universality_scan(qf.form_Q(3), qf.domain_Delta(3), 5, 10 ** 6)
-    assert ran == [1, 2, 4]
-    assert rep.radius == 10 ** 6
-    assert [e.target for e in rep.misses] == [2, 5]
 
 
 def test_table_over_budget_raises(monkeypatch):
@@ -1058,11 +992,12 @@ def _record_searches(monkeypatch):
     return searched
 
 
-def _window_numerators(form, dom, lit, top):
-    """A*sum(t^2) + sum(B*t) of every domain vector (literal test lit) whose
-    value is at most top: such a vector has each term within top - base of
-    its least value over the integers, so listing those coordinate values
-    (the last one forced by a sum target) lists it."""
+def _window_numerators(form, dom, lit, top, radius):
+    """A*sum(t^2) + sum(B*t) of every domain vector (literal test lit) of the
+    radius box whose value is at most top: such a vector has each term
+    within top - base of its least value over the integers, so listing
+    those coordinate values (the last one forced by a sum target) lists it.
+    A projected domain's forced coordinate is not bounded by the box."""
     A, B, S = form.quad, form.lin, dom.sum_target
     lows = [min(A * v * v + b * v for v in (-b // (2 * A), -b // (2 * A) + 1))
             for b in B]
@@ -1075,99 +1010,64 @@ def _window_numerators(form, dom, lit, top):
     values = set()
     for v in itertools.product(*(windows[:-1] if S is not None else windows)):
         t = v + (S - sum(v),) if S is not None else v
-        if lit(t[:dom.dim()]):
+        seen = t[:dom.dim()]
+        if lit(seen) and all(abs(x) <= radius for x in seen):
             values.add(form.numerator(t) - form.const)
     return values
 
 
-# (form, domain, literal test, radius, targets, whether misses are certified)
-# on D, Delta, a projected domain, Ds, DeltaC and the A2even half grid
+# (form, domain, literal test, radius, targets) on D, Delta, a projected
+# domain, Ds, DeltaC and the A2even half grid
+DS = WeightSpec(4, 2, (0, 0))
 STOP_RULE_CASES = {
     "D4": (qf.form_P(4), qf.domain_D(4), literal(qf.domain_D, 4), 30,
-           range(201), True),
+           range(201)),
     "Delta3": (qf.form_Q(3), qf.domain_Delta(3), literal(qf.domain_Delta, 3),
-               30, range(201), True),
+               30, range(201)),
     "Z3": (qf.form_q(3), qf.domain_Z_full(3), literal(qf.domain_Z_full, 3),
-           12, range(201), True),
+           12, range(201)),
     "Ds": (DS.form(), DS.domain(), literal(domain_Ds, 4, 2, (0, 0)), 30,
-           range(101), False),
+           range(101)),
     "DeltaC3": (qf.form_euclidean(3), qf.domain_DeltaC(3),
-                literal(qf.domain_DeltaC, 3), 30, range(151), False),
+                literal(qf.domain_DeltaC, 3), 30, range(151)),
     "A2even": (AffineLatticeSpec("A2even", 3).form(),
                lattice_domain("A2even", 3),
                literal(lattice_domain, "A2even", 3), 30,
-               [Fraction(j, 2) for j in range(161)], False),
+               [Fraction(j, 2) for j in range(161)]),
 }
 
 
 @pytest.mark.parametrize("case", STOP_RULE_CASES)
 def test_dropped_targets_have_no_vector_in_their_window(case, monkeypatch):
-    # a target leaves the schedule unfound when the radius box holds its
-    # whole value window (closed) or when q's residue tables exclude it
-    # (certified): a brute-force listing of the windows must not reach it
-    form, dom, lit, radius, targets, certified = STOP_RULE_CASES[case]
+    # represent_all searches every target in one table at the radius and
+    # leaves a target unfound only when the radius box holds no domain
+    # vector of its value: a brute-force listing of the box reaches exactly
+    # the witnessed targets
+    form, dom, lit, radius, targets = STOP_RULE_CASES[case]
     targets = list(targets)
-    full = _full_schedule(form, dom, targets, radius)
     searched = _record_searches(monkeypatch)
     hits = qf.represent_all(form, dom, targets, radius)
-    assert hits == full
     nums = qf._numerators(form, targets)
-    unfound = searched[0][1] - {K for K, hit in zip(nums, hits) if hit}
-    kept = searched[-1][1] if searched[-1][0] == radius else set()
-    dropped = unfound - kept
-    assert dropped
-    assert not dropped & _window_numerators(form, dom, lit, max(dropped))
-    # those never at or below a bound of a radius that searched them were
-    # certified before the last radius
-    bounds = {r: qf._boxes(form.quad, form.lin, dom, r)[2]
-              for r, _ in searched}
-    closed = {K for K in dropped for r, pending in searched
-              if K in pending and bounds[r] is not None and K <= bounds[r]}
-    assert bool(dropped - closed) == certified
-
-
-def test_the_scans_that_settle_their_misses_early_skip_the_last_radii(
-        monkeypatch):
-    # Q on Delta(4) and P on D(4): every miss left after radius 32 (16) is
-    # closed or certified, so radius 40 (30) is not built; q on Z^3 runs
-    # radius 20 for its one miss, 224, that no modulus certifies and radius
-    # 16 does not close
-    for form, dom, max_k, radius, radii, not_found in (
-            (qf.form_Q(4), qf.domain_Delta(4), 600, 40,
-             [1, 2, 4, 8, 16, 32], [224, 480]),
-            (qf.form_P(4), qf.domain_D(4), 200, 30, [1, 2, 4, 8, 16], []),
-            (qf.form_q(3), qf.domain_Z_full(3), 300, 20,
-             [1, 2, 4, 8, 16, 20], [224])):
-        ran = _record_radii(monkeypatch)
-        rep = qf.universality_scan(form, dom, max_k, radius)
-        assert ran == radii, dom
-        assert [e.target for e in rep.misses
-                if e.status == "not-found"] == not_found, dom
-    searched = _record_searches(monkeypatch)
-    qf.universality_scan(qf.form_q(3), qf.domain_Z_full(3), 300, 20)
-    assert searched[-1] == (20, {448})
+    wanted = {K for K in nums if K is not None}
+    assert searched == [(radius, wanted)]
+    assert hits == _one_table(form, dom, targets, radius)
+    found = {K for K, hit in zip(nums, hits) if hit is not None}
+    assert wanted - found
+    assert found == wanted & _window_numerators(form, dom, lit, max(wanted),
+                                                radius)
 
 
 def test_an_early_residue_table_over_budget_leaves_its_target_pending(
         monkeypatch):
-    # Q on Delta(3) reaches k = 12 first at radius 4, and radius 2 does not
-    # close it: before radius 4 its class is asked mod 3, ..., 128, and the
-    # table mod 128 (8385 steps) is over the budget of 8000.  The target
-    # stays pending and radius 4 witnesses it, as without the early step
-    form, dom = qf.form_Q(3), qf.domain_Delta(3)
-    expected = qf.universality_scan(form, dom, 12, 4, min_k=12)
-    assert expected.all_witnessed
+    # k = 15 on Delta(3), a miss no modulus certifies, meets the table of
+    # q(2) mod 128 (8385 steps, over the budget of 8000) in the scan's one
+    # certificate pass after the search, and the scan stops there
     monkeypatch.setenv("ATOMLEN_BUDGET", "8000")
-    qf.attained_classes.cache_clear()
-    ran = _record_radii(monkeypatch)
-    assert qf.universality_scan(form, dom, 12, 4, min_k=12) == expected
-    assert ran == [1, 2, 4]
-    # k = 15, a miss no modulus certifies, meets the same table after the
-    # search and the scan stops there
     qf.attained_classes.cache_clear()
     with pytest.raises(BudgetExceeded, match=r"^residue table of q\(2\) mod "
                                              r"128 needs ~8385 steps"):
-        qf.universality_scan(form, dom, 15, 2, min_k=15)
+        qf.universality_scan(qf.form_Q(3), qf.domain_Delta(3), 15, 2,
+                             min_k=15)
 
 
 def _fraction_numerators(form, targets):
@@ -1200,7 +1100,7 @@ def test_integer_numerators_match_fraction_arithmetic(data):
     assert qf._numerators(form, targets) == _fraction_numerators(form,
                                                                  targets)
     radius = data.draw(st.integers(0, 6))
-    assert qf.represent_all(form, dom, targets, radius) == _full_schedule(
+    assert qf.represent_all(form, dom, targets, radius) == _one_table(
         form, dom, targets, radius)
 
 
@@ -1349,14 +1249,14 @@ def _engine_run(engine, form, dom, targets, radius):
 
 def _assert_engines_agree(form, dom, targets, radius):
     """The same witnesses and budget counts from both engines, and the old
-    engine's per-coordinate closed flag equal to the test against the
-    closure bound of _boxes, the one represent_all drops targets by."""
+    engine's per-coordinate closed flag equal to the test against
+    closure_bound, the closed form the sweep tests read."""
     new, checks = _engine_run(qf._witnesses_at_radius, form, dom, targets,
                               radius)
     (old, closed), old_checks = _engine_run(old_witnesses_at_radius, form,
                                             dom, targets, radius)
     assert (new, checks) == (old, old_checks)
-    bound = qf._boxes(form.quad, form.lin, dom, radius)[2]
+    bound = closure_bound(form, dom, radius)
     assert closed == (bound is not None and max(targets) <= bound)
 
 

@@ -23,29 +23,29 @@ PINNED = {
         ('51eef6d63b76475555548ca0eddd6fcff5230381ebad40a97649eb04f5167a02', 0,
          '7bcfb0503082b9ad7878d9b945289f3c7a2703732c09b88f7327f2b23c2178ba', 0),
     'atomlen scan --form Q-delta --n 5 --max-k 200 --radius 30':
-        ('a46e78c6e4a08c4c4f3c7ec39cf4e2d3cef2dbd0f987695a4af42844edb41314', 0,
-         '9d7df3fde06eb50bffa83234b5e2306b42e92e3046ba464d08177ecc79c4cf0c', 0),
+        ('6215c5d093497dfb16db1bcbb5dae05f124a667a2689de082cc616bbe551378b', 0,
+         'c33540a1f8fb44b44a7c7d9782fa48caca6471530576b6a1dd746f6a9a9bcefe', 0),
     'atomlen scan --form q-free  --n 4 --max-k 30  --radius 12':
-        ('1d75ed294caae41e28f511b291af93988754e773a483c937383f77bd264a4b83', 0,
-         'd5ef6a3d15d144e016c58a1defc7987abc159b7e1ec200c031d02dbaf73fdb65', 0),
+        ('7491b78197af795af4d4cdaac1e312a477e6208c6bba3b7d0ecd6645d3c13f60', 0,
+         '1cc838775a0684b7952d4c9731ffac8fd11e481263fdf4e7fdc0ef2e81ae3314', 0),
     'atomlen scan --form go      --n 4 --max-k 150 --radius 25':
-        ('17ffb66eff8b6b360e408783268448e055e35f1b458c6b5ef7915bdb9d52d485', 0,
-         '738893e580f8e0616a8985af37932abb4c8bb929a60f2f905b321390f35056e1', 0),
+        ('c29ff9ef30ee02f7544c27cd03358691aa39c98c51025eeb454f1c8f43173296', 0,
+         '33e3c9fe8aef305b40fcf19aa9e0f39b80527857f3b7815f64e5622ed1abe8f7', 0),
     'atomlen scan --form trunc   --n 5 --ell 2 --max-k 100 --radius 30':
-        ('4a0493fc094f5c2358d70cb03faed25a041b4af351f192e7caeb4faf1e0fcaec', 0,
-         'ddd5981b1fee081455fc98952bd4ed9200bc260e24eecb5e6df74ce922c1095d', 0),
+        ('41a1205062e0ae801de2d233e116f3eb8e63bed1792d869289f3a5f14cebf4bb', 0,
+         '189c752322dc839b96a10f256e2b03c33b44b22191ff85a20682d9c6a2e5187b', 0),
     'atomlen scan --form Ps      --n 5 --ell 3 --s 2,2,4 --max-k 50 --radius 20':
-        ('b328c7b9ae29a5c459a1104c1c8db56866d36431bed466e8beae8b5a1724c7f7', 0,
-         '76ed9d81cbecf67cd1c62828eac62420db91cac3e5571cdc3ac67941a72a87d6', 0),
+        ('609b9a40853b4517d11e10a8b32d7d91e65c16acdc0ca13d927dbd4acbc8d7f3', 0,
+         '7edf4f8272e2c620c6864ae9051fdbbdd3802d9857245855c767cb17853cf83f', 0),
     'atomlen scan --form refined-go --n 5 --max-k 150 --radius 25':
-        ('f286c6506a03a78e01afecee8399be0b9886d1a3fa95024ef3e4840c3bc6ee02', 0,
-         '3916db199d57676ba76d937d22106d178259877fe70ffa2b7f6c47f001cde279', 0),
+        ('d7dbdd850a479ae669e526dc93df3216f9e3da8cfa7716b979ddcd0e01384432', 0,
+         '758d91a48beb08b960afcc82219ac5c7851687c16b587f0f1d2a39880fe16a48', 0),
     'atomlen scan --form deltaC  --n 5 --max-k 150 --radius 15':
-        ('c91fdcde6c5584b0bc29ce7a050bcd500564b18d1ae67f8549c6b8253cf6c36b', 0,
-         '6d58104feee22f83e3becdc9dbfe7349cb6bd470bc36b0f4f7d8a8bc73464eb0', 0),
+        ('f0d3b2274babf5c1f6108cfc9bebf8076c3d1eec838d9df108d816497fb6d1a2', 0,
+         'e002af2d74a4ca021fb6a4e6cd7c461dbdef2efb3f78ec7b0919660ac0d85600', 0),
     'atomlen scan --form lattice --type A2even --n 4 --max-k 100 --radius 25':
-        ('c8114a23ac6ba7fa994bbd48237a7dc309f78f299e8726c4297bebcc3779cc57', 0,
-         'e116cce52179be3df430216cb4bd7b339549cefe7a2dd76bf198d2a50120b4f3', 0),
+        ('6def075dae3a061d7884b255b76ad3ca359ce99861f371468e7df9208bcbbfa5', 0,
+         '8e4cee1a29c9993fe81fe60006c7ee844fe59718e55d317eb234f852551aec18', 0),
     'atomlen sumset --family A --n 5':
         ('677e0313fe1f7a23a6a5d086dae185ab8311c7036c7ffda44750a8eaf756beb7', 0,
          '87a0e848709d40d203aa8307fa9cb2595182e14f804cbcb36ccfcd6780a9f599', 0),

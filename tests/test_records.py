@@ -1,16 +1,21 @@
 """The library's records are immutable named tuples: validated ones check
 their arguments on construction, every one is built by position or keyword,
-keeps its defaults, refuses field assignment and prints as Name(field=...)."""
+keeps its defaults, refuses field assignment and prints as Name(field=...).
+The library calls that validate their arguments refuse them the same way."""
 import ast
 import inspect
 
 import pytest
 
+from atomlen import affine_classical as ac
+from atomlen import affine_permutations as ap
+from atomlen import cores_abaci as ca
 from atomlen import quadratic_forms as qf
+from atomlen import sumsets
 from atomlen.affine_classical import AffineLatticeSpec, TypeCAffineElement
 from atomlen.cores_abaci import BetaAbacus, WeightSpec
 from atomlen.errors import (BadIndex, BadLength, DomainViolation,
-                            MirrorViolation)
+                            MirrorViolation, NotInDs, RankMismatch)
 from atomlen.finite_weyl import FiniteType, SignedPermutation
 
 
@@ -29,11 +34,71 @@ from atomlen.finite_weyl import FiniteType, SignedPermutation
      "entry 7 is 0 mod 7, clashing with the fixed point"),
     (lambda: AffineLatticeSpec("E8", 4), DomainViolation,
      "unknown affine type tag 'E8'"),
+    (lambda: TypeCAffineElement(2, (1,)), BadLength,
+     "reduced window needs 2 entries"),
+    (lambda: AffineLatticeSpec("C1", 0), BadLength,
+     "rank must be positive, got 0"),
+    (lambda: BetaAbacus(3, (3, 5)), BadLength,
+     "beads must lie above the threshold"),
+    (lambda: WeightSpec(5, 3, (1, 2)), BadLength,
+     "number of charges must equal the level"),
+    (lambda: SignedPermutation(FiniteType("B", 3), (1, 1, 3), (1, 1, 1)),
+     BadIndex, "perm (1, 1, 3) is not a permutation of 1..3"),
+    (lambda: SignedPermutation(FiniteType("B", 3), (1, 2, 3), (1, 0, 1)),
+     BadIndex, "bad sign vector (1, 0, 1)"),
+    (lambda: SignedPermutation(FiniteType("A", 2), (1, 2, 3), (1, -1, 1)),
+     BadIndex, "series A has no sign changes"),
 ])
 def test_validated_records_reject_invalid_arguments(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ac.from_displacement((1, 1)), DomainViolation,
+     "(1, 1) violates the displacement congruences"),
+    (lambda: ap.make_affine(0, ()), BadLength,
+     "rank must be positive, got 0"),
+    (lambda: ap.recompose(ap.TranslationVector(2, (1, -1)),
+                          ap.FinitePermutation(3, (1, 2, 3))),
+     RankMismatch, "ranks differ: 2 vs 3"),
+    (lambda: list(ap.enumerate_bounded(1, 4)), BadLength,
+     "rank must be >= 2, got 1"),
+    (lambda: ca.is_n_core_hooks((2, 1), 1), BadLength, "need n >= 2, got 1"),
+    (lambda: ca.is_n_core_abacus(BetaAbacus(0, (1, 2)), 1), BadLength,
+     "need n >= 2, got 1"),
+    (lambda: ca.is_ns_core(((1,), ()), (0, 1), 1), BadLength,
+     "need n >= 2, got 1"),
+    (lambda: ca.core_of_orbit_point(WeightSpec(3, 1, (0,)), (1, 1, 1)),
+     NotInDs, "(1, 1, 1) is not in the charge orbit domain of "
+              "WeightSpec(n=3, ell=1, charges=(0,))"),
+    (lambda: ca.eval_dilated(WeightSpec(3, 1, (0,)), (0, 0)), BadLength,
+     "need 3 coordinates"),
+    (lambda: ca.eval_dilated(WeightSpec(3, 1, (0,)), (1, 0, 0)),
+     DomainViolation, "(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)) "
+                      "is not on the dilated lattice"),
+    (lambda: ca.eval_dilated(WeightSpec(3, 1, (0,)), (3, -1, -2)),
+     DomainViolation, "(Fraction(3, 1), Fraction(-1, 1), Fraction(-2, 1)) "
+                      "pulls back outside the charge domain"),
+    (lambda: SignedPermutation(FiniteType("B", 2), (2, 1), (1, -1)).act(
+        (1, 2, 3)), RankMismatch,
+     "vector of length 3 for FiniteType(series='B', n=2)"),
+    (lambda: qf.map_C_inv((1, 1)), DomainViolation,
+     "(1, 1) is not a valid displacement vector, rank 2"),
+    (lambda: qf.map_pr((1, 1)), DomainViolation,
+     "(1, 1) is not a valid displacement vector, rank 2"),
+    (lambda: qf.map_pr_inv((1, 0)), DomainViolation,
+     "(1, 0) fails the projected congruence conditions"),
+])
+def test_library_calls_reject_invalid_arguments(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_no_prime_below_two():
+    assert [p for p in range(12) if sumsets.is_prime(p)] == [2, 3, 5, 7, 11]
 
 
 def test_validated_records_take_keywords():

@@ -333,17 +333,19 @@ def test_orbit_class_dp_is_budgeted(monkeypatch):
 
 
 def test_orbit_class_dp_counts_key_words(monkeypatch):
-    # A8 mod 100: the moves make 15 classes, so a key takes 8 + 15 * 4 = 68
-    # bits, two 64-bit words; the layers hold 1, 8, 56, 330, 1527, 5030,
-    # 10341 and 11478 states, each trying 8 moves
+    # A8 mod 16: the differences -7..7 stay distinct, so the moves make 15
+    # classes and a key takes 8 + 15 * 4 = 68 bits, two 64-bit words; the
+    # layers hold 1, 8, 56, 330, 1527, 5030, 10341 and 11478 states, each
+    # trying 8 moves.  The comb(22, 7) = 170544 target classes fit under
+    # that charge, so their check passes first
     work = (1 + 8 + 56 + 330 + 1527 + 5030 + 10341 + 11478) * 8 * 2
     monkeypatch.setenv("ATOMLEN_BUDGET", str(work - 1))
-    with pytest.raises(BudgetExceeded, match=r"orbit classes of A8 mod 100 "):
-        ss.verify_sumset_equality("A", 8, 100)
-    # at the DP's own work, the check on the ~100^7 missing vectors stops it
+    with pytest.raises(BudgetExceeded, match=r"orbit classes of A8 mod 16 "):
+        ss.verify_sumset_equality("A", 8, 16)
+    # at the DP's own work, the check on the ~16^7 missing vectors stops it
     monkeypatch.setenv("ATOMLEN_BUDGET", str(work))
     with pytest.raises(BudgetExceeded, match="missing vectors"):
-        ss.verify_sumset_equality("A", 8, 100)
+        ss.verify_sumset_equality("A", 8, 16)
 
 
 @pytest.mark.parametrize("call,message", [

@@ -23,30 +23,30 @@ SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "scan_sweeps.
 PINNED = {
     "delta_2": "fb7671ee1fb3e3fb8996393afb297672b3d46904c61b7c8f754b6caf4a7211d7",
     "delta_3": "4be54cd26221dc68df79bc006c08bdf554078df4d34b4845ca86908856ef5a38",
-    "delta_4": "905b8beab8a6edc491ffc95d152021f88f118d1cf341fc3c55932179a1244f21",
-    "delta_5": "405c04f03b4b2cb50a8c107d0370eaa752ac3979774332088effea35dc77705e",
-    "delta_6": "007a99ba0ab4d42d1e460fa5749e885da77c4a6e3708ea2fca0de5ca67ad2a5c",
-    "go_3": "602f5890ee29d55d12462bda7e898c863a3b1e8b10ec651b973190e9709db1ff",
-    "go_4": "c763885292f374350658087fd6d0eb03c98cb408091134673b1e3ef0b61c7a96",
-    "go_5": "eba930f9595312623d2ae8d3c46d36dfd83a8c6294b1314e661b6569c6a95c59",
-    "go_6": "30cf87f945e9bcd5c9e0faf012ec98e002581d46bbdb01868d158a75871e8a71",
-    "go_7": "06accd29e42e974d8e222d45f225b9b44f081699f589173d296e5af6c3e26a51",
-    "refined_go_5": "0bcb1f17a624a0086a6cddc92bd8a8b5fb5a6036280e34e0657a14df27a1dbd8",
-    "refined_go_6": "1385242994a5d5e2b649abc33a0d23319aa7a2a0478a0d1c8d51943e5ed7f22c",
-    "trunc_5_2": "dc29df106895aea1b2c81cceff3082f529a064c47b09ad323dc6b0845f1bafb3",
-    "trunc_5_3": "6abbcfebab7073dce2ef43e06fb2bf865b1b6777b4611ecb3cee178dd96f026d",
-    "trunc_6_2": "ba76f319192b9def13840df1343a25058459102b6388af9c2546ec98e58c4a0e",
-    "trunc_7_3": "8ca87bc7a494cb263fe1852e26404e7cd9b2d36fdb45c63e9d741485ff707619",
-    "deltaC_3": "3629ca08cf818ac112611027759730a2cd51bc610e74ce64fbe9c8d4d5767751",
-    "deltaC_4": "8417243f28d6bb3160c22f968279b1ac6fef546a02e2c0e94ac4026459e2503b",
-    "deltaC_5": "aca1288f8ddfd5f56ff24d446ad09be06c0884de392cc2335713bdeec2e2f3eb",
-    "deltaC_6": "8a3d1666db8bf22ccd48fcb1a3ccc5bfce12fe5be3345759f9619d60ba78843c",
-    "lattice_B1_4": "2733ccd1b1b730c0b4fd2ad0d2976eeb6bc05eb0d073e01a739ed16942d760ef",
-    "lattice_C1_4": "96f2ed131529b9301b04cadacb7dbce2e66974017e22f9f477ad1f0c786b15ad",
-    "lattice_D1_4": "88161193c7e97799e62a6143dd317f37d4d74fb4126e764a2e0545cb821f62a3",
-    "lattice_A2odd_4": "2641dd9d06555cfa51425407534b17d925c86e9cbcca95e7d502bf0b6d102b31",
-    "lattice_A2even_4": "563af2fee7cf8f3e9e0899eb844146e60d336d143a6a26e91ed912f04f840b61",
-    "lattice_D2_4": "c9d56cb933dfb299d103ef73bad7e81d9ab5f861a7ca1409f917d4b581cad694",
+    "delta_4": "9f385114fa058e7d1caaf4bc1a34ce7d746a6bdfd9c2fcf8225ea99e9251b568",
+    "delta_5": "1f747aadd718e2096f41b1909d856adf058de8db004274f37a7406ec4a02a45c",
+    "delta_6": "858407ff3c15ccea18b664b50f8cd4ee092062866bec1ec8fba19db15eac1672",
+    "go_3": "8a3290f5b7d9e4e49aadc793e774c30647cf0559a7cb2a8fe30a2be46c56985f",
+    "go_4": "2df523f4be3b6252e2080c7328f70ae6afba806972044c68289b8468a0bf7887",
+    "go_5": "0bae41d5ef14d1ccddfc368e50d88c44e594288cb821ae85371dc49325dbc586",
+    "go_6": "df382d1617a200abd256119a660107dacbb479e86072a2f7d01fcd2a1fd6f727",
+    "go_7": "9bcb26405477f7f4ac83622e30945f7fe2f3f0c3c44c8f380f53b3597f2be521",
+    "refined_go_5": "a6381c174f80e71c8ff941fa070001bb526e4a74b637cea8e9d67fb72c16196e",
+    "refined_go_6": "7e556b297c6decf9780c6e44949c73da0b968f0d81bc67c1dcd9f9e1aa9def15",
+    "trunc_5_2": "c47813b8c4be3157ef2e7dd57ebd1447a14bb4701673b16d2b74fdd40693e97d",
+    "trunc_5_3": "46341df5d8552178db21a09f8f1ab9a0d47130afb888ca4007113527fbdab7e5",
+    "trunc_6_2": "b42792126807fbfc28ffdd50a3d2210defd229db0e87b15b41f5e44f0f190b35",
+    "trunc_7_3": "24c6167e3d46c434f84ae6df45c5fc04d95a8f5c4acc8d77ba0270d145166c52",
+    "deltaC_3": "39bded7069d204a69100d8a1a6add7fb291d0d8469cd97524232f2e12909b83f",
+    "deltaC_4": "42f2063f66121cc6ddc29404f68b59f6b858ad054944f4cab8cb441f7870501a",
+    "deltaC_5": "93699bf1bf0cbe497de04cd01065bd5602e534b5f5fb2e8fdbb33d987556b106",
+    "deltaC_6": "30c3c9a3824ca1cb472e9ce7561a4e85fae6b10f5f444ac04d069510c7fbb838",
+    "lattice_B1_4": "610ed33cd3aa0f33c6737d4d0b16a1959573e8968f28515068325fbce13dcd3b",
+    "lattice_C1_4": "d39fb5ad5b5d8bd11f6f5bf7cc62d7e8736c4d724ad6b113f852a4e09dc65703",
+    "lattice_D1_4": "56149a3d91e94264679fa8426798c53d09e327191c124c8c2233d7d6150a3949",
+    "lattice_A2odd_4": "c6cc095bd38844f185526dff037883604298ca22a3ca7739e643c52da4c9e0be",
+    "lattice_A2even_4": "3ef1de4312026e23158810f530c396fbeb27f85fc596a0243ad742a666edecaa",
+    "lattice_D2_4": "171026c0c6dc3e4c752e20e404d8aa400eed89a89d347eda1a2e6afbc6fe537b",
 }
 
 
@@ -121,12 +121,30 @@ def _searched(monkeypatch, scans):
         yield (name, report, *seen[-1])
 
 
+def closure_bound(form, domain, radius):
+    """The largest numerator K whose every value window lies inside the
+    radius box, so that no vector of value K lies outside it; None when a
+    minimizer is clamped to the box.  Coordinate i's window holds the v with
+    |2Av + B| <= isqrt(4A(K - base + low) + B^2), inside [lo, hi] while that
+    root is at most smax = min(2A(hi + 1) + B - 1, 2A(1 - lo) - B - 1): up to
+    K = base + ((smax + 1)^2 - 1 - B^2) // 4A - low."""
+    A = form.quad
+    boxes, base = qf._boxes(A, form.lin, domain, radius)
+    room = []
+    for b, (lo, hi, center, low) in zip(form.lin, boxes):
+        if not lo <= center <= hi:
+            return None
+        smax = min(2 * A * (hi + 1) + b - 1, 2 * A * (1 - lo) - b - 1)
+        room.append(((smax + 1) ** 2 - 1 - b * b) // (4 * A) - low)
+    return base + min(room) if room else None
+
+
 def _closed_misses(report, form, domain, radius):
     """For each not-found target, run alone at the scan's radius: whether
     its box closes (no witness, and its numerator is at most the closure
-    bound of _boxes, so no larger box reaches more)."""
+    bound, so no larger box reaches more)."""
     out = []
-    bound = qf._boxes(form.quad, form.lin, domain, radius)[2]
+    bound = closure_bound(form, domain, radius)
     for e in report.entries:
         if e.status == "not-found":
             knum = int(form.denom * e.target - form.const)
