@@ -33,11 +33,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 Mutant = namedtuple("Mutant", "id file function old new tests equivalent",
                     defaults=(None,))
 
-_QF, _SS = "quadratic_forms.py", "sumsets.py"
+_QF, _SS, _FW = "quadratic_forms.py", "sumsets.py", "finite_weyl.py"
 _RESIDUE_TESTS = (
     "tests/test_quadratic_forms.py::test_attained_classes_match_enumeration",
     "tests/test_quadratic_forms.py::test_halved_dp_matches_the_full_dp",
     "tests/test_quadratic_forms.py::test_residue_table_budget_counts_dp_work",
+)
+_WEIGHT_TESTS = (
+    "tests/test_finite_weyl.py::"
+    "test_integer_weights_and_heights_match_the_fractions",
+    "tests/test_finite_weyl.py::"
+    "test_atomic_length_matches_the_fraction_oracle",
 )
 _ORBIT_TESTS = (
     "tests/test_sumsets.py::test_certificate_matches_pairwise_oracle",
@@ -80,6 +86,22 @@ MUTANTS = (
     Mutant("orbit-count-field-narrow", _SS, "_difference_classes",
            "n, width = len(e), len(e).bit_length()",
            "n, width = len(e), len(e).bit_length() - 1", _ORBIT_TESTS),
+    # the integer weights, heights and saturation DP of finite_weyl
+    Mutant("weight-A-denominator-n", _FW, "_weight",
+           "(-i,) * (n + 1 - i), n + 1", "(-i,) * (n + 1 - i), n",
+           _WEIGHT_TESTS),
+    Mutant("heights-C-without-half-shift", _FW, "_heights",
+           "2 * (d - i) + 1", "2 * (d - i)", _WEIGHT_TESTS),
+    Mutant("image-without-gcd", _FW, "_image",
+           "g = math.gcd(scale * u_scale, *itertools.chain(*a))", "g = 1",
+           ("tests/test_finite_weyl.py::"
+            "test_saturation_budget_counts_dp_work",)),
+    Mutant("ends-w0-as-identity", _FW, "saturation_check",
+           "_length(t, rho, w0_action(t))",
+           "_length(t, rho, identity_element(t))",
+           ("tests/test_finite_weyl.py::test_saturation_examples",
+            "tests/test_finite_weyl.py::"
+            "test_saturation_and_lengths_need_no_fractions")),
     # the one table of a scan (represent_all)
     Mutant("represent-radius-1", _QF, "represent_all",
            "_witnesses_at_radius(quad, lin, wanted, domain, radius)",

@@ -1,6 +1,7 @@
-"""Finite classical Weyl groups A/B/C/D: fundamental weights in exact
-arithmetic, truncated-staircase atomic lengths, their closed-form maxima,
-and exact saturation checks by a subset DP over signed permutations.
+"""Finite classical Weyl groups A/B/C/D: fundamental weights as integer
+numerators over a per-type denominator, truncated-staircase atomic lengths,
+their closed-form maxima, and exact saturation checks by a subset DP over
+signed permutations.  Fractions appear only in the public views.
 
 Groups act on epsilon coordinates (dimension n+1 for series A, n otherwise)
 by signed permutations; the height of a root-span vector is its pairing with
@@ -64,7 +65,7 @@ class SignedPermutation(namedtuple("SignedPermutation", "type perm signs")):
         t, perm, signs = self
         if len(v) != t.dim:
             raise RankMismatch(f"vector of length {len(v)} for {t}")
-        out = [Fraction(0)] * len(v)
+        out = [0] * len(v)
         for p, s, x in zip(perm, signs, v):
             out[p - 1] = s * x
         return tuple(out)
@@ -108,60 +109,58 @@ def w0_action(t: FiniteType) -> SignedPermutation:
 # ---------------------------------------------------------------------------
 
 def simple_roots(t: FiniteType) -> tuple[tuple[Fraction, ...], ...]:
-    d = t.dim
     n = t.n
+    last = {"A": {n - 1: 1, n: -1}, "B": {n - 1: 1}, "C": {n - 1: 2},
+            "D": {n - 2: 1, n - 1: 1}}[t.series]
+    rows = [{i: 1, i + 1: -1} for i in range(n - 1)] + [last]
+    return tuple(tuple(Fraction(r.get(j, 0)) for j in range(t.dim))
+                 for r in rows)
 
-    def eps(*pairs):
-        v = [Fraction(0)] * d
-        for idx, c in pairs:
-            v[idx - 1] = Fraction(c)
-        return tuple(v)
 
-    roots = [eps((i, 1), (i + 1, -1)) for i in range(1, n)]
-    if t.series == "A":
-        roots.append(eps((n, 1), (n + 1, -1)))
-    elif t.series == "B":
-        roots.append(eps((n, 1)))
-    elif t.series == "C":
-        roots.append(eps((n, 2)))
-    else:
-        roots.append(eps((n - 1, 1), (n, 1)))
-    return tuple(roots)
+def _weight(series: str, n: int, i: int) -> tuple[tuple[int, ...], int]:
+    """Fundamental weight i (Bourbaki numbering) in epsilon coordinates, as
+    integer numerators over the type's denominator (Bourbaki, Planches
+    I-IV): n+1 in series A, 2 in B and D, 1 in C."""
+    if series == "A":   # e_1 + ... + e_i - i/(n+1) (e_1 + ... + e_{n+1})
+        return (n + 1 - i,) * i + (-i,) * (n + 1 - i), n + 1
+    scale = 1 if series == "C" else 2
+    # e_1 + ... + e_i, below the spin weights of B (i = n) and D (i >= n-1)
+    if i < {"B": n, "C": n + 1, "D": n - 1}[series]:
+        return (scale,) * i + (0,) * (n - i), scale
+    return (1,) * (n - 1) + (-1 if series == "D" and i == n - 1 else 1,), 2
 
 
 def fundamental_weight_eps(t: FiniteType, i: int) -> tuple[Fraction, ...]:
     """Fundamental weight in epsilon coordinates (Bourbaki numbering)."""
-    series, n = t.series, t.n
-    if not 1 <= i <= n:
-        raise BadIndex(f"weight index {i} out of range for rank {n}")
-    if series == "A":
-        base = [Fraction(1)] * i + [Fraction(0)] * (n + 1 - i)
-        shift = Fraction(i, n + 1)
-        return tuple(b - shift for b in base)
-    # e_1 + ... + e_i, below the spin weights of B (i = n) and D (i >= n-1)
-    if i < {"B": n, "C": n + 1, "D": n - 1}[series]:
-        return tuple([Fraction(1)] * i + [Fraction(0)] * (n - i))
-    if series == "D" and i == n - 1:
-        return tuple([Fraction(1, 2)] * (n - 1) + [Fraction(-1, 2)])
-    return tuple([Fraction(1, 2)] * n)
+    if not 1 <= i <= t.n:
+        raise BadIndex(f"weight index {i} out of range for rank {t.n}")
+    omega, scale = _weight(t.series, t.n, i)
+    return tuple(Fraction(x, scale) for x in omega)
 
 
 @lru_cache(maxsize=None)
+def _heights(series: str, n: int) -> tuple[tuple[int, ...], int]:
+    """_height_functional's numerators, over 2 in series C, 1 elsewhere."""
+    d = n + 1 if series == "A" else n
+    if series == "C":
+        return tuple(2 * (d - i) + 1 for i in range(1, d + 1)), 2
+    return tuple(d - i + (series == "B") for i in range(1, d + 1)), 1
+
+
 def _height_functional(series: str, n: int) -> tuple[Fraction, ...]:
     """Vector u with <u, v> = height of v for v in the root span: the sum of
     the fundamental coweights in epsilon coordinates, u_i = d - i (series A
     and D), d - i + 1 (B) or d - i + 1/2 (C) over d coordinates, so that
     u . alpha_j = 1 for every simple root.  Series A ends in u_d = 0; any
     shift of u along (1, ..., 1) agrees on the sum-zero root span."""
-    d = n + 1 if series == "A" else n
-    shift = {"A": 0, "B": 1, "C": Fraction(1, 2), "D": 0}[series]
-    return tuple(Fraction(d - i) + shift for i in range(1, d + 1))
+    u, scale = _heights(series, n)
+    return tuple(Fraction(x, scale) for x in u)
 
 
 def height_eps(t: FiniteType, v) -> Fraction:
     """Height of a root-span vector given in epsilon coordinates."""
-    u = _height_functional(t.series, t.n)
-    return sum(a * b for a, b in zip(u, v))
+    u, scale = _heights(t.series, t.n)
+    return Fraction(sum(a * b for a, b in zip(u, v)), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -174,31 +173,38 @@ def _check_ell(t: FiniteType, ell: int) -> None:
         raise BadEll(f"level {ell} out of range [{lo}, {t.n}] for {t.series}")
 
 
+@lru_cache(maxsize=None)
+def _staircase(t: FiniteType, ell: int) -> tuple[tuple[int, ...], int]:
+    """Sum of the last ell fundamental weights, over _weight's denominator."""
+    _check_ell(t, ell)
+    weights = [_weight(*t, i) for i in range(t.n - ell + 1, t.n + 1)]
+    return tuple(map(sum, zip(*(w for w, _ in weights)))), weights[0][1]
+
+
 def truncated_staircase_eps(t: FiniteType, ell: int) -> tuple[Fraction, ...]:
     """Sum of the last ell fundamental weights, epsilon coordinates."""
-    _check_ell(t, ell)
-    n = t.n
-    out = [Fraction(0)] * t.dim
-    for i in range(n - ell + 1, n + 1):
-        out = [a + b for a, b in zip(out, fundamental_weight_eps(t, i))]
-    return tuple(out)
+    rho, scale = _staircase(t, ell)
+    return tuple(Fraction(x, scale) for x in rho)
 
 
 def atomic_length_finite(t: FiniteType, ell: int, w: SignedPermutation) -> int:
     """Height of rho_ell - w(rho_ell); a nonnegative integer on every
     group element."""
-    return _length(t, truncated_staircase_eps(t, ell), w)
+    return _length(t, _staircase(t, ell), w)
 
 
-def _length(t: FiniteType, rho, w: SignedPermutation) -> int:
-    """Height of rho - w(rho) for a staircase weight rho already built."""
-    moved = w.act(rho)
-    diff = tuple(a - b for a, b in zip(rho, moved))
-    h = height_eps(t, diff)
-    if h.denominator != 1 or h < 0:
+def _length(t: FiniteType, staircase, w: SignedPermutation) -> int:
+    """Height of rho - w(rho), in integers, for a staircase already built."""
+    rho, scale = staircase
+    u, u_scale = _heights(t.series, t.n)
+    diff = [a - b for a, b in zip(rho, w.act(rho))]
+    h, frac = divmod(sum(a * b for a, b in zip(u, diff)), scale * u_scale)
+    if frac or h < 0:
         raise InvariantViolation(
-            f"height {h} of {diff} is not a nonnegative integer")
-    return int(h)
+            f"height {h + Fraction(frac, scale * u_scale)} of "
+            f"{tuple(Fraction(x, scale) for x in diff)} is not a "
+            f"nonnegative integer")
+    return h
 
 
 def b_bound(t: FiniteType, ell: int) -> int:
@@ -269,28 +275,32 @@ class SaturationResult(namedtuple("SaturationResult",
                 "missing": list(self.missing)}
 
 
-def _image(t: FiniteType, ell: int, rho, signs, shifts) -> tuple[int, ...]:
+def _image(t: FiniteType, ell: int, staircase, signs,
+           shifts) -> tuple[int, ...]:
     """Sorted image of the truncated atomic length over the whole group,
-    for the staircase weight rho of level ell.
+    for the staircase weight (numerators, scale) of level ell.
 
     With h = <u, .> the height functional, the element w(e_i) = s_i e_pi(i)
     has length h(rho) - sum_i s_i rho_i u_pi(i).  A DP over the source
     coordinates i = 0, 1, ... has one state per set of used targets pi(i);
     the partial sums a state reaches are the set bits of one integer.  All
-    values are scaled by a common denominator, so the arithmetic is exact.
+    values are integer numerators over the product of the weight and height
+    denominators, with the factor common to that product and every entry
+    divided out, so the arithmetic is exact and the bitsets stay narrow.
 
     Series D allows only an even number of sign changes, but u_n = 0 there:
     the sign sent to e_n does not change the value, so every sign vector
     has an even one with the same length and the signs stay unconstrained.
     """
     series, n, d = t.series, t.n, t.dim
-    u = _height_functional(series, n)
+    u, u_scale = _heights(series, n)
     if series == "D" and u[-1] != 0:
         raise InvariantViolation(f"height functional {u} of D{n} needs "
                                  f"sign parity")
-    terms = [[r * x for x in u] for r in rho]
-    scale = math.lcm(*(q.denominator for row in terms for q in row))
-    a = [[int(q * scale) for q in row] for row in terms]
+    rho, scale = staircase
+    a = [[r * x for x in u] for r in rho]
+    g = math.gcd(scale * u_scale, *itertools.chain(*a))
+    scale, a = scale * u_scale // g, [[x // g for x in row] for row in a]
     # partial sums stay >= 0 once shifted by the largest possible drop
     offset = sum(max(abs(x) for x in row) for row in a)
     # each of saturation_check's shifts moves 2 * offset + 1 bits
@@ -338,7 +348,7 @@ def saturation_check(t: FiniteType, ell: int) -> SaturationResult:
     # sign, move a word or more each: refuse before the staircase is built
     shifts = (t.dim << t.dim - 1) * len(signs)
     budget.check(shifts, what=f"saturation DP of {t.series}{t.n}")
-    rho = truncated_staircase_eps(t, ell)
+    rho = _staircase(t, ell)
     image = _image(t, ell, rho, signs, shifts)
     if image[-1] > b:
         raise InvariantViolation(

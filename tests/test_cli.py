@@ -559,7 +559,7 @@ def no_staircase(*args):
 
 def test_finite_saturate_over_budget_before_any_table(capsys, monkeypatch):
     # the DP's table would hold 2^41 bitsets
-    monkeypatch.setattr(finite_weyl, "truncated_staircase_eps", no_staircase)
+    monkeypatch.setattr(finite_weyl, "_staircase", no_staircase)
     code, out, err = run(capsys, "finite", "--type", "A", "--n", "40",
                          "--ell", "1", "--saturate")
     assert code == 2 and out == ""
@@ -569,9 +569,9 @@ def test_finite_saturate_over_budget_before_any_table(capsys, monkeypatch):
 @pytest.mark.parametrize("ell", [1, 20000])
 def test_finite_saturate_large_rank_over_budget_at_once(capsys, monkeypatch,
                                                         ell):
-    # the staircase would be 20001 * ell Fractions, and the shift count has
+    # the staircase would be 20001 * ell weight rows, and the shift count has
     # over 6000 digits, past Python's int-to-str limit
-    monkeypatch.setattr(finite_weyl, "truncated_staircase_eps", no_staircase)
+    monkeypatch.setattr(finite_weyl, "_staircase", no_staircase)
     monkeypatch.delenv("ATOMLEN_BUDGET", raising=False)
     code, out, err = run(capsys, "finite", "--type", "A", "--n", "20000",
                          "--ell", str(ell), "--saturate")

@@ -197,6 +197,95 @@ def test_saturation_predicted_matches_the_image_through_rank_8():
                 assert res.image[-1] == fw.b_bound(t, ell)
 
 
+# The Fraction definitions of the weights, the height functional and the
+# atomic length, kept here only as the oracle of finite_weyl's integers.
+
+def _fraction_weight(t, i):
+    series, n = t
+    if series == "A":
+        return tuple(Fraction(int(j < i)) - Fraction(i, n + 1)
+                     for j in range(n + 1))
+    if i < {"B": n, "C": n + 1, "D": n - 1}[series]:
+        return tuple(Fraction(int(j < i)) for j in range(n))
+    if series == "D" and i == n - 1:
+        return (Fraction(1, 2),) * (n - 1) + (Fraction(-1, 2),)
+    return (Fraction(1, 2),) * n
+
+
+def _fraction_height_functional(series, n):
+    d = n + 1 if series == "A" else n
+    shift = {"A": 0, "B": 1, "C": Fraction(1, 2), "D": 0}[series]
+    return tuple(Fraction(d - i) + shift for i in range(1, d + 1))
+
+
+def _fraction_staircase(t, ell):
+    weights = [_fraction_weight(t, i) for i in range(t.n - ell + 1, t.n + 1)]
+    return tuple(sum(column, Fraction(0)) for column in zip(*weights))
+
+
+def _fraction_length(t, ell, w):
+    rho = _fraction_staircase(t, ell)
+    moved = [Fraction(0)] * t.dim
+    for p, s, x in zip(w.perm, w.signs, rho):
+        moved[p - 1] = s * x
+    h = _dot(_fraction_height_functional(*t),
+             [a - b for a, b in zip(rho, moved)])
+    assert h.denominator == 1 and h >= 0, (t, ell, w)
+    return int(h)
+
+
+def _types(max_n):
+    return [fw.FiniteType(s, n) for s in fw.SERIES
+            for n in range(2 if s == "D" else 1, max_n + 1)]
+
+
+def _over(numerators, scale):
+    return tuple(Fraction(x, scale) for x in numerators)
+
+
+def test_integer_weights_and_heights_match_the_fractions():
+    for t in _types(12):
+        u, u_scale = fw._heights(*t)
+        assert u_scale == (2 if t.series == "C" else 1)
+        assert _over(u, u_scale) == _fraction_height_functional(*t) == \
+            fw._height_functional(*t), t
+        for i in range(1, t.n + 1):
+            omega, scale = fw._weight(*t, i)
+            assert scale == {"A": t.n + 1, "B": 2, "C": 1, "D": 2}[t.series]
+            assert _over(omega, scale) == _fraction_weight(t, i) == \
+                fw.fundamental_weight_eps(t, i), (t, i)
+        for ell in levels(*t):
+            assert _over(*fw._staircase(t, ell)) == \
+                _fraction_staircase(t, ell) == \
+                fw.truncated_staircase_eps(t, ell), (t, ell)
+
+
+@pytest.mark.parametrize("series,n", [(*t,) for t in _types(4)] + [("A", 5)])
+def test_atomic_length_matches_the_fraction_oracle(series, n):
+    t = fw.FiniteType(series, n)
+    group = list(fw.enumerate_group(t))
+    for ell in levels(series, n):
+        assert [fw.atomic_length_finite(t, ell, w) for w in group] == \
+            [_fraction_length(t, ell, w) for w in group], ell
+
+
+def test_saturation_and_lengths_need_no_fractions(monkeypatch):
+    checks = [(t, ell) for t in _types(6) for ell in levels(*t)]
+    elements = [(t, ell, w) for t in _types(3) for ell in levels(*t)
+                for w in fw.enumerate_group(t)]
+    images = [fw.saturation_check(*c) for c in checks]
+    lengths = [fw.atomic_length_finite(*e) for e in elements]
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction on the integer path")
+
+    monkeypatch.setattr(fw, "Fraction", no_fraction)
+    fw._staircase.cache_clear()
+    fw._heights.cache_clear()
+    assert [fw.saturation_check(*c) for c in checks] == images
+    assert [fw.atomic_length_finite(*e) for e in elements] == lengths
+
+
 @pytest.mark.parametrize("series,n,ell,b,signs", [("A", 3, 3, 10, 1),
                                                   ("B", 3, 2, 16, 2),
                                                   ("B", 4, 4, 50, 2)])
@@ -235,31 +324,39 @@ def test_saturation_exactness_invariants(monkeypatch):
         mp.setattr(fw, "w0_action", fw.identity_element)
         with pytest.raises(InvariantViolation, match="longest element"):
             fw.saturation_check(t, 2)
-    rho = fw.truncated_staircase_eps(t, 2)
+    # a staircase 1/3 off the weight lattice in its first coordinate: the
+    # DP's values and the direct evaluation each leave a remainder
+    rho, scale = fw._staircase(t, 2)
     with monkeypatch.context() as mp:
-        mp.setattr(fw, "truncated_staircase_eps",
-                   lambda t, ell: (rho[0] + Fraction(1, 3),) + rho[1:])
-        with pytest.raises(InvariantViolation, match="nonnegative integer"):
+        mp.setattr(fw, "_staircase", lambda t, ell: (
+            (3 * rho[0] + scale,) + tuple(3 * x for x in rho[1:]), 3 * scale))
+        with pytest.raises(InvariantViolation, match=r"atomic length \d+/3 "
+                           r"of B3, level 2 is not a nonnegative integer"):
             fw.saturation_check(t, 2)
+        with pytest.raises(InvariantViolation, match=r"height -?\d+/3 of "
+                           r"\(Fraction.* is not a nonnegative integer"):
+            fw.atomic_length_finite(t, 2, fw.SignedPermutation(
+                t, (3, 2, 1), (1, 1, 1)))
     td = fw.FiniteType("D", 4)
-    u = fw._height_functional("D", 4)
+    u, u_scale = fw._heights("D", 4)
     with monkeypatch.context() as mp:
-        mp.setattr(fw, "_height_functional",
-                   lambda series, n: u[:-1] + (Fraction(1),))
-        with pytest.raises(InvariantViolation, match="sign parity"):
+        mp.setattr(fw, "_heights",
+                   lambda series, n: (u[:-1] + (1,), u_scale))
+        with pytest.raises(InvariantViolation, match=r"height functional "
+                           r"\(3, 2, 1, 1\) of D4 needs sign parity"):
             fw.saturation_check(td, 2)
 
 
 def test_saturation_check_builds_the_staircase_once(monkeypatch):
     # one weight serves the DP and both end-point re-evaluations
     builds = []
-    real = fw.truncated_staircase_eps
+    real = fw._staircase
 
     def counted(t, ell):
         builds.append((t, ell))
         return real(t, ell)
 
-    monkeypatch.setattr(fw, "truncated_staircase_eps", counted)
+    monkeypatch.setattr(fw, "_staircase", counted)
     t = fw.FiniteType("B", 4)
     assert fw.saturation_check(t, 4).is_interval
     assert builds == [(t, 4)]
