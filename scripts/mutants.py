@@ -50,6 +50,12 @@ _ORBIT_TESTS = (
     "tests/test_sumsets.py::test_difference_classes_match_the_streamed_orbit",
     "tests/test_sumsets.py::test_verify_sumset_equality_family_C",
 )
+_MEMBER_TESTS = (
+    "tests/test_quadratic_forms.py::"
+    "test_column_check_matches_the_counting_oracle_on_a_box",
+    "tests/test_quadratic_forms.py::"
+    "test_column_check_matches_the_counting_oracle",
+)
 
 MUTANTS = (
     # the residue DP of q (attained_classes)
@@ -102,6 +108,20 @@ MUTANTS = (
            ("tests/test_finite_weyl.py::test_saturation_examples",
             "tests/test_finite_weyl.py::"
             "test_saturation_and_lengths_need_no_fractions")),
+    # the column-wise membership check of a scan's witnesses (_members)
+    Mutant("members-projected-lift-dropped", _QF, "_members",
+           "vecs = [v + (S - s,) for v, s in zip(vecs, map(sum, vecs))]",
+           "vecs = list(vecs)", _MEMBER_TESTS),
+    Mutant("members-signed-fold-dropped", _QF, "_classes",
+           "return [min(r, mod - r) for r in rs] if domain.signed else rs",
+           "return rs", _MEMBER_TESTS),
+    Mutant("members-parity-test-dropped", _QF, "_members",
+           "domain.parity_even and any(s % 2 for s in sums)", "False",
+           _MEMBER_TESTS),
+    Mutant("members-class-list-one-short", _QF, "_class_list",
+           "for c, cap in enumerate(caps) for _ in range(cap)]",
+           "for c, cap in enumerate(caps) for _ in range(cap - 1)]",
+           _MEMBER_TESTS),
     # the one table of a scan (represent_all)
     Mutant("represent-radius-1", _QF, "represent_all",
            "_witnesses_at_radius(quad, lin, wanted, domain, radius)",

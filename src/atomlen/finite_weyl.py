@@ -140,21 +140,16 @@ def fundamental_weight_eps(t: FiniteType, i: int) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=None)
 def _heights(series: str, n: int) -> tuple[tuple[int, ...], int]:
-    """_height_functional's numerators, over 2 in series C, 1 elsewhere."""
+    """Vector u with <u, v> = height of v for v in the root span, as
+    numerators over 2 in series C, 1 elsewhere: the sum of the fundamental
+    coweights in epsilon coordinates, u_i = d - i (series A and D), d - i + 1
+    (B) or d - i + 1/2 (C) over d coordinates, so that u . alpha_j = 1 for
+    every simple root.  Series A ends in u_d = 0; any shift of u along
+    (1, ..., 1) agrees on the sum-zero root span."""
     d = n + 1 if series == "A" else n
     if series == "C":
         return tuple(2 * (d - i) + 1 for i in range(1, d + 1)), 2
     return tuple(d - i + (series == "B") for i in range(1, d + 1)), 1
-
-
-def _height_functional(series: str, n: int) -> tuple[Fraction, ...]:
-    """Vector u with <u, v> = height of v for v in the root span: the sum of
-    the fundamental coweights in epsilon coordinates, u_i = d - i (series A
-    and D), d - i + 1 (B) or d - i + 1/2 (C) over d coordinates, so that
-    u . alpha_j = 1 for every simple root.  Series A ends in u_d = 0; any
-    shift of u along (1, ..., 1) agrees on the sum-zero root span."""
-    u, scale = _heights(series, n)
-    return tuple(Fraction(x, scale) for x in u)
 
 
 def height_eps(t: FiniteType, v) -> Fraction:

@@ -149,7 +149,7 @@ class ConstrainedDomain(namedtuple(
 
     The full vector has nvars = sum(caps) coordinates.  Coordinate i with
     value v falls in class (v + shifts[i]) % mod, folded to min(r, mod - r)
-    when signed; a member uses class c at most caps[c] times.  A member also
+    when signed; a member uses class c exactly caps[c] times.  A member also
     has coordinate sum sum_target (when set) and an even sum under
     parity_even.  A projected domain omits the last coordinate, which its
     sum forces.  Empty shifts mean no shift.
@@ -202,38 +202,43 @@ def domain_Os(n: int) -> ConstrainedDomain:
 
 def member(domain: ConstrainedDomain, v) -> bool:
     """Exact membership test: lift a projected vector by its forced last
-    coordinate, then check sum, parity and class counts."""
-    return _membership(domain)(v)
+    coordinate, then check length, sum, parity and classes; a member uses
+    class c exactly caps[c] times.  The check of _members on [v]."""
+    return _members(domain, [tuple(v)])
 
 
-def _membership(domain: ConstrainedDomain):
-    """member's test of one domain, its fields read once."""
-    dim, S, caps = domain.dim(), domain.sum_target, domain.caps
-    projected, parity = domain.projected, domain.parity_even
-    shifts = domain.shifts or (0,) * domain.nvars
-
-    def test(v) -> bool:
-        v = tuple(v)
-        if len(v) != dim:
-            return False
-        if projected:
-            v += (S - sum(v),)
-        if S is not None and sum(v) != S or parity and sum(v) % 2:
-            return False
-        used = [0] * len(caps)
-        for c in _classes(domain, v, shifts):
-            used[c] += 1
-            if used[c] > caps[c]:
-                return False
-        return True
-    return test
+def _members(domain: ConstrainedDomain, vecs) -> bool:
+    """Whether every tuple of vecs is a member, checked column by column:
+    each coordinate's values take their classes in one pass, and a member's
+    sorted classes are _class_list(domain)."""
+    want, S = _class_list(domain), domain.sum_target
+    if domain.projected:
+        vecs = [v + (S - s,) for v, s in zip(vecs, map(sum, vecs))]
+    sums = set(map(sum, vecs))
+    if (set(map(len, vecs)) - {len(want)} or S is not None and sums - {S}
+            or domain.parity_even and any(s % 2 for s in sums)):
+        return False
+    columns = [_classes(domain, col, shift) for col, shift
+               in zip(zip(*vecs), domain.shifts or repeat(0))]
+    return all(sorted(cs) == want for cs in zip(*columns))
 
 
-def _classes(domain: ConstrainedDomain, values, shifts) -> list[int]:
-    """The class of each value, given the shift of its coordinate:
+def _class_list(domain: ConstrainedDomain) -> list[int]:
+    """The sorted classes of every member, class c caps[c] times; a domain
+    whose caps miss one of its classes is refused."""
+    mod, caps = domain.mod, domain.caps
+    classes = mod // 2 + 1 if domain.signed else mod
+    if len(caps) < classes:
+        raise DomainViolation(f"{domain.label} has {len(caps)} capacities "
+                              f"for {classes} classes mod {mod}")
+    return [c for c, cap in enumerate(caps) for _ in range(cap)]
+
+
+def _classes(domain: ConstrainedDomain, values, shift) -> list[int]:
+    """The class of each value of one coordinate of the given shift:
     (v + shift) % mod, folded to min(r, mod - r) when signed."""
     mod = domain.mod
-    rs = [(v + s) % mod for v, s in zip(values, shifts)]
+    rs = [(v + shift) % mod for v in values]
     return [min(r, mod - r) for r in rs] if domain.signed else rs
 
 
@@ -318,7 +323,7 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
     that has one."""
     n, S, caps = domain.nvars, domain.sum_target, domain.caps
     if not n:  # the empty vector alone, of value 0, in every box
-        return {0: ()} if 0 in targets and _membership(domain)(()) else {}
+        return {0: ()} if 0 in targets and member(domain, ()) else {}
     # filter state: mixed radix below W, digit c counts the uses of class c;
     # every class at its capacity is W - 1
     weights, W = [], 1
@@ -350,7 +355,7 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
         b, a2 = B[i], 2 * A
         s = isqrt(2 * a2 * (top + low) + b * b)
         vals = range(max(lo, -((s + b) // a2)), min(hi, (s - b) // a2) + 1)
-        cs = _classes(domain, vals, repeat(shifts[i]))
+        cs = _classes(domain, vals, shifts[i])
         row = [(v, A * v * v + b * v - low, weights[c], caps[c])
                for v, c in zip(vals, cs) if caps[c]]
         groups = {}
@@ -465,8 +470,8 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
     None is not a proof of non-representability, only exhaustion of the
     radius box.
     Every witness is re-evaluated in integers (its numerator must be
-    denom*k) and member-checked; a projected domain's witness then drops
-    its forced last coordinate.
+    denom*k); a projected domain's witness then drops its forced last
+    coordinate, and all of them are member-checked in one pass.
     """
     if radius < 0:
         raise DomainViolation(f"radius must be >= 0, got {radius}")
@@ -474,6 +479,7 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
         raise DomainViolation(
             f"form {form.form_id} cannot be searched on {domain.label}: "
             f"arity {form.nvars} vs {domain.nvars} coordinates")
+    _class_list(domain)  # refuses caps that miss a class
     # one table per coordinate, each state a mixed-radix int of about
     # sum(log2(cap + 1)) bits: their width is checked before any is built
     budget.check(domain.nvars * sum(c.bit_length() + 1 for c in domain.caps),
@@ -483,7 +489,7 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
     wanted = {K for K in nums if K is not None}
     found = (_witnesses_at_radius(quad, lin, wanted, domain, radius)
              if wanted else {})
-    hits, projected, is_member = [], domain.projected, _membership(domain)
+    hits, projected = [], domain.projected
     for k, K in zip(targets, nums):
         hit = found.get(K)
         if hit is not None:
@@ -494,10 +500,11 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
                     f"wanted {k}")
             if projected:
                 hit = hit[:-1]
-            if not is_member(hit):
-                raise InvariantViolation(
-                    f"witness {hit} escaped {domain.label}")
         hits.append(hit)
+    witnesses = [hit for hit in hits if hit is not None]
+    if not _members(domain, witnesses):
+        hit = next(hit for hit in witnesses if not member(domain, hit))
+        raise InvariantViolation(f"witness {hit} escaped {domain.label}")
     return hits
 
 

@@ -47,7 +47,7 @@ def test_coroot_sum_and_weights_match_simple_roots():
         for n in range(2 if series == "D" else 1, 11):
             t = fw.FiniteType(series, n)
             roots = fw.simple_roots(t)
-            u = fw._height_functional(series, n)
+            u = _fraction_height_functional(series, n)
             assert [_dot(u, alpha) for alpha in roots] == [1] * n, t
             for i in range(1, n + 1):
                 omega = fw.fundamental_weight_eps(t, i)
@@ -75,7 +75,7 @@ def test_height_closed_forms():
     # series A: pinned to the solution ending in 0, not any vector that
     # differs from it along (1, ..., 1)
     for n in range(1, 9):
-        assert fw._height_functional("A", n) == tuple(range(n, -1, -1))
+        assert _fraction_height_functional("A", n) == tuple(range(n, -1, -1))
 
 
 @given(types_and_levels())
@@ -213,6 +213,9 @@ def _fraction_weight(t, i):
 
 
 def _fraction_height_functional(series, n):
+    """Vector u with <u, v> = height of v for v in the root span: the sum of
+    the fundamental coweights in epsilon coordinates, so that u . alpha_j = 1
+    for every simple root; series A ends in u_d = 0."""
     d = n + 1 if series == "A" else n
     shift = {"A": 0, "B": 1, "C": Fraction(1, 2), "D": 0}[series]
     return tuple(Fraction(d - i) + shift for i in range(1, d + 1))
@@ -247,8 +250,7 @@ def test_integer_weights_and_heights_match_the_fractions():
     for t in _types(12):
         u, u_scale = fw._heights(*t)
         assert u_scale == (2 if t.series == "C" else 1)
-        assert _over(u, u_scale) == _fraction_height_functional(*t) == \
-            fw._height_functional(*t), t
+        assert _over(u, u_scale) == _fraction_height_functional(*t), t
         for i in range(1, t.n + 1):
             omega, scale = fw._weight(*t, i)
             assert scale == {"A": t.n + 1, "B": 2, "C": 1, "D": 2}[t.series]
@@ -301,7 +303,7 @@ def test_saturation_budget_counts_dp_work(monkeypatch, series, n, ell, b,
     d = t.dim
     shifts = signs * sum(1 for mask in range(2 ** d) for j in range(d)
                          if not mask >> j & 1)
-    u = fw._height_functional(series, n)
+    u = _fraction_height_functional(series, n)
     rows = [[r * x for x in u] for r in fw.truncated_staircase_eps(t, ell)]
     scale = math.lcm(*(q.denominator for row in rows for q in row))
     width = 2 * sum(max(map(abs, row)) for row in rows) * scale + 1

@@ -2,9 +2,10 @@
 class of src/atomlen, and each public method or property of such a class,
 appears as a whole word in src/, scripts/, tests/ or README.md somewhere
 other than its own def or class line; each private top-level def, class or
-assignment appears in src/ somewhere other than its own line; no file of
-src/atomlen or scripts/ reads another atomlen module's private name; and no
-decision in src/atomlen reads a form's display label."""
+assignment is read by code in src/ (a Name or attribute node in load
+context, not a docstring or comment) somewhere other than its own line; no
+file of src/atomlen or scripts/ reads another atomlen module's private name;
+and no decision in src/atomlen reads a form's display label."""
 import ast
 import collections
 import pathlib
@@ -53,16 +54,27 @@ def _private_names(tree):
                 yield node.lineno, name
 
 
+def _code_references(tree):
+    """(line, name) of each name the code reads: Name nodes and attribute
+    names in load context, so a docstring or comment mention is none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.lineno, node.id
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            yield node.lineno, node.attr
+
+
 def test_every_private_name_is_referenced_in_src():
     paths = sorted(ROOT.glob("src/atomlen/*.py"))
-    lines = {path: path.read_text().splitlines() for path in paths}
-    words = collections.Counter(re.findall(r"\w+", "\n".join(
-        line for body in lines.values() for line in body)))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    refs = {(path, line, name) for path, tree in trees.items()
+            for line, name in _code_references(tree)}
+    used = collections.Counter(name for _, _, name in refs)
     dead = []
-    for path in paths:
-        for lineno, name in _private_names(ast.parse(path.read_text())):
-            own = re.findall(r"\w+", lines[path][lineno - 1])
-            if words[name] <= own.count(name):
+    for path, tree in trees.items():
+        for lineno, name in _private_names(tree):
+            if used[name] <= ((path, lineno, name) in refs):
                 dead.append(f"{path.name}:{lineno} {name}")
     assert not dead, f"private names referenced nowhere in src/: {dead}"
 

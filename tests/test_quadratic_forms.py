@@ -233,6 +233,118 @@ def test_member_matches_literal_on_a_box(ctor, args):
     assert seen == {False, True}
 
 
+def _counting_member(domain, v):
+    """The counting membership test the column-wise check replaced: lift a
+    projected vector, check length, sum and parity, then count each
+    coordinate's class against its capacity."""
+    v = tuple(v)
+    if len(v) != domain.dim():
+        return False
+    S, mod, caps = domain.sum_target, domain.mod, domain.caps
+    if domain.projected:
+        v += (S - sum(v),)
+    if S is not None and sum(v) != S or domain.parity_even and sum(v) % 2:
+        return False
+    used = [0] * len(caps)
+    for x, shift in zip(v, domain.shifts or (0,) * domain.nvars):
+        r = (x + shift) % mod
+        c = min(r, mod - r) if domain.signed else r
+        used[c] += 1
+        if used[c] > caps[c]:
+            return False
+    return True
+
+
+@st.composite
+def near_members(draw, dom):
+    """A vector at or next to the domain: its classes in a random order,
+    each at a random lift (and sign, when signed), the sum moved onto the
+    target by a multiple of mod where one does it and the parity evened;
+    then, at random, one coordinate nudged by 1.  A projected domain's
+    vector drops its last coordinate."""
+    classes = [c for c, cap in enumerate(dom.caps) for _ in range(cap)]
+    mod = max(dom.mod, 1)
+    shifts = dom.shifts or (0,) * dom.nvars
+    v = [(mod - c if dom.signed and draw(st.booleans()) else c) - shift
+         + mod * draw(st.integers(-2, 2))
+         for c, shift in zip(draw(st.permutations(classes)), shifts)]
+    gap = (dom.sum_target or 0) - sum(v)
+    if v and dom.sum_target is not None and gap % mod == 0:
+        v[0] += gap
+    if v and dom.parity_even and sum(v) % 2:
+        v[0] += mod
+    if v and draw(st.booleans()):
+        v[draw(st.integers(0, len(v) - 1))] += draw(st.sampled_from((-1, 1)))
+    return tuple(v[:dom.dim()])
+
+
+def _assert_column_check_agrees(dom, vecs):
+    """member, the column-wise check on [v] and the counting oracle agree on
+    each vector; the check on a whole list is the AND of its vectors'."""
+    expect = [_counting_member(dom, v) for v in vecs]
+    assert [qf.member(dom, v) for v in vecs] == expect
+    assert [qf._members(dom, [tuple(v)]) for v in vecs] == expect
+    assert qf._members(dom, [tuple(v) for v in vecs]) == all(expect)
+    members = [tuple(v) for v, e in zip(vecs, expect) if e]
+    assert qf._members(dom, members)
+    return expect
+
+
+@given(domains_with_oracle(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_column_check_matches_the_counting_oracle(dom_lit, data):
+    # every domain constructor: vectors at and next to the domain, random
+    # ones and wrong lengths
+    dom, _ = dom_lit
+    dim = dom.dim()
+    vecs = data.draw(st.lists(near_members(dom), max_size=8))
+    vecs += data.draw(st.lists(st.lists(
+        st.integers(-9, 9), min_size=max(dim - 1, 0), max_size=dim + 1),
+        max_size=4))
+    _assert_column_check_agrees(dom, data.draw(st.permutations(vecs)))
+
+
+@pytest.mark.parametrize("dom", [
+    qf.domain_D(0), qf.domain_Q_full(0), qf.domain_Z_full(0),
+    qf.domain_DeltaC(0), qf.domain_X(4), qf.domain_Z_full(2),
+    qf.domain_DeltaC(3), qf.domain_D(3), lattice_domain("C1", 3),
+    lattice_domain("B1", 3), WeightSpec(3, 2, (0, 1)).domain(),
+], ids=lambda dom: dom.label)
+def test_column_check_matches_the_counting_oracle_on_a_box(dom):
+    # the empty domains, projected, signed and parity cases, exhaustively
+    # over a small box with wrong lengths; each non-member spoils a list of
+    # members
+    vecs = [v for size in (dom.dim() - 1, dom.dim(), dom.dim() + 1)
+            for v in itertools.product(range(-3, 4), repeat=max(size, 0))]
+    expect = _assert_column_check_agrees(dom, vecs)
+    assert set(expect) == {False, True}
+    members = [v for v, e in zip(vecs, expect) if e]
+    for v in [v for v, e in zip(vecs, expect) if not e][::37]:
+        assert not qf._members(dom, members[:5] + [v] + members[5:])
+
+
+@pytest.mark.parametrize("dom", [
+    qf.ConstrainedDomain("x", (1, 1), mod=3),
+    qf.ConstrainedDomain("y", (0, 1, 1), mod=6, signed=True),
+], ids=["plain", "signed"])
+def test_a_domain_whose_caps_miss_a_class_is_refused(dom, monkeypatch):
+    # classes 0..mod-1, or 0..mod//2 when signed, each need a capacity
+    classes = dom.mod // 2 + 1 if dom.signed else dom.mod
+    message = (f"^{dom.label} has {len(dom.caps)} capacities for {classes} "
+               f"classes mod {dom.mod}$")
+    for v in ((2, 0), (3,)):
+        with pytest.raises(DomainViolation, match=message):
+            qf.member(dom, v)
+
+    def table(*args):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(qf, "_witnesses_at_radius", table)
+    with pytest.raises(DomainViolation, match=message):
+        qf.represent_all(qf.form_Q(2), dom, [0, 1, 2], 3)
+    with pytest.raises(DomainViolation, match=message):
+        qf.universality_scan(qf.form_Q(2), dom, 10, 3)
+
+
 def test_constant_sets():
     assert len(qf.S290) == 29
     assert {1, 2, 3, 5, 290, 203, 145, 110} <= qf.S290
@@ -1299,3 +1411,15 @@ def test_every_witness_is_rechecked(form, dom, wrong, outside, monkeypatch):
                             lambda *args, vec=vec: {num: vec})
         with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
             qf.represent_all(form, dom, [3, 1], 5)
+
+
+def test_a_wrong_value_is_reported_before_an_escaped_witness(monkeypatch):
+    # every value is re-checked before the one membership pass of a scan,
+    # so a later target's wrong value wins over an earlier escaped witness
+    form, dom = qf.form_P(3), qf.domain_D(3)
+    monkeypatch.setattr(qf, "_witnesses_at_radius", lambda *args: {
+        form.denom * 1 - form.const: (0, 3, 3),
+        form.denom * 2 - form.const: (1, 2, 3)})
+    with pytest.raises(InvariantViolation, match=re.escape(
+            "witness (1, 2, 3) evaluates to 0, wanted 2")):
+        qf.represent_all(form, dom, [1, 2], 5)

@@ -157,8 +157,8 @@ def test_every_domain_field_is_read_by_the_engine():
     # membership, classes, search, witness checks and certificates read a
     # domain as `domain.<field>`; a field none of them reads decides nothing
     read = set()
-    for fn in (qf._membership, qf._classes, qf._witnesses_at_radius,
-               qf.represent_all, qf._certificates):
+    for fn in (qf._members, qf._class_list, qf._classes,
+               qf._witnesses_at_radius, qf.represent_all, qf._certificates):
         read |= {node.attr for node in ast.walk(ast.parse(
                      inspect.getsource(fn)))
                  if isinstance(node, ast.Attribute)
