@@ -34,6 +34,7 @@ Mutant = namedtuple("Mutant", "id file function old new tests equivalent",
                     defaults=(None,))
 
 _QF, _SS, _FW = "quadratic_forms.py", "sumsets.py", "finite_weyl.py"
+_CA = "cores_abaci.py"
 _RESIDUE_TESTS = (
     "tests/test_quadratic_forms.py::test_attained_classes_match_enumeration",
     "tests/test_quadratic_forms.py::test_halved_dp_matches_the_full_dp",
@@ -49,6 +50,12 @@ _ORBIT_TESTS = (
     "tests/test_sumsets.py::test_certificate_matches_pairwise_oracle",
     "tests/test_sumsets.py::test_difference_classes_match_the_streamed_orbit",
     "tests/test_sumsets.py::test_verify_sumset_equality_family_C",
+)
+_ROTATION_TESTS = (
+    "tests/test_cores_abaci.py::test_phi_worked_example",
+    "tests/test_cores_abaci.py::test_ns_core_worked_example",
+    "tests/test_cores_abaci.py::"
+    "test_runner_edges_match_the_runner_record_engine",
 )
 _MEMBER_TESTS = (
     "tests/test_quadratic_forms.py::"
@@ -122,6 +129,20 @@ MUTANTS = (
            "for c, cap in enumerate(caps) for _ in range(cap)]",
            "for c, cap in enumerate(caps) for _ in range(cap - 1)]",
            _MEMBER_TESTS),
+    # the rotation on beta-number runners (_rotate) and the core's runners
+    Mutant("rotate-partial-block-one-short", _CA, "_rotate",
+           "for col in cols[:r]:", "for col in cols[:r - 1]:",
+           _ROTATION_TESTS),
+    Mutant("rotate-q0-rounded-up", _CA, "_rotate",
+           "q0 = min([t for t, _ in runners]) // width",
+           "q0 = -(-min([t for t, _ in runners]) // width)",
+           _ROTATION_TESTS),
+    Mutant("core-runners-not-reversed", _CA, "ns_core_of",
+           "_rotate([(s, ()) for s in sn], ell)",
+           "_rotate([(s, ()) for s in sn[::-1]], ell)", _ROTATION_TESTS),
+    Mutant("core-empty-runner-threshold-1", _CA, "ns_core_of",
+           "_rotate([(s, ()) for s in sn], ell)",
+           "_rotate([(s - 1, ()) for s in sn], ell)", _ROTATION_TESTS),
     # the one table of a scan (represent_all)
     Mutant("represent-radius-1", _QF, "represent_all",
            "_witnesses_at_radius(quad, lin, wanted, domain, radius)",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
+from operator import mul, sub
 
 from .errors import BadLength, BadSum, InvariantViolation, RankMismatch, ResidueClash
 from .quadratic_forms import eval_P
@@ -41,7 +42,7 @@ def make_affine(n: int, window) -> AffinePermutation:
     """
     if n < 1:
         raise BadLength(f"rank must be positive, got {n}")
-    win = tuple(int(v) for v in window)
+    win = tuple(map(int, window))
     if len(win) != n:
         raise BadLength(f"window has length {len(win)}, expected {n}")
     if len({v % n for v in win}) != n:
@@ -116,7 +117,8 @@ def recompose(x: TranslationVector, wbar: FinitePermutation) -> AffinePermutatio
 
 def entropy(w: AffinePermutation) -> int:
     """Half the summed squared displacement over one window."""
-    s = sum((v - i) ** 2 for i, v in enumerate(w.window, start=1))
+    d = list(map(sub, w.window, itertools.count(1)))
+    s = sum(map(mul, d, d))
     if s % 2:
         raise InvariantViolation(f"odd displacement square sum {s} for {w.window}")
     return s // 2

@@ -7,7 +7,8 @@ is normalized to the first gap, which makes the encoding canonical and the
 charge equal to threshold + len(beads).  The rotation works on plain-int
 beta-numbers instead (James-Kerber 1981, 2.7), counting the positions and
 runners it fills against ATOMLEN_BUDGET.  A core needs only phi's level-n
-charges: ns_core_of counts them and rotates back once.
+charges: ns_core_of counts them and rotates back once, from bead-less
+runners at those charges.
 """
 from __future__ import annotations
 
@@ -29,8 +30,10 @@ def as_partition(parts) -> Partition:
     out = tuple(map(int, parts))
     if 0 in out:
         out = tuple(p for p in out if p)
+    if not out:
+        return out
     desc = tuple(sorted(out, reverse=True))
-    if desc and desc[-1] < 0:
+    if desc[-1] < 0:
         raise BadLength(f"negative part in {parts}")
     if out != desc:
         raise BadLength(f"parts not weakly decreasing: {parts}")
@@ -116,6 +119,8 @@ def is_n_core_abacus(runner: BetaAbacus, n: int) -> bool:
 
 def render_abacus(runners) -> str:
     """Top runner printed first, position ruler underneath."""
+    if not runners:
+        raise BadLength("need at least one runner")
     lo = min(r.threshold for r in runners) - 2
     hi = max(r.beads[-1] if r.beads else r.threshold for r in runners) + 2
     budget.check(len(runners) * (hi - lo + 1), what="abacus rendering")
@@ -152,20 +157,26 @@ def l_abacus(multipartition, charges) -> tuple[BetaAbacus, ...]:
 # The rotation bijection
 # ---------------------------------------------------------------------------
 
-def _rotate(multipartition, charges, width: int):
-    """Reverse the runners, transpose the blocks, reverse again.  Width n is
-    phi; width l undoes it, since transposing twice is the identity.
+def _rotate(runners, width: int):
+    """Reverse the beta-number runners (first gap, beads), transpose the
+    blocks, reverse again.  Width n is phi; width l undoes it, since
+    transposing twice is the identity.
 
     Position p = q*width + j of runner i (after the reversal) lands on
     runner j at q*k + i.  Every runner is full below block q0, so every image
     is full below base = q0*k.  Listing what lies above base, the m-th lowest
     position p has p - base - m gaps below it: that is its part (0 on the
     full prefix), and the charge is base plus the number listed."""
-    runners = _beta_numbers(multipartition, charges)[::-1]
+    if not runners:
+        raise BadLength("need at least one component")
+    runners = runners[::-1]
     k = len(runners)
-    q0 = min(t for t, _ in runners) // width
-    budget.check(width + sum(t - q0 * width + len(b) for t, b in runners),
-                 what="abacus rotation")
+    q0 = min([t for t, _ in runners]) // width
+    lo = q0 * width
+    estimate = width
+    for t, beads in runners:
+        estimate += t - lo + len(beads)
+    budget.check(estimate, what="abacus rotation")
     cols = [[] for _ in range(width)]
     for i, (t, beads) in enumerate(runners):
         q, r = divmod(t, width)
@@ -173,9 +184,9 @@ def _rotate(multipartition, charges, width: int):
         if q > q0:
             full = range(q0 * k + i, top, k)
             for col in cols:
-                col.extend(full)
-        for j in range(r):
-            cols[j].append(top)
+                col += full
+        for col in cols[:r]:
+            col.append(top)
         for b in beads:
             q, j = divmod(b, width)
             cols[j].append(q * k + i)
@@ -183,7 +194,7 @@ def _rotate(multipartition, charges, width: int):
     out_parts, out_charges = [], []
     for col in reversed(cols):
         col.sort()
-        gaps = [p - base - m for m, p in enumerate(col)]
+        gaps = [p - m for m, p in enumerate(col, base)]
         out_parts.append(tuple(gaps[bisect_right(gaps, 0):][::-1]))
         out_charges.append(base + len(col))
     return tuple(out_parts), tuple(out_charges)
@@ -218,7 +229,7 @@ def phi(multipartition, charges, n: int):
     at q*l + i."""
     if n < 2:
         raise BadLength(f"need n >= 2, got {n}")
-    return _rotate(multipartition, charges, n)
+    return _rotate(_beta_numbers(multipartition, charges), n)
 
 
 def phi_inverse(multipartition, charges, ell: int):
@@ -226,21 +237,24 @@ def phi_inverse(multipartition, charges, ell: int):
     with width l."""
     if ell < 1:
         raise BadEll(f"need level >= 1, got {ell}")
-    return _rotate(multipartition, charges, ell)
+    return _rotate(_beta_numbers(multipartition, charges), ell)
 
 
 def ns_core_of(multipartition, charges, n: int):
     """Core of a charged multipartition: empty the level-n side of phi.
     Only phi's level-n charges matter, so they are counted, not rotated;
-    the core is the one rotation back from them.
+    the core is the one rotation back from bead-less runners at those
+    charges.
 
     Returns ((core multipartition, core charges), core multicharge); the
     multicharge is reported in bottom-to-top runner order, i.e. the reverse
     of the phi output order, matching the worked example.
     """
     sn = _phi_charges(multipartition, charges, n)
-    return (phi_inverse(((),) * n, sn, len(multipartition)),
-            tuple(reversed(sn)))
+    ell = len(multipartition)
+    if ell < 1:
+        raise BadEll(f"need level >= 1, got {ell}")
+    return _rotate([(s, ()) for s in sn], ell), tuple(reversed(sn))
 
 
 def is_ns_core(multipartition, charges, n: int) -> bool:
@@ -250,6 +264,8 @@ def is_ns_core(multipartition, charges, n: int) -> bool:
         raise BadLength(f"need n >= 2, got {n}")
     runners = l_abacus(multipartition, charges)
     ell = len(runners)
+    if ell < 1:
+        raise BadEll(f"need level >= 1, got {ell}")
     for j in range(ell - 1):
         below, above = runners[j], runners[j + 1]
         if above.threshold < below.threshold:

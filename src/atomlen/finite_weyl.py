@@ -170,8 +170,10 @@ def _check_ell(t: FiniteType, ell: int) -> None:
 
 @lru_cache(maxsize=None)
 def _staircase(t: FiniteType, ell: int) -> tuple[tuple[int, ...], int]:
-    """Sum of the last ell fundamental weights, over _weight's denominator."""
+    """Sum of the last ell fundamental weights, over _weight's denominator:
+    ell rows of dim numerators, charged before they are summed."""
     _check_ell(t, ell)
+    budget.check(t.dim * ell, what=f"staircase weight of {t.series}{t.n}")
     weights = [_weight(*t, i) for i in range(t.n - ell + 1, t.n + 1)]
     return tuple(map(sum, zip(*(w for w, _ in weights)))), weights[0][1]
 

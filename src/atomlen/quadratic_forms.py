@@ -52,7 +52,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import count, repeat
 from math import isqrt
 from operator import mul
 
@@ -82,7 +82,7 @@ def eval_P(y) -> int:
     plus the constant that vanishes on the identity window of rank len(y)."""
     y = tuple(y)
     n = len(y)
-    num = 6 * sum(v * v for v in y) - 12 * sum(i * v for i, v in enumerate(y, 1))
+    num = 6 * sum(map(mul, y, y)) - 12 * sum(map(mul, y, count(1)))
     num += n * (n + 1) * (2 * n + 1)
     q, r = divmod(num, 12)
     if r:

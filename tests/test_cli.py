@@ -322,8 +322,8 @@ def test_core_rotates_once_each_way(capsys, monkeypatch):
     # phi gives the quotient and the level-n charges; the core is the one
     # rotation back from those charges
     widths, rotate = [], cores_abaci._rotate
-    monkeypatch.setattr(cores_abaci, "_rotate", lambda mp, charges, width: (
-        widths.append(width) or rotate(mp, charges, width)))
+    monkeypatch.setattr(cores_abaci, "_rotate", lambda runners, width: (
+        widths.append(width) or rotate(runners, width)))
     assert run(capsys, "core", "--npartition", "3,1;2,1", "--charges", "0,0",
                "--n", "3")[0] == 0
     assert widths == [3, 2]

@@ -410,12 +410,61 @@ def test_iterator_components_are_read_once(parts):
         kind(_outcome(ca.as_partition, parts))
 
 
+# Runner-level edges: many empty components (all empty, or one not), level
+# 1, and charges far from 0 on either side, where divmod's floor matters.
+RUNNER_EDGES = [
+    (((),) * 6, (0, -3, 5, 2, 2, -1)),
+    (((),) * 4, (7, 7, 7, 7)),
+    (((),) * 5 + ((4, 2, 2),), (1, 1, 1, 1, 1, 1)),
+    (((3, 1),) + ((),) * 4, (-2, 0, 0, 7, -5)),
+    (((5, 3, 3, 1),), (-40,)),
+    (((),), (3,)),
+    (((2,), (1, 1)), (-10 ** 9, -10 ** 9 + 2)),
+    (((4, 1), (), (2, 2)), (10 ** 12, 10 ** 12 - 3, 10 ** 12 + 1)),
+]
+
+
+@pytest.mark.parametrize("lam,charges", RUNNER_EDGES)
+@pytest.mark.parametrize("width", [1, 2, 3, 7])
+def test_runner_edges_match_the_runner_record_engine(lam, charges, width):
+    for new, old in ROTATIONS:
+        assert _outcome(new, lam, charges, width) == \
+            _outcome(old, lam, charges, width)
+    if width >= 2:
+        ln, sn = ca.phi(lam, charges, width)
+        assert ca.phi_inverse(ln, sn, len(lam)) == (lam, charges)
+
+
+@pytest.mark.parametrize("fn,width", [(ca.phi, 10 ** 9),
+                                      (ca.phi_inverse, 10 ** 9)])
+def test_rotation_refuses_a_huge_width_at_once(monkeypatch, fn, width):
+    monkeypatch.delenv("ATOMLEN_BUDGET", raising=False)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="abacus rotation"):
+        fn(((3, 1), (2, 1)), (0, 0), width)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: ca.phi((), (), 3), BadLength, "need at least one component"),
+    (lambda: ca.phi_inverse((), (), 1), BadLength,
+     "need at least one component"),
+    (lambda: ca.ns_core_of((), (), 3), BadEll, "need level >= 1, got 0"),
+    (lambda: ca.is_ns_core((), (), 3), BadEll, "need level >= 1, got 0"),
+    (lambda: ca.render_abacus(()), BadLength, "need at least one runner"),
+])
+def test_level_zero_is_refused_with_one_line(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_ns_core_rotates_once(monkeypatch):
     # the library twin of the CLI's core command test: the level-n charges
     # are counted, so the one rotation is the way back, at width l
     widths, rotate = [], ca._rotate
-    monkeypatch.setattr(ca, "_rotate", lambda mp, charges, width: (
-        widths.append(width) or rotate(mp, charges, width)))
+    monkeypatch.setattr(ca, "_rotate", lambda runners, width: (
+        widths.append(width) or rotate(runners, width)))
     ca.ns_core_of(((3, 1), (2, 1)), (0, 0), 3)
     assert widths == [2]
 

@@ -375,3 +375,28 @@ def test_enumeration_budget(monkeypatch):
     monkeypatch.setenv("ATOMLEN_BUDGET", "100")
     with pytest.raises(BudgetExceeded):
         list(fw.enumerate_group(fw.FiniteType("B", 4)))
+
+
+def test_staircase_is_charged_before_it_is_summed(monkeypatch):
+    # ell rows of dim numerators: 4 rows of 6 for A5 at level 4
+    t = fw.FiniteType("A", 5)
+    fw._staircase.cache_clear()
+    monkeypatch.setenv("ATOMLEN_BUDGET", "23")
+    with pytest.raises(BudgetExceeded,
+                       match="staircase weight of A5 needs ~24 steps"):
+        fw.truncated_staircase_eps(t, 4)
+    monkeypatch.setenv("ATOMLEN_BUDGET", "24")
+    assert fw.truncated_staircase_eps(t, 4) == _fraction_staircase(t, 4)
+
+
+def test_staircase_charge_never_moves_a_saturation_refusal(monkeypatch):
+    # saturation_check charges its d * 2^(d-1) * signs shifts before the
+    # staircase; dim * ell is never above that, so what the shift charge
+    # admits the staircase charge admits too
+    fw._staircase.cache_clear()
+    for t in _types(12):
+        signs = 1 if t.series == "A" else 2
+        monkeypatch.setenv("ATOMLEN_BUDGET",
+                           str((t.dim << t.dim - 1) * signs))
+        for ell in levels(*t):
+            fw._staircase(t, ell)
