@@ -435,13 +435,12 @@ def test_runner_edges_match_the_runner_record_engine(lam, charges, width):
         assert ca.phi_inverse(ln, sn, len(lam)) == (lam, charges)
 
 
-@pytest.mark.parametrize("fn,width", [(ca.phi, 10 ** 9),
-                                      (ca.phi_inverse, 10 ** 9)])
-def test_rotation_refuses_a_huge_width_at_once(monkeypatch, fn, width):
+@pytest.mark.parametrize("fn", [ca.phi, ca.phi_inverse])
+def test_rotation_refuses_a_huge_width_at_once(monkeypatch, fn):
     monkeypatch.delenv("ATOMLEN_BUDGET", raising=False)
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded, match="abacus rotation"):
-        fn(((3, 1), (2, 1)), (0, 0), width)
+        fn(((3, 1), (2, 1)), (0, 0), 10 ** 9)
     assert time.perf_counter() - start < 1
 
 
