@@ -34,7 +34,7 @@ Mutant = namedtuple("Mutant", "id file function old new tests equivalent",
                     defaults=(None,))
 
 _QF, _SS, _FW = "quadratic_forms.py", "sumsets.py", "finite_weyl.py"
-_CA = "cores_abaci.py"
+_CA, _AP = "cores_abaci.py", "affine_permutations.py"
 _RESIDUE_TESTS = (
     "tests/test_quadratic_forms.py::test_attained_classes_match_enumeration",
     "tests/test_quadratic_forms.py::test_halved_dp_matches_the_full_dp",
@@ -109,9 +109,16 @@ MUTANTS = (
            "g = math.gcd(scale * u_scale, *itertools.chain(*a))", "g = 1",
            ("tests/test_finite_weyl.py::"
             "test_saturation_budget_counts_dp_work",)),
+    Mutant("image-shift-charge-one-bit-short", _FW, "_image",
+           "shifts = (d << d - 1) * len(signs)",
+           "shifts = (d << d - 2) * len(signs)",
+           ("tests/test_finite_weyl.py::"
+            "test_saturation_shifts_are_charged_before_the_staircase",
+            "tests/test_finite_weyl.py::"
+            "test_saturation_budget_counts_dp_work")),
     Mutant("ends-w0-as-identity", _FW, "saturation_check",
-           "_length(t, rho, w0_action(t))",
-           "_length(t, rho, identity_element(t))",
+           "atomic_length_finite(t, ell, w0_action(t))",
+           "atomic_length_finite(t, ell, identity_element(t))",
            ("tests/test_finite_weyl.py::test_saturation_examples",
             "tests/test_finite_weyl.py::"
             "test_saturation_and_lengths_need_no_fractions")),
@@ -143,6 +150,18 @@ MUTANTS = (
     Mutant("core-empty-runner-threshold-1", _CA, "ns_core_of",
            "_rotate([(s, ()) for s in sn], ell)",
            "_rotate([(s - 1, ()) for s in sn], ell)", _ROTATION_TESTS),
+    Mutant("orbit-core-runner-charge+1", _CA, "core_of_orbit_point",
+           "_rotate([(s, ()) for s in t], spec.ell)",
+           "_rotate([(s + 1, ()) for s in t], spec.ell)",
+           ("tests/test_cores_abaci.py::"
+            "test_core_of_orbit_point_matches_phi_inverse_of_empty_partitions",
+            "tests/test_cores_abaci.py::"
+            "test_orbit_stays_in_domain_and_size_matches_polynomial")),
+    # integer entries read exactly (make_affine)
+    Mutant("window-entries-truncated", _AP, "make_affine",
+           "win = tuple(map(index, window))", "win = tuple(map(int, window))",
+           ("tests/test_records.py::"
+            "test_library_calls_reject_invalid_arguments",)),
     # the one table of a scan (represent_all)
     Mutant("represent-radius-1", _QF, "represent_all",
            "_witnesses_at_radius(quad, lin, wanted, domain, radius)",

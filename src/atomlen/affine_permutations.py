@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from operator import mul, sub
+from operator import index, mul, sub
 
-from .errors import BadLength, BadSum, InvariantViolation, RankMismatch, ResidueClash
+from .errors import (BadLength, BadSum, DomainViolation, InvariantViolation,
+                     RankMismatch, ResidueClash)
 from .quadratic_forms import eval_P
 
 
@@ -37,12 +38,16 @@ class TranslationVector(namedtuple("TranslationVector", "n coords")):
 def make_affine(n: int, window) -> AffinePermutation:
     """Validate a window and wrap it.
 
-    Raises BadLength / ResidueClash / BadSum when the window is not the window
-    of an affine permutation of rank n.
+    Raises DomainViolation / BadLength / ResidueClash / BadSum when the
+    window is not the window of an affine permutation of rank n.
     """
     if n < 1:
         raise BadLength(f"rank must be positive, got {n}")
-    win = tuple(map(int, window))
+    try:
+        win = tuple(map(index, window))
+    except TypeError:
+        raise DomainViolation(f"window must be a sequence of integers, got "
+                              f"{window!r}") from None
     if len(win) != n:
         raise BadLength(f"window has length {len(win)}, expected {n}")
     if len({v % n for v in win}) != n:

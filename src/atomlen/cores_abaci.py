@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
+from operator import index
 
 from . import budget
 from .errors import (BadEll, BadIndex, BadLength, DomainViolation,
@@ -27,7 +28,11 @@ Partition = tuple[int, ...]
 
 
 def as_partition(parts) -> Partition:
-    out = tuple(map(int, parts))
+    try:
+        out = tuple(map(index, parts))
+    except TypeError:
+        raise DomainViolation(f"partition must be a sequence of integers, "
+                              f"got {parts!r}") from None
     if 0 in out:
         out = tuple(p for p in out if p)
     if not out:
@@ -136,7 +141,11 @@ def render_abacus(runners) -> str:
 def _beta_numbers(multipartition, charges) -> list[tuple[int, list[int]]]:
     """Per component: the first gap s - len(parts) of its charged beta-set
     and the beads part_j - j + s above it, largest first."""
-    charges = tuple(map(int, charges))
+    try:
+        charges = tuple(map(index, charges))
+    except TypeError:
+        raise DomainViolation(f"charges must be a sequence of integers, got "
+                              f"{charges!r}") from None
     if len(multipartition) != len(charges):
         raise BadLength("level and number of charges differ")
     out = []
@@ -369,11 +378,12 @@ def affine_action_on_charges(word, t, ell: int) -> tuple[int, ...]:
 
 def core_of_orbit_point(spec: WeightSpec, t):
     """Charged level-l multipartition whose level-n side of phi is
-    (all empty, t); its box count equals eval_Ps(spec, t)."""
+    (all empty, t): the rotation back from bead-less runners at charges t,
+    as in ns_core_of.  Its box count equals eval_Ps(spec, t)."""
     t = tuple(t)
     if not member(spec.domain(), t):
         raise NotInDs(f"{t} is not in the charge orbit domain of {spec}")
-    return phi_inverse(((),) * spec.n, t, spec.ell)
+    return _rotate([(s, ()) for s in t], spec.ell)
 
 
 # ---------------------------------------------------------------------------

@@ -185,14 +185,9 @@ def truncated_staircase_eps(t: FiniteType, ell: int) -> tuple[Fraction, ...]:
 
 
 def atomic_length_finite(t: FiniteType, ell: int, w: SignedPermutation) -> int:
-    """Height of rho_ell - w(rho_ell); a nonnegative integer on every
-    group element."""
-    return _length(t, _staircase(t, ell), w)
-
-
-def _length(t: FiniteType, staircase, w: SignedPermutation) -> int:
-    """Height of rho - w(rho), in integers, for a staircase already built."""
-    rho, scale = staircase
+    """Height of rho_ell - w(rho_ell), in integers; a nonnegative integer
+    on every group element."""
+    rho, scale = _staircase(t, ell)
     u, u_scale = _heights(t.series, t.n)
     diff = [a - b for a, b in zip(rho, w.act(rho))]
     h, frac = divmod(sum(a * b for a, b in zip(u, diff)), scale * u_scale)
@@ -272,10 +267,8 @@ class SaturationResult(namedtuple("SaturationResult",
                 "missing": list(self.missing)}
 
 
-def _image(t: FiniteType, ell: int, staircase, signs,
-           shifts) -> tuple[int, ...]:
-    """Sorted image of the truncated atomic length over the whole group,
-    for the staircase weight (numerators, scale) of level ell.
+def _image(t: FiniteType, ell: int) -> tuple[int, ...]:
+    """Sorted image of the truncated atomic length over the whole group.
 
     With h = <u, .> the height functional, the element w(e_i) = s_i e_pi(i)
     has length h(rho) - sum_i s_i rho_i u_pi(i).  A DP over the source
@@ -284,25 +277,31 @@ def _image(t: FiniteType, ell: int, staircase, signs,
     values are integer numerators over the product of the weight and height
     denominators, with the factor common to that product and every entry
     divided out, so the arithmetic is exact and the bitsets stay narrow.
+    Its shifts are charged before the staircase is built, then by the word.
 
     Series D allows only an even number of sign changes, but u_n = 0 there:
     the sign sent to e_n does not change the value, so every sign vector
     has an even one with the same length and the signs stay unconstrained.
     """
     series, n, d = t.series, t.n, t.dim
+    signs = (1,) if series == "A" else (1, -1)
+    # d * 2^(d-1) (used targets, free target) pairs per sign, one shift of
+    # a word or more each: refuse before the staircase is built
+    shifts = (d << d - 1) * len(signs)
+    what = f"saturation DP of {series}{n}"
+    budget.check(shifts, what=what)
     u, u_scale = _heights(series, n)
     if series == "D" and u[-1] != 0:
         raise InvariantViolation(f"height functional {u} of D{n} needs "
                                  f"sign parity")
-    rho, scale = staircase
+    rho, scale = _staircase(t, ell)
     a = [[r * x for x in u] for r in rho]
     g = math.gcd(scale * u_scale, *itertools.chain(*a))
     scale, a = scale * u_scale // g, [[x // g for x in row] for row in a]
     # partial sums stay >= 0 once shifted by the largest possible drop
     offset = sum(max(abs(x) for x in row) for row in a)
-    # each of saturation_check's shifts moves 2 * offset + 1 bits
-    budget.check(shifts * -(-(2 * offset + 1) // 64),
-                 what=f"saturation DP of {series}{n}")
+    # each shift moves 2 * offset + 1 bits
+    budget.check(shifts * -(-(2 * offset + 1) // 64), what=what)
     full = (1 << d) - 1
     table = [0] * (full + 1)
     table[0] = 1 << offset
@@ -336,22 +335,13 @@ def saturation_check(t: FiniteType, ell: int) -> SaturationResult:
 
     The image comes from the subset DP of _image; the values at the
     identity and at the longest element are re-evaluated directly through
-    the height functional and must be its minimum 0 and maximum b.  The
-    staircase weight is built once for all three.
+    the height functional and must be its minimum 0 and maximum b.  All
+    three read the one cached staircase weight.
     """
     b = b_bound(t, ell)
-    signs = (1,) if t.series == "A" else (1, -1)
-    # _image's shifts, d * 2^(d-1) (used targets, free target) pairs per
-    # sign, move a word or more each: refuse before the staircase is built
-    shifts = (t.dim << t.dim - 1) * len(signs)
-    budget.check(shifts, what=f"saturation DP of {t.series}{t.n}")
-    rho = _staircase(t, ell)
-    image = _image(t, ell, rho, signs, shifts)
-    if image[-1] > b:
-        raise InvariantViolation(
-            f"value {image[-1]} above the closed-form bound {b}")
-    ends = (_length(t, rho, identity_element(t)),
-            _length(t, rho, w0_action(t)))
+    image = _image(t, ell)
+    ends = (atomic_length_finite(t, ell, identity_element(t)),
+            atomic_length_finite(t, ell, w0_action(t)))
     if ends != (0, b) or (image[0], image[-1]) != ends:
         raise InvariantViolation(
             f"image of {t.series}{t.n}, level {ell} spans "

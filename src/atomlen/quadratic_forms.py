@@ -475,6 +475,9 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
     """
     if radius < 0:
         raise DomainViolation(f"radius must be >= 0, got {radius}")
+    if form.denom < 1:
+        raise DomainViolation(f"form {form.form_id} needs denom >= 1, got "
+                              f"{form.denom}")
     if form.nvars != domain.nvars:
         raise DomainViolation(
             f"form {form.form_id} cannot be searched on {domain.label}: "
@@ -535,6 +538,8 @@ def attained_classes(arity: int, m: int) -> frozenset[int]:
     """
     if m < 1:
         raise DomainViolation(f"modulus must be >= 1, got {m}")
+    if arity < 0:
+        raise DomainViolation(f"arity must be >= 0, got {arity}")
     if not arity:
         return frozenset({0})
     full, half = (1 << m) - 1, range(m // 2 + 1)
@@ -682,6 +687,8 @@ def universality_scan(form: FormSpec, domain: ConstrainedDomain, max_k: int,
     and attach to each missed target the first modulus of
     DEFAULT_OBSTRUCTION_MODULI that certifies it, where one does (see
     _q_arity and _certificates)."""
+    if grid not in ("int", "half"):
+        raise DomainViolation(f"grid must be 'int' or 'half', got {grid!r}")
     budget.check(_TARGET_WEIGHT
                  * ((2 if grid == "half" else 1) * (max_k - min_k) + 1),
                  what="scan target list")

@@ -633,6 +633,17 @@ def test_orbit_stays_in_domain_and_size_matches_polynomial(spec, data):
     assert sum(charges) == sum(spec.charges)
 
 
+def test_core_of_orbit_point_matches_phi_inverse_of_empty_partitions():
+    # bead-less runners at charges t are the beta-numbers of n empty
+    # partitions charged t
+    for spec in (ca.WeightSpec(3, 1, (0,)), ca.WeightSpec(4, 2, (1, 3)),
+                 ca.WeightSpec(7, 3, (0, 1, 2))):
+        for word in itertools.product(range(spec.n), repeat=3):
+            t = ca.affine_action_on_charges(word, spec.sprime, spec.ell)
+            assert ca.core_of_orbit_point(spec, t) == \
+                ca.phi_inverse(((),) * spec.n, t, spec.ell), (spec, t)
+
+
 @given(weight_specs(), st.data())
 @settings(max_examples=60)
 def test_dilation_identity(spec, data):

@@ -320,7 +320,7 @@ def test_saturation_exactness_invariants(monkeypatch):
     b = fw.b_bound(t, 2)
     with monkeypatch.context() as mp:
         mp.setattr(fw, "b_bound", lambda t, ell: b - 1)
-        with pytest.raises(InvariantViolation, match="above the closed-form"):
+        with pytest.raises(InvariantViolation, match=r"expected \(0, 15\)"):
             fw.saturation_check(t, 2)
     with monkeypatch.context() as mp:
         mp.setattr(fw, "w0_action", fw.identity_element)
@@ -349,19 +349,29 @@ def test_saturation_exactness_invariants(monkeypatch):
             fw.saturation_check(td, 2)
 
 
-def test_saturation_check_builds_the_staircase_once(monkeypatch):
+def test_saturation_check_builds_the_staircase_once():
     # one weight serves the DP and both end-point re-evaluations
-    builds = []
-    real = fw._staircase
+    fw._staircase.cache_clear()
+    assert fw.saturation_check(fw.FiniteType("B", 4), 4).is_interval
+    assert fw._staircase.cache_info().misses == 1
 
-    def counted(t, ell):
-        builds.append((t, ell))
-        return real(t, ell)
 
-    monkeypatch.setattr(fw, "_staircase", counted)
-    t = fw.FiniteType("B", 4)
-    assert fw.saturation_check(t, 4).is_interval
-    assert builds == [(t, 4)]
+def no_staircase(*args):
+    raise AssertionError("the staircase was built before the shift charge")
+
+
+@pytest.mark.parametrize("series,n,ell", [("A", 5, 3), ("B", 4, 2),
+                                          ("D", 5, 4)])
+def test_saturation_shifts_are_charged_before_the_staircase(
+        monkeypatch, series, n, ell):
+    # d * 2^(d-1) (used targets, free target) pairs per sign
+    t = fw.FiniteType(series, n)
+    shifts = (t.dim << t.dim - 1) * (1 if series == "A" else 2)
+    monkeypatch.setattr(fw, "_staircase", no_staircase)
+    monkeypatch.setenv("ATOMLEN_BUDGET", str(shifts - 1))
+    with pytest.raises(BudgetExceeded, match=f"saturation DP of {series}{n} "
+                       f"needs ~{shifts} steps"):
+        fw.saturation_check(t, ell)
 
 
 def test_saturation_result_serialization():

@@ -743,6 +743,14 @@ def test_represent_radius_zero_and_edge():
     assert qf.represent(qf.form_Q(4), qf.domain_Delta(4), -3, 5) is None
 
 
+def test_scan_refuses_an_unknown_grid_before_its_budget(monkeypatch):
+    monkeypatch.setenv("ATOMLEN_BUDGET", "0")
+    with pytest.raises(DomainViolation) as exc:
+        qf.universality_scan(qf.form_Q(2), qf.domain_Delta(2), 4, 3,
+                             grid="quarter")
+    assert str(exc.value) == "grid must be 'int' or 'half', got 'quarter'"
+
+
 def test_represent_rejects_mismatched_pairing():
     with pytest.raises(DomainViolation):
         qf.represent(qf.form_Q(4), qf.domain_Delta(5), 3, 5)

@@ -4,6 +4,7 @@ keeps its defaults, refuses field assignment and prints as Name(field=...).
 The library calls that validate their arguments refuse them the same way."""
 import ast
 import inspect
+from fractions import Fraction
 
 import pytest
 
@@ -90,6 +91,23 @@ def test_validated_records_reject_invalid_arguments(build, error, message):
      "(1, 1) is not a valid displacement vector, rank 2"),
     (lambda: qf.map_pr_inv((1, 0)), DomainViolation,
      "(1, 0) fails the projected congruence conditions"),
+    # entries are read exactly: int() would truncate 1.2 and parse "1"
+    (lambda: ap.make_affine(2, (1.2, 2.3)), DomainViolation,
+     "window must be a sequence of integers, got (1.2, 2.3)"),
+    (lambda: ap.make_affine(2, ("1", "2")), DomainViolation,
+     "window must be a sequence of integers, got ('1', '2')"),
+    (lambda: ap.make_affine(2, (Fraction(1), Fraction(2))), DomainViolation,
+     "window must be a sequence of integers, got "
+     "(Fraction(1, 1), Fraction(2, 1))"),
+    (lambda: ca.as_partition((2.5, 1)), DomainViolation,
+     "partition must be a sequence of integers, got (2.5, 1)"),
+    (lambda: ca.phi(((1,),), (0.7,), 3), DomainViolation,
+     "charges must be a sequence of integers, got (0.7,)"),
+    (lambda: qf.attained_classes(-1, 5), DomainViolation,
+     "arity must be >= 0, got -1"),
+    (lambda: qf.represent(qf.form_Q(2)._replace(denom=0), qf.domain_Delta(2),
+                          3, 2), DomainViolation,
+     "form Q needs denom >= 1, got 0"),
 ])
 def test_library_calls_reject_invalid_arguments(call, error, message):
     with pytest.raises(error) as info:

@@ -77,6 +77,24 @@ def test_scripts_run_from_any_directory(tmp_path, script):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_sweep_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # string hashes change with the seed: no set or dict order they steer
+    # may reach the files; the script sets its own path
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    files = {}
+    for seed in ("0", "999"):
+        out = tmp_path / seed
+        subprocess.run([sys.executable, str(SCRIPT), "--out", str(out)],
+                       env=dict(env, PYTHONHASHSEED=seed), check=True,
+                       capture_output=True, timeout=120)
+        files[seed] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(files["0"]) == sorted(f"{name}.json" for name in PINNED)
+    assert files["0"] == files["999"]
+    for name, digest in PINNED.items():
+        text = files["0"][f"{name}.json"]
+        assert hashlib.sha256(text[:-1]).hexdigest() == digest, name
+
+
 def _run_main(module, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["run_paper_checks.py"])
     code = module.main()
