@@ -63,6 +63,13 @@ _MEMBER_TESTS = (
     "tests/test_quadratic_forms.py::"
     "test_column_check_matches_the_counting_oracle",
 )
+_CUT_TESTS = (
+    "tests/test_quadratic_forms.py::test_engine_matches_brute_force",
+    "tests/test_quadratic_forms.py::"
+    "test_batch_routing_matches_one_target_calls_at_scan_size",
+    "tests/test_quadratic_forms.py::"
+    "test_the_cut_matches_brute_force_in_wide_boxes",
+)
 
 MUTANTS = (
     # the residue DP of q (attained_classes)
@@ -169,6 +176,11 @@ MUTANTS = (
            ("tests/test_quadratic_forms.py::"
             "test_batch_targets_below_the_box_minimum_are_misses",
             "tests/test_quadratic_forms.py::test_engine_matches_brute_force")),
+    # the cut of each table layer to what its prefix can complete
+    Mutant("cut-state-mask-one-bit-short", _QF, "_witnesses_at_radius",
+           "bits &= (2 << lim) - 1", "bits &= (1 << lim) - 1", _CUT_TESTS),
+    Mutant("cut-window-low-edge+1", _QF, "_witnesses_at_radius",
+           "-((r - c) // a2))", "-((r - c) // a2) + 1)", _CUT_TESTS),
 )
 
 

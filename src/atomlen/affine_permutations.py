@@ -13,7 +13,7 @@ from collections import namedtuple
 from operator import index, mul, sub
 
 from .errors import (BadLength, BadSum, DomainViolation, InvariantViolation,
-                     RankMismatch, ResidueClash)
+                     RankMismatch, ResidueClash, exact_int)
 from .quadratic_forms import eval_P
 
 
@@ -41,6 +41,7 @@ def make_affine(n: int, window) -> AffinePermutation:
     Raises DomainViolation / BadLength / ResidueClash / BadSum when the
     window is not the window of an affine permutation of rank n.
     """
+    n = exact_int(n, "rank", BadLength)
     if n < 1:
         raise BadLength(f"rank must be positive, got {n}")
     try:

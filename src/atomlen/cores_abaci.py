@@ -19,7 +19,7 @@ from operator import index
 
 from . import budget
 from .errors import (BadEll, BadIndex, BadLength, DomainViolation,
-                     InvariantViolation, NotInDs)
+                     InvariantViolation, NotInDs, exact_int)
 from .quadratic_forms import (ConstrainedDomain, FormSpec, UniversalityReport,
                               domain_Os, domain_Q_full, form_core_size,
                               member, universality_scan)
@@ -214,6 +214,7 @@ def _phi_charges(multipartition, charges, n: int) -> tuple[int, ...]:
     j takes from runner i its ceil((t_i - j)/n) full positions = j mod n
     below its first gap t_i = q_i*n + r_i (q_i of them, one more when
     j < r_i) and its beads = j mod n; phi lists the runners in reverse."""
+    n = exact_int(n, "n", BadLength)
     if n < 2:
         raise BadLength(f"need n >= 2, got {n}")
     runners = _beta_numbers(multipartition, charges)
@@ -236,6 +237,7 @@ def phi(multipartition, charges, n: int):
     level-n ones.  The rotated runner order is reversed on output; the total
     charge is preserved.  Bead q*n + j of runner i goes straight to runner j
     at q*l + i."""
+    n = exact_int(n, "n", BadLength)
     if n < 2:
         raise BadLength(f"need n >= 2, got {n}")
     return _rotate(_beta_numbers(multipartition, charges), n)
@@ -244,6 +246,7 @@ def phi(multipartition, charges, n: int):
 def phi_inverse(multipartition, charges, ell: int):
     """Inverse of phi: the same reverse-transpose-reverse on beta-numbers,
     with width l."""
+    ell = exact_int(ell, "level", BadEll)
     if ell < 1:
         raise BadEll(f"need level >= 1, got {ell}")
     return _rotate(_beta_numbers(multipartition, charges), ell)
@@ -301,6 +304,7 @@ class WeightSpec(namedtuple("WeightSpec", "n ell charges")):
     __slots__ = ()
 
     def __new__(cls, n, ell, charges):
+        n, ell = exact_int(n, "n", BadLength), exact_int(ell, "level", BadEll)
         if not (1 <= ell <= n):
             raise BadEll(f"need 1 <= level <= n, got {ell} vs {n}")
         if len(charges) != ell:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer reader whose
+refusals they are."""
+from operator import index
 
 
 class AtomlenError(ValueError):
@@ -58,3 +60,13 @@ class SearchFailed(AtomlenError):
 class InvariantViolation(AtomlenError):
     """An internal exactness invariant broke (e.g. a value that must be an
     integer is not).  Never silently rounded."""
+
+
+def exact_int(value, what, error=DomainViolation) -> int:
+    """value read with operator.index: a float, string or Fraction, which
+    int() would truncate or parse and range() would refuse with a bare
+    TypeError, raises error with one line."""
+    try:
+        return index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None

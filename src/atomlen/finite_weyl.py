@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import SERIES, budget
 from .errors import (BadEll, BadIndex, BadLength, InvariantViolation,
-                     RankMismatch)
+                     RankMismatch, exact_int)
 
 
 class FiniteType(namedtuple("FiniteType", "series n")):
@@ -26,6 +26,7 @@ class FiniteType(namedtuple("FiniteType", "series n")):
     def __new__(cls, series, n):
         if series not in SERIES:
             raise BadIndex(f"unknown series {series!r}")
+        n = exact_int(n, "rank", BadLength)
         if n < 1 or (series == "D" and n < 2):
             raise BadLength(f"rank {n} invalid for series {series}")
         return tuple.__new__(cls, (series, n))

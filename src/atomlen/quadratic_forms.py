@@ -24,9 +24,12 @@ else 0; the state counts in mixed radix below W the classes the suffix
 uses, which cover the coordinates exactly, so a prefix needs the full state
 minus its own.  A coordinate's candidates are the values of the box within
 the largest target of its least term, so a wider box lists no more of them;
-a table takes them in class groups sorted by value, skips a class the
-suffix fills with one test and cuts a group by bisection to the sums a
-prefix can complete.
+a table takes them in class groups sorted by value and skips a class the
+suffix fills with one test.  Under a sum target a layer keeps only what its
+prefix can complete within the largest target: the prefix's least offset
+at the sum it must make, a Cauchy-Schwarz bound, cuts each group by
+bisection to the sums with room left (one isqrt per layer) and each state's
+bitset to the offsets that room allows.
 
 Misses cost one bit test.  Folding the first coordinate's candidates into
 the table of the other coordinates gives one reachability row: the bitset
@@ -57,7 +60,8 @@ from math import isqrt
 from operator import mul
 
 from . import budget
-from .errors import BadLength, DomainViolation, InvariantViolation
+from .errors import (BadLength, DomainViolation, InvariantViolation,
+                     exact_int)
 
 S290 = frozenset({1, 2, 3, 5, 6, 7, 10, 13, 14, 15, 17, 19, 21, 22, 23, 26,
                   29, 30, 31, 34, 35, 37, 42, 58, 93, 110, 145, 203, 290})
@@ -266,8 +270,17 @@ class FormSpec(namedtuple("FormSpec", "form_id quad lin const denom")):
                 + sum(b * v for b, v in zip(self.lin, t)) + self.const)
 
     def evaluate(self, t):
-        val = Fraction(self.numerator(t), self.denom)
+        val = Fraction(self.numerator(t), _positive(self, "denom"))
         return int(val) if val.denominator == 1 else val
+
+
+def _positive(form: FormSpec, field: str) -> int:
+    """form's quad or denom as an int, refused below 1 with one line."""
+    value = exact_int(getattr(form, field), f"form {form.form_id} {field}")
+    if value < 1:
+        raise DomainViolation(f"form {form.form_id} needs {field} >= 1, got "
+                              f"{value}")
+    return value
 
 
 def form_P(n: int) -> FormSpec:
@@ -320,7 +333,20 @@ def _boxes(A, B, domain, radius):
 def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
     """First full vector of the domain, in the fixed search order, with
     A*sum(t^2) + sum(B*t) == K inside the radius box, for every K in targets
-    that has one."""
+    that has one.
+
+    Under a sum target S, layer i (the suffix i..n-1, at sum key) keeps
+    only what its prefix can complete.  The prefix's i values sum to
+    sigma = S - key, so by Cauchy-Schwarz their terms A*v^2 + B_j*v sum to
+    at least ((2A*sigma + P)^2 - i*Q) / 4Ai, where P and Q sum B_j and B_j^2
+    over the prefix.  Less LOW, the sum of the prefix's least terms, that is
+    the least offset the prefix adds, and the suffix may use only what it
+    leaves of top.  With room = 4Ai(top + LOW) + i*Q, a layer keeps the keys
+    with (2A*sigma + P)^2 <= room, a window found with one isqrt, and in
+    each state the offsets o with 4Ai*o <= room - (2A*sigma + P)^2.  A cut
+    bit lies on no vector of offset at most top, so the reach row, the
+    routing and every witness are those of the uncut tables.
+    """
     n, S, caps = domain.nvars, domain.sum_target, domain.caps
     if not n:  # the empty vector alone, of value 0, in every box
         return {0: ()} if 0 in targets and member(domain, ()) else {}
@@ -349,10 +375,10 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
     # i.e. |2Av + B| <= isqrt(4A(top + low) + B^2).  by_class[i] groups the
     # same values by class, in increasing order, with the state step each
     # adds: v * W under a sum target; else 0, the group sharing v & fold.
-    rows, by_class = [], []
+    rows, by_class, a2 = [], [], 2 * A
     shifts, step = domain.shifts or (0,) * n, W if S is not None else 0
     for i, (lo, hi, center, low) in enumerate(boxes):
-        b, a2 = B[i], 2 * A
+        b = B[i]
         s = isqrt(2 * a2 * (top + low) + b * b)
         vals = range(max(lo, -((s + b) // a2)), min(hi, (s - b) // a2) + 1)
         cs = _classes(domain, vals, shifts[i])
@@ -379,8 +405,16 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
         work += len(nxt) * len(rows[i])
         budget.check(work, what="representation table")
         # the suffix sums the i bounded prefix coordinates can complete:
-        # under a sum target each class group is cut to them
-        lo, hi = (S - i * radius, S + i * radius) if S is not None else (0, 1)
+        # under a sum target each class group is cut to them, and to the
+        # keys whose prefix has room left: |c - 2A*key| <= isqrt(room), c
+        # being 2AS + P, so that c - 2A*key = 2A*sigma + P
+        if S is not None:
+            c, den = a2 * S + sum(B[:i]), 2 * a2 * i
+            room = (den * (top + sum(box[3] for box in boxes[:i]))
+                    + i * sum(b * b for b in B[:i]))
+            r = isqrt(room)
+            lo = max(S - i * radius, -((r - c) // a2))
+            hi = min(S + i * radius, (r + c) // a2)
         for st, bits in nxt.items():
             key, f = divmod(st, W)
             for wc, cap, p, vs, steps in by_class[i]:
@@ -395,6 +429,18 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
                     if b:
                         t = g + dw
                         layer[t] = layer.get(t, 0) | b
+        # cut each state's offsets to its key's limit, when the worst key,
+        # at a window end, limits them below top
+        if S is not None and (room - max(c - a2 * lo, a2 * hi - c) ** 2
+                              < den * top):
+            for t, bits in list(layer.items()):
+                lim = (room - (c - a2 * (t // W)) ** 2) // den
+                if bits.bit_length() > lim + 1:
+                    bits &= (2 << lim) - 1
+                    if bits:
+                        layer[t] = bits
+                    else:
+                        del layer[t]
         tables[i] = layer
 
     # reach: bitset of the offset values whole vectors reach, the first
@@ -458,6 +504,13 @@ def _numerators(form: FormSpec, targets) -> list:
     return out
 
 
+def _radius(radius) -> int:
+    radius = exact_int(radius, "radius")
+    if radius < 0:
+        raise DomainViolation(f"radius must be >= 0, got {radius}")
+    return radius
+
+
 def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
                   radius: int) -> list:
     """Witness or None for each target, in order: the first domain vector in
@@ -473,11 +526,8 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
     denom*k); a projected domain's witness then drops its forced last
     coordinate, and all of them are member-checked in one pass.
     """
-    if radius < 0:
-        raise DomainViolation(f"radius must be >= 0, got {radius}")
-    if form.denom < 1:
-        raise DomainViolation(f"form {form.form_id} needs denom >= 1, got "
-                              f"{form.denom}")
+    radius, quad = _radius(radius), _positive(form, "quad")
+    _positive(form, "denom")  # refuses a denom below 1
     if form.nvars != domain.nvars:
         raise DomainViolation(
             f"form {form.form_id} cannot be searched on {domain.label}: "
@@ -487,7 +537,7 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
     # sum(log2(cap + 1)) bits: their width is checked before any is built
     budget.check(domain.nvars * sum(c.bit_length() + 1 for c in domain.caps),
                  what=f"representation tables on {domain.label}")
-    quad, lin = form.quad, form.lin
+    lin = form.lin
     nums = _numerators(form, targets)
     wanted = {K for K in nums if K is not None}
     found = (_witnesses_at_radius(quad, lin, wanted, domain, radius)
@@ -521,7 +571,7 @@ def represent(form: FormSpec, domain: ConstrainedDomain, k, radius: int):
 # Attained residue classes
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def attained_classes(arity: int, m: int) -> frozenset[int]:
     """Classes mod m attained by q, the all-pairwise-products form of arity
     variables.
@@ -536,6 +586,7 @@ def attained_classes(arity: int, m: int) -> frozenset[int]:
     and s and -s add the same ones, so it visits only s <= m/2.  About
     arity * m^2 / 2 steps, counted against the budget.
     """
+    arity, m = exact_int(arity, "arity"), exact_int(m, "modulus")
     if m < 1:
         raise DomainViolation(f"modulus must be >= 1, got {m}")
     if arity < 0:
@@ -689,6 +740,8 @@ def universality_scan(form: FormSpec, domain: ConstrainedDomain, max_k: int,
     _q_arity and _certificates)."""
     if grid not in ("int", "half"):
         raise DomainViolation(f"grid must be 'int' or 'half', got {grid!r}")
+    max_k, min_k = exact_int(max_k, "max_k"), exact_int(min_k, "min_k")
+    radius = _radius(radius)
     budget.check(_TARGET_WEIGHT
                  * ((2 if grid == "half" else 1) * (max_k - min_k) + 1),
                  what="scan target list")

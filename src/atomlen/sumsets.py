@@ -8,7 +8,7 @@ from collections import Counter, namedtuple
 
 from . import budget
 from .errors import (BadLength, BadSum, InvariantViolation, NotPrime,
-                     SearchFailed)
+                     SearchFailed, exact_int)
 
 
 def hall_decompose(m: int, d) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -22,6 +22,7 @@ def hall_decompose(m: int, d) -> tuple[tuple[int, ...], tuple[int, ...]]:
     permutation j -> where[a_k + d_k + a_last - a_j], so a chain has under m
     steps: O(m^2) in all, each counted against the budget.
     """
+    m = exact_int(m, "m", BadLength)
     if m < 1:
         raise BadLength(f"need m >= 1, got {m}")
     d = tuple(x % m for x in d)

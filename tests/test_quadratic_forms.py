@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -751,6 +752,37 @@ def test_scan_refuses_an_unknown_grid_before_its_budget(monkeypatch):
     assert str(exc.value) == "grid must be 'int' or 'half', got 'quarter'"
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: qf.represent(qf.form_Q(3), qf.domain_Delta(3), 2, 2.5),
+     "radius must be an integer, got 2.5"),
+    (lambda: qf.represent(qf.form_Q(3)._replace(quad=0), qf.domain_Delta(3),
+                          2, 3), "form Q needs quad >= 1, got 0"),
+    (lambda: qf.represent(qf.form_Q(3)._replace(quad=-1), qf.domain_Delta(3),
+                          2, 3), "form Q needs quad >= 1, got -1"),
+    (lambda: qf.represent(qf.form_Q(3)._replace(denom=2.0),
+                          qf.domain_Delta(3), 2, 3),
+     "form Q denom must be an integer, got 2.0"),
+    (lambda: qf.universality_scan(qf.form_Q(3), qf.domain_Delta(3), 2.5, 5),
+     "max_k must be an integer, got 2.5"),
+    (lambda: qf.universality_scan(qf.form_Q(3), qf.domain_Delta(3), 5, 2.5),
+     "radius must be an integer, got 2.5"),
+    (lambda: qf.universality_scan(qf.form_Q(3), qf.domain_Delta(3), 5, 3,
+                                  min_k=0.5),
+     "min_k must be an integer, got 0.5"),
+    (lambda: qf.universality_scan(qf.form_Q(3), qf.domain_Delta(3), 5, -1),
+     "radius must be >= 0, got -1"),
+], ids=["represent-radius", "quad-0", "quad-negative", "denom-float",
+        "scan-max_k", "scan-radius", "scan-min_k", "scan-negative-radius"])
+def test_loose_scalars_are_refused_before_any_budget(monkeypatch, call,
+                                                     message):
+    # a budget of 0 refuses the first charge, so the one-line refusal of a
+    # scalar must come before it
+    monkeypatch.setenv("ATOMLEN_BUDGET", "0")
+    with pytest.raises(DomainViolation) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_represent_rejects_mismatched_pairing():
     with pytest.raises(DomainViolation):
         qf.represent(qf.form_Q(4), qf.domain_Delta(5), 3, 5)
@@ -1368,16 +1400,20 @@ def _engine_run(engine, form, dom, targets, radius):
 
 
 def _assert_engines_agree(form, dom, targets, radius):
-    """The same witnesses and budget counts from both engines, and the old
-    engine's per-coordinate closed flag equal to the test against
-    closure_bound, the closed form the sweep tests read."""
+    """The same witnesses from both engines and as many budget checks, each
+    at most the old engine's (the new one drops the states no prefix can
+    complete), and the old engine's per-coordinate closed flag equal to the
+    test against closure_bound, the closed form the sweep tests read.
+    Returns both engines' counts."""
     new, checks = _engine_run(qf._witnesses_at_radius, form, dom, targets,
                               radius)
     (old, closed), old_checks = _engine_run(old_witnesses_at_radius, form,
                                             dom, targets, radius)
-    assert (new, checks) == (old, old_checks)
+    assert new == old and len(checks) == len(old_checks)
+    assert all(map(operator.le, checks, old_checks))
     bound = closure_bound(form, dom, radius)
     assert closed == (bound is not None and max(targets) <= bound)
+    return checks, old_checks
 
 
 @given(domains_with_oracle(), st.data())
@@ -1402,6 +1438,41 @@ def test_int_keyed_engine_matches_at_scan_size(kind):
     targets = set(range(-5, 400))
     for radius in (0, 1, 2, 8, 30):
         _assert_engines_agree(form, dom, targets, radius)
+
+
+def test_the_cut_drops_states_no_prefix_completes():
+    # Q on Delta(6), k <= 200 at radius 30: a prefix of i coordinates sums
+    # to at most i * 30, but within norm 200 to far less
+    checks, old_checks = _assert_engines_agree(
+        qf.form_Q(6), qf.domain_Delta(6), {2 * k for k in range(201)}, 30)
+    assert checks[-1] < old_checks[-1]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_cut_matches_brute_force_in_wide_boxes(data):
+    # radii far above the coordinates small targets allow, so the sum range
+    # i * R is far wider than the norm bound and the cut does the work;
+    # forms with quad > 1 or lin != 0, whose minimizers lie off the origin
+    kind = data.draw(st.sampled_from(["window", "core-size", "charges"]))
+    n = data.draw(st.integers(2, 3))
+    if kind == "window":
+        form, (dom, lit) = qf.form_P(n), with_oracle(qf.domain_D, n)
+    elif kind == "core-size":
+        form, (dom, lit) = (qf.form_core_size(n),
+                            with_oracle(qf.domain_Q_full, n))
+    else:
+        ell = data.draw(st.integers(1, n))
+        charges = tuple(sorted(data.draw(st.integers(0, n - 1))
+                               for _ in range(ell)))
+        spec = WeightSpec(n, ell, charges)
+        form, dom = spec.form(), spec.domain()
+        lit = literal(domain_Ds, n, ell, charges)
+    radius = data.draw(st.integers(8, 14))
+    targets = data.draw(st.lists(st.integers(-1, 12), min_size=1,
+                                 max_size=4))
+    assert qf.represent_all(form, dom, targets, radius) == [
+        _brute_force_first(form, dom, lit, k, radius) for k in targets]
 
 
 @pytest.mark.parametrize("form,dom,wrong,outside", [

@@ -15,7 +15,7 @@ from atomlen import quadratic_forms as qf
 from atomlen import sumsets
 from atomlen.affine_classical import AffineLatticeSpec, TypeCAffineElement
 from atomlen.cores_abaci import BetaAbacus, WeightSpec
-from atomlen.errors import (BadIndex, BadLength, DomainViolation,
+from atomlen.errors import (BadEll, BadIndex, BadLength, DomainViolation,
                             MirrorViolation, NotInDs, RankMismatch)
 from atomlen.finite_weyl import FiniteType, SignedPermutation
 
@@ -49,6 +49,13 @@ from atomlen.finite_weyl import FiniteType, SignedPermutation
      BadIndex, "bad sign vector (1, 0, 1)"),
     (lambda: SignedPermutation(FiniteType("A", 2), (1, 2, 3), (1, -1, 1)),
      BadIndex, "series A has no sign changes"),
+    # sizes are read exactly: a float rank or level is refused, not kept
+    (lambda: WeightSpec(3.0, 1, (0,)), BadLength,
+     "n must be an integer, got 3.0"),
+    (lambda: WeightSpec(3, 1.0, (0,)), BadEll,
+     "level must be an integer, got 1.0"),
+    (lambda: FiniteType("A", 3.0), BadLength,
+     "rank must be an integer, got 3.0"),
 ])
 def test_validated_records_reject_invalid_arguments(build, error, message):
     with pytest.raises(error) as info:
@@ -108,6 +115,25 @@ def test_validated_records_reject_invalid_arguments(build, error, message):
     (lambda: qf.represent(qf.form_Q(2)._replace(denom=0), qf.domain_Delta(2),
                           3, 2), DomainViolation,
      "form Q needs denom >= 1, got 0"),
+    # sizes are read exactly: a float is refused with one line, where it
+    # was kept or failed as a bare TypeError (the scan's scalars are in
+    # test_quadratic_forms.py, refused before any budget charge)
+    (lambda: qf.form_Q(2)._replace(denom=0).evaluate((1, 1)), DomainViolation,
+     "form Q needs denom >= 1, got 0"),
+    (lambda: ap.make_affine(2.0, (1, 2)), BadLength,
+     "rank must be an integer, got 2.0"),
+    (lambda: qf.attained_classes(2.5, 5), DomainViolation,
+     "arity must be an integer, got 2.5"),
+    (lambda: qf.attained_classes(2, 5.0), DomainViolation,
+     "modulus must be an integer, got 5.0"),
+    (lambda: ca.phi(((1,),), (0,), 3.0), BadLength,
+     "n must be an integer, got 3.0"),
+    (lambda: ca.phi_inverse(((1,),), (0,), 1.0), BadEll,
+     "level must be an integer, got 1.0"),
+    (lambda: ca.ns_core_of(((1,),), (0,), 3.0), BadLength,
+     "n must be an integer, got 3.0"),
+    (lambda: sumsets.hall_decompose(4.0, (1, 1, 1, 1)), BadLength,
+     "m must be an integer, got 4.0"),
 ])
 def test_library_calls_reject_invalid_arguments(call, error, message):
     with pytest.raises(error) as info:
