@@ -56,6 +56,12 @@ _ROTATION_TESTS = (
     "tests/test_cores_abaci.py::test_ns_core_worked_example",
     "tests/test_cores_abaci.py::"
     "test_runner_edges_match_the_runner_record_engine",
+    "tests/test_cores_abaci.py::"
+    "test_both_builders_match_the_runner_record_engine_on_a_box",
+)
+_LIST_TESTS = (
+    "tests/test_cores_abaci.py::test_a_large_component_takes_the_lists",
+    "tests/test_cores_abaci.py::test_the_estimate_picks_the_builder",
 )
 _MEMBER_TESTS = (
     "tests/test_quadratic_forms.py::"
@@ -143,9 +149,17 @@ MUTANTS = (
            "for c, cap in enumerate(caps) for _ in range(cap)]",
            "for c, cap in enumerate(caps) for _ in range(cap - 1)]",
            _MEMBER_TESTS),
-    # the rotation on beta-number runners (_rotate) and the core's runners
-    Mutant("rotate-partial-block-one-short", _CA, "_rotate",
-           "for col in cols[:r]:", "for col in cols[:r - 1]:",
+    # the rotation on beta-number runners (_rotate), its two image
+    # builders, and the core's runners
+    Mutant("rotate-partial-block-one-short", _CA, "_rotate_lists",
+           "for col in cols[:r]:", "for col in cols[:r - 1]:", _LIST_TESTS),
+    Mutant("rotate-masks-comb-one-row-short", _CA, "_rotate_masks",
+           "full |= ((1 << q * k) - 1)", "full |= ((1 << (q - 1) * k) - 1)",
+           _ROTATION_TESTS),
+    Mutant("rotate-masks-peel-never-stops", _CA, "_rotate_masks",
+           "if p == c:", "if p < c:", _ROTATION_TESTS),
+    Mutant("rotate-masks-bead-bit-at-i+1", _CA, "_rotate_masks",
+           "masks[j] |= 1 << q * k + i", "masks[j] |= 1 << q * k + i + 1",
            _ROTATION_TESTS),
     Mutant("rotate-q0-rounded-up", _CA, "_rotate",
            "q0 = min([t for t, _ in runners]) // width",

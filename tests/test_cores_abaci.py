@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -435,6 +436,78 @@ def test_runner_edges_match_the_runner_record_engine(lam, charges, width):
         assert ca.phi_inverse(ln, sn, len(lam)) == (lam, charges)
 
 
+# _rotate builds its images as int bitmasks up to _MASK_ESTIMATE and as
+# sorted lists above it; each builder is exact at any size.
+
+def _builders(lam, charges, width: int):
+    """Each builder's rotation of the same runners, masks first."""
+    runners = ca._beta_numbers(lam, charges)[::-1]
+    q0 = min(t for t, _ in runners) // width
+    return (ca._rotate_masks(runners, width, q0),
+            ca._rotate_lists(runners, width, q0))
+
+
+SMALL_PARTS = [(), (1,), (1, 1), (2,), (2, 1), (2, 2), (3,), (3, 1), (3, 2),
+               (3, 3)]
+
+
+@pytest.mark.parametrize("width", range(1, 6))
+def test_both_builders_match_the_runner_record_engine_on_a_box(width):
+    # every multipartition of level <= 3 with at most 2 parts in all, each
+    # at most 3, at charges -3..3: 20,307 rotations per width
+    for level in (1, 2, 3):
+        for lam in itertools.product(SMALL_PARTS, repeat=level):
+            if sum(map(len, lam)) > 2:
+                continue
+            for charges in itertools.product(range(-3, 4), repeat=level):
+                want = old_rotate(lam, charges, width)
+                assert _builders(lam, charges, width) == (want, want), \
+                    (lam, charges)
+
+
+@pytest.mark.parametrize("extra, builder", [(0, "_rotate_masks"),
+                                            (1, "_rotate_lists")])
+def test_the_estimate_picks_the_builder(monkeypatch, extra, builder):
+    # the runners (first gap, beads) (-30, 30 beads) and (c - 29, 29 beads)
+    # start at block -15 of width 2, so the estimate is 2 + (c + 30) + 30
+    estimate = ca._MASK_ESTIMATE + extra
+    lam, charges = ((2,) * 30, (1,) * 29), (0, estimate - 62)
+    calls, build = [], getattr(ca, builder)
+    monkeypatch.setattr(ca, builder, lambda *args: (
+        calls.append(args[1]) or build(*args)))
+    monkeypatch.setenv("ATOMLEN_BUDGET", str(estimate))
+    assert ca.phi(lam, charges, 2) == old_phi(lam, charges, 2)
+    assert calls == [2]
+    monkeypatch.setenv("ATOMLEN_BUDGET", str(estimate - 1))
+    with pytest.raises(BudgetExceeded,
+                       match=f"abacus rotation needs ~{estimate} "):
+        ca.phi(lam, charges, 2)
+
+
+LARGE = (tuple(sorted((random.Random(3000).randint(1, 12)
+                       for _ in range(3000)), reverse=True)),)
+
+
+@functools.lru_cache(maxsize=None)
+def _large_rotation(width: int):
+    return old_rotate(LARGE, (5,), width)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7])
+def test_a_large_component_takes_the_lists(monkeypatch, width):
+    calls, build = [], ca._rotate_lists
+    monkeypatch.setattr(ca, "_rotate_lists", lambda *args: (
+        calls.append(args[1]) or build(*args)))
+    assert ca.phi_inverse(LARGE, (5,), width) == _large_rotation(width)
+    assert calls == [width]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7])
+def test_the_masks_are_exact_on_a_large_component(width):
+    masks, lists = _builders(LARGE, (5,), width)
+    assert masks == lists == _large_rotation(width)
+
+
 @pytest.mark.parametrize("fn", [ca.phi, ca.phi_inverse])
 def test_rotation_refuses_a_huge_width_at_once(monkeypatch, fn):
     monkeypatch.delenv("ATOMLEN_BUDGET", raising=False)
@@ -561,6 +634,9 @@ def test_weight_spec_validation():
         ca.WeightSpec(4, 2, (2, 1))
     with pytest.raises(BadIndex):
         ca.WeightSpec(4, 2, (0, 4))
+    # charges are stored as a tuple of ints, whatever sequence they came in
+    assert ca.WeightSpec(3, 1, [0]) == (3, 1, (0,))
+    assert hash(ca.WeightSpec(3, 1, [0])) == hash(ca.WeightSpec(3, 1, (0,)))
 
 
 def test_sprime_examples():

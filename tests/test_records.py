@@ -134,6 +134,22 @@ def test_validated_records_reject_invalid_arguments(build, error, message):
      "n must be an integer, got 3.0"),
     (lambda: sumsets.hall_decompose(4.0, (1, 1, 1, 1)), BadLength,
      "m must be an integer, got 4.0"),
+    # the core tests and orbit helpers read their scalars the same way,
+    # where a float was compared as given or failed as a bare TypeError
+    (lambda: ca.is_n_core_hooks((2, 1), 2.5), BadLength,
+     "n must be an integer, got 2.5"),
+    (lambda: ca.is_n_core_abacus(ca.beta_set((2, 1), 0), 2.5), BadLength,
+     "n must be an integer, got 2.5"),
+    (lambda: ca.is_ns_core(((1,), (1,)), (0, 0), 2.5), BadLength,
+     "n must be an integer, got 2.5"),
+    (lambda: ca.affine_action_on_charges([0], (0, 1, 2), 1.5), BadEll,
+     "level must be an integer, got 1.5"),
+    (lambda: ca.affine_action_on_charges([1.0], (0, 1, 2), 1), BadIndex,
+     "generator index must be an integer, got 1.0"),
+    (lambda: ca.conjugate((2.5, 1)), DomainViolation,
+     "partition must be a sequence of integers, got (2.5, 1)"),
+    (lambda: WeightSpec(3, 1, (0.0,)), DomainViolation,
+     "charges must be a sequence of integers, got (0.0,)"),
 ])
 def test_library_calls_reject_invalid_arguments(call, error, message):
     with pytest.raises(error) as info:
