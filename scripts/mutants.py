@@ -7,9 +7,11 @@ Each row names a mutant: its id, the file under src/atomlen, the function
 that encloses the mutated code, the exact old snippet, its replacement, and
 the pytest node ids that must kill it.  The kill run copies src/, tests/,
 scripts/ and README.md into a temporary directory for each row, applies the
-one replacement there and runs only that row's tests; the mutant is killed
-when pytest reports a failure (exit 1).  Rows marked equivalent give the
-reason no test can kill them and are not run.
+one replacement there and runs only that row's tests, with the fixed
+--hypothesis-seed HYPOTHESIS_SEED so that a verdict resting on a property
+test is the same in every run; the mutant is killed when pytest reports a
+failure (exit 1).  Rows marked equivalent give the reason no test can kill
+them and are not run.
 
 Exit 0 when every other mutant is killed, 1 naming each survivor (or a run
 that pytest could not complete), 2 naming each row whose snippet no longer
@@ -29,6 +31,8 @@ import tempfile
 from collections import namedtuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the seed of every hypothesis test in a kill run
+HYPOTHESIS_SEED = 0
 
 Mutant = namedtuple("Mutant", "id file function old new tests equivalent",
                     defaults=(None,))
@@ -195,6 +199,24 @@ MUTANTS = (
            "bits &= (2 << lim) - 1", "bits &= (1 << lim) - 1", _CUT_TESTS),
     Mutant("cut-window-low-edge+1", _QF, "_witnesses_at_radius",
            "-((r - c) // a2))", "-((r - c) // a2) + 1)", _CUT_TESTS),
+    # the first layer, built a state at a time as the routing asks for it
+    Mutant("first-layer-offset+1", _QF, "_witnesses_at_radius",
+           "bits |= get(g - dw, 0) << off",
+           "bits |= get(g - dw, 0) << off + 1", _CUT_TESTS),
+    Mutant("first-layer-cut-one-bit-short", _QF, "_witnesses_at_radius",
+           "bits = memo[t] = bits & (2 << lim) - 1",
+           "bits = memo[t] = bits & (1 << lim) - 1", _CUT_TESTS),
+    Mutant("first-layer-free-cut-one-bit-short", _QF, "_witnesses_at_radius",
+           "lim = top if S is None", "lim = top - 1 if S is None",
+           _CUT_TESTS),
+    Mutant("first-layer-class-test-dropped", _QF, "_witnesses_at_radius",
+           "if f // wc % (cap + 1):", "if True:", _CUT_TESTS,
+           "for a class the state does not use, f - wc borrows, and a borrow "
+           "leaves a digit sum above the n - 2 class uses of every state of "
+           "tables[2], so each lookup misses: the test only skips the "
+           "group's steps"),
+    Mutant("first-step-miss-raises", _QF, "_witnesses_at_radius",
+           "if want and i:", "if want:", _CUT_TESTS),
 )
 
 
@@ -239,7 +261,8 @@ def kill(row: Mutant) -> int:
                    PYTHONDONTWRITEBYTECODE="1")
         return subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-             "no:cacheprovider", *row.tests], cwd=where, env=env,
+             "no:cacheprovider", f"--hypothesis-seed={HYPOTHESIS_SEED}",
+             *row.tests], cwd=where, env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 

@@ -31,28 +31,29 @@ at the sum it must make, a Cauchy-Schwarz bound, cuts each group by
 bisection to the sums with room left (one isqrt per layer) and each state's
 bitset to the offsets that room allows.
 
-Misses cost one bit test.  Folding the first coordinate's candidates into
-the table of the other coordinates gives one reachability row: the bitset
-of every offset value a whole vector of the box reaches.  The targets on
-that row are routed left to right together, grouped at each coordinate by
-the suffix state they need; those that share a state and a remaining
-offset travel together.  A state scans its candidates once in spiral order
-(outward from the coordinate's continuous minimizer, positive offset
-first), and each candidate takes, with one AND, every remaining offset its
-next state still reaches.  So each target takes the first vector of the
-radius-R box in the lexicographic spiral order, the one a depth-first
-search in that order finds first, and witnesses are deterministic.  The
-tables are exact, so a target left without a value would raise
+Every target in range is routed left to right, all of them starting as one
+bitset, grouped at each coordinate by the suffix state they need; those that
+share a state and a remaining offset travel together.  A state scans its
+candidates once in spiral order (outward from the coordinate's continuous
+minimizer, positive offset first), and each candidate takes, with one AND,
+every remaining offset its next state still reaches.  The first coordinate's
+walk builds each state of the layer after it when it first reaches it, and
+stops once every target is taken: a scan that witnesses all its targets
+builds only the states its walk asks for, and the targets a walk leaves are
+the misses.  So each target takes the first vector of the radius-R box in
+the lexicographic spiral order, the one a depth-first search in that order
+finds first, and witnesses are deterministic.  The tables are exact, so a
+target taken by a first value and later left without one would raise
 InvariantViolation.  Every target, int or on the half grid, becomes its
 numerator denom*k - const in plain integers, held by list position.  A miss
 takes q's residue classes only when quad = 1, denom = 2, lin = -2c with c
-integral, const = |c|^2 and the domain's sum target is sum(c); labels
-decide nothing.
+integral, const = |c|^2 and the domain's sum target is sum(c); labels decide
+nothing.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, repeat
@@ -344,8 +345,9 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
     leaves of top.  With room = 4Ai(top + LOW) + i*Q, a layer keeps the keys
     with (2A*sigma + P)^2 <= room, a window found with one isqrt, and in
     each state the offsets o with 4Ai*o <= room - (2A*sigma + P)^2.  A cut
-    bit lies on no vector of offset at most top, so the reach row, the
-    routing and every witness are those of the uncut tables.
+    bit lies on no vector of offset at most top, so the routing and every
+    witness are those of the uncut tables.  Layer 1 is built a state at a
+    time, when the routing's first step asks for it (see first).
     """
     n, S, caps = domain.nvars, domain.sum_target, domain.caps
     if not n:  # the empty vector alone, of value 0, in every box
@@ -397,7 +399,8 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
         rows.append(row)
 
     # tables[i]: state of coordinates i..n-1 -> bitset of the offset values
-    # they reach.  tables[0] is never needed.
+    # they reach.  tables[0] is never needed, and the routing builds the
+    # states of tables[1] it asks for.
     tables = [None] * n + [{0: 1}]
     work = 0
     for i in range(n - 1, 0, -1):
@@ -415,6 +418,8 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
             r = isqrt(room)
             lo = max(S - i * radius, -((r - c) // a2))
             hi = min(S + i * radius, (r + c) // a2)
+        if i == 1:
+            break
         for st, bits in nxt.items():
             key, f = divmod(st, W)
             for wc, cap, p, vs, steps in by_class[i]:
@@ -443,28 +448,39 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
                         del layer[t]
         tables[i] = layer
 
-    # reach: bitset of the offset values whole vectors reach, the first
-    # coordinate folded into tables[1]
-    reach = 0
-    for v, off, wc, cap in rows[0]:
-        reach |= tables[1].get(((total - v) & fold) * W + full - wc, 0) << off
+    def first(t, _):
+        """tables[1][t], built from tables[2] like the layers above when the
+        routing first asks.  One prefix value v0 makes the cut exact, lim =
+        top - offset(v0) >= 0, so the row asks for no state off the window."""
+        bits = memo.get(t)
+        if bits is None:
+            key, f = divmod(t, W)
+            lim = top if S is None else (room - (c - a2 * key) ** 2) // den
+            bits, get = 0, tables[2].get
+            for wc, cap, p, vs, steps in by_class[1]:
+                if f // wc % (cap + 1):
+                    g = ((key - p) & fold) * W + f - wc
+                    for dw, off in steps:
+                        bits |= get(g - dw, 0) << off
+            bits = memo[t] = bits & (2 << lim) - 1
+        return bits
 
-    # route the targets on the row; a group is the bitset of its remaining
-    # offsets and, per offset, the targets that travel together
-    vecs = {K: [] for K in targets if K >= base and reach >> (K - base) & 1}
-    if not vecs:
-        return {}
+    # route every target in range; a group is the bitset of its remaining
+    # offsets and, per offset, the targets that travel together (at the
+    # first coordinate none: offset r is target base + r, and those left
+    # there are the misses)
+    memo, vecs = {}, defaultdict(list)
     groups = {(total & fold) * W + full: (
-        sum(1 << (K - base) for K in vecs), {K - base: [K] for K in vecs})}
+        sum(1 << (K - base) for K in targets if K >= base), {})}
     for i in range(n):
-        nxt, moved = tables[i + 1], {}
+        get, moved = first if i == 0 < n - 1 else tables[i + 1].get, {}
         for st, (want, rems) in groups.items():
             key, f = divmod(st, W)
             for v, off, wc, cap in rows[i]:
                 if not f // wc % (cap + 1):
                     continue  # the prefix fills this class
                 state = ((key - v) & fold) * W + f - wc
-                take = nxt.get(state, 0) << off & want
+                take = get(state, 0) << off & want
                 if take:
                     want ^= take
                     bits, dest = moved.get(state, (0, {}))
@@ -472,12 +488,13 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
                     while take:
                         r = take.bit_length() - 1
                         take ^= 1 << r
-                        for K in rems[r]:
+                        ks = rems[r] if rems else [base + r]
+                        for K in ks:
                             vecs[K].append(v)
-                        dest.setdefault(r - off, []).extend(rems[r])
+                        dest.setdefault(r - off, []).extend(ks)
                     if not want:
                         break
-            if want:
+            if want and i:
                 K = rems[(want & -want).bit_length() - 1][0]
                 raise InvariantViolation(
                     f"the table reaches {K} on {domain.label} but no route "
@@ -518,8 +535,8 @@ def represent_all(form: FormSpec, domain: ConstrainedDomain, targets,
 
     Targets may be ints or Fractions; negative ones and those whose scaled
     value denom*k - const is not an integer are misses without a search.
-    The others share one table at the radius, which routes those on its
-    reachability row: each takes the first vector of the whole radius box.
+    The others share one table at the radius and are routed through it
+    together: each takes the first vector of the whole radius box.
     None is not a proof of non-representability, only exhaustion of the
     radius box.
     Every witness is re-evaluated in integers (its numerator must be
