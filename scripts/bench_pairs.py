@@ -131,12 +131,15 @@ def main() -> int:
             parser.error(f"--workload {spec}: need at least 2 pairs")
         counts[name] = int(count)
 
+    # resolved before the runs, so a ref that moves while they run (HEAD
+    # after a commit) names in the record the tree that was measured
+    parent, change = (git("rev-parse", rev) for rev in (args.parent,
+                                                         args.change))
     work = args.workdir or tempfile.mkdtemp(prefix="bench-pairs-")
     trees = {slot: os.path.join(work, slot) for slot in
              ("parent", "change", "aa-parent", "aa-change")}
-    for slot, rev in (("parent", args.parent), ("change", args.change),
-                      ("aa-parent", args.change),
-                      ("aa-change", args.change)):
+    for slot, rev in (("parent", parent), ("change", change),
+                      ("aa-parent", change), ("aa-change", change)):
         export(rev, trees[slot])
 
     failures, workloads, aa = [], {}, {}
@@ -179,11 +182,11 @@ def main() -> int:
             "the parent first, even seeds the change first. aa_pairs ran the "
             "change tree in both slots. Times are perfbench's "
             "speed-normalised seconds."),
-        "parent_commit": git("rev-parse", args.parent),
+        "parent_commit": parent,
         "change": {
             "rev": args.change,
-            "resolved": git("rev-parse", args.change),
-            "src_tree": git("rev-parse", f"{args.change}:src"),
+            "resolved": change,
+            "src_tree": git("rev-parse", f"{change}:src"),
             "src_tree_note": "git rev-parse <rev>:src; the runs used this "
                              "src tree",
         },

@@ -100,3 +100,32 @@ def test_compare_medians(bench_pairs):
     assert out["change_better_pairs"] == 3
     assert out["change_worse_pairs"] == 0
     assert out["median_change_over_parent"] == 0.5
+
+
+def test_the_record_names_the_revisions_it_exported(bench_pairs, monkeypatch,
+                                                    tmp_path):
+    # a ref that moves while the pairs run (HEAD, after a commit) must not
+    # name a tree the runs never used
+    exported = {}
+
+    def export(rev, where):
+        exported[pathlib.Path(where).name] = rev
+
+    def git(*args):
+        return f"{args[-1]}@{'after' if exported else 'before'}"
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "git", git)
+    monkeypatch.setattr(bench_pairs, "run_pair", lambda *args: None)
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", "--parent", "HEAD", "--change", "tree", "--pr", "0",
+        "--workload", "scan-hits:2", "--workdir", str(tmp_path),
+        "--out", str(out)])
+    assert bench_pairs.main() == 0
+    record = json.loads(out.read_text())
+    assert exported == {"parent": "HEAD@before", "change": "tree@before",
+                        "aa-parent": "tree@before", "aa-change": "tree@before"}
+    assert record["parent_commit"] == "HEAD@before"
+    assert record["change"]["resolved"] == "tree@before"
+    assert record["change"]["rev"] == "tree"

@@ -1434,8 +1434,8 @@ def test_int_keyed_engine_matches_the_tuple_keyed_one(dom_lit, data):
 def test_int_keyed_engine_matches_at_scan_size(kind):
     # from boxes whose sums all lie on the range ends to wide value windows,
     # where most class groups are cut by the sum range; then the targets the
-    # reference engine witnesses, which the first coordinate's walk takes
-    # all, so it stops before it has built every state of the layer after
+    # reference engine witnesses, all of which the first coordinate's walk
+    # takes, so it stops as soon as the last one is taken
     form, dom = SCAN_SIZE_KINDS[kind]
     targets = set(range(-5, 400))
     for radius in (0, 1, 2, 8, 30):
