@@ -194,27 +194,31 @@ MUTANTS = (
            ("tests/test_quadratic_forms.py::"
             "test_batch_targets_below_the_box_minimum_are_misses",
             "tests/test_quadratic_forms.py::test_engine_matches_brute_force")),
-    # the cut of each table layer to what its prefix can complete
+    # the cut of each table layer to the sums and offsets a vector of offset
+    # at most top can have
     Mutant("cut-state-mask-one-bit-short", _QF, "_witnesses_at_radius",
-           "bits &= (2 << lim) - 1", "bits &= (1 << lim) - 1", _CUT_TESTS),
+           "(room - (c - a2 * key) ** 2) // den)",
+           "(room - (c - a2 * key) ** 2) // den - 1)", _CUT_TESTS),
+    Mutant("cut-top-cap-one-bit-short", _QF, "_witnesses_at_radius",
+           "lim = min(top, ", "lim = min(top - 1, ", _CUT_TESTS),
     Mutant("cut-window-low-edge+1", _QF, "_witnesses_at_radius",
-           "-((r - c) // a2))", "-((r - c) // a2) + 1)", _CUT_TESTS),
-    # the first layer, built a state at a time as the routing asks for it
-    Mutant("first-layer-offset+1", _QF, "_witnesses_at_radius",
-           "bits |= get(g - dw, 0) << off",
-           "bits |= get(g - dw, 0) << off + 1", _CUT_TESTS),
-    Mutant("first-layer-cut-one-bit-short", _QF, "_witnesses_at_radius",
-           "bits = memo[t] = bits & (2 << lim) - 1",
-           "bits = memo[t] = bits & (1 << lim) - 1", _CUT_TESTS),
-    Mutant("first-layer-free-cut-one-bit-short", _QF, "_witnesses_at_radius",
-           "lim = top if S is None", "lim = top - 1 if S is None",
+           "-((r - c) // a2),", "-((r - c) // a2) + 1,", _CUT_TESTS),
+    Mutant("cut-joint-window-low-edge+1", _QF, "_witnesses_at_radius",
+           "-((rj - d) // an)", "-((rj - d) // an) + 1", _CUT_TESTS),
+    Mutant("cut-joint-window-high-edge-1", _QF, "_witnesses_at_radius",
+           "(rj + d) // an)", "(rj + d) // an - 1)", _CUT_TESTS),
+    # the one builder of every layer, a state at a time as it is asked for
+    Mutant("build-offset+1", _QF, "_witnesses_at_radius",
+           "bits |= b << off", "bits |= b << off + 1", _CUT_TESTS),
+    Mutant("build-mask-one-bit-short", _QF, "_witnesses_at_radius",
+           "tables[i][t] = bits & (2 << lim) - 1",
+           "tables[i][t] = bits & (1 << lim) - 1", _CUT_TESTS),
+    Mutant("build-free-lim-one-bit-short", _QF, "_witnesses_at_radius",
+           "nxt, bits, lim = tables[i + 1], 0, top",
+           "nxt, bits, lim = tables[i + 1], 0, top - 1", _CUT_TESTS),
+    Mutant("build-class-test-dropped", _QF, "_witnesses_at_radius",
+           "            if f // wc % (cap + 1):", "            if True:",
            _CUT_TESTS),
-    Mutant("first-layer-class-test-dropped", _QF, "_witnesses_at_radius",
-           "if f // wc % (cap + 1):", "if True:", _CUT_TESTS,
-           "for a class the state does not use, f - wc borrows, and a borrow "
-           "leaves a digit sum above the n - 2 class uses of every state of "
-           "tables[2], so each lookup misses: the test only skips the "
-           "group's steps"),
     Mutant("first-step-miss-raises", _QF, "_witnesses_at_radius",
            "if want and i:", "if want:", _CUT_TESTS),
 )

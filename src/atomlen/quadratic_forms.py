@@ -23,13 +23,10 @@ the suffix sum under a sum target, its parity under an even-sum condition,
 else 0; the state counts in mixed radix below W the classes the suffix
 uses, which cover the coordinates exactly, so a prefix needs the full state
 minus its own.  A coordinate's candidates are the values of the box within
-the largest target of its least term, so a wider box lists no more of them;
-a table takes them in class groups sorted by value and skips a class the
-suffix fills with one test.  Under a sum target a layer keeps only what its
-prefix can complete within the largest target: the prefix's least offset
-at the sum it must make, a Cauchy-Schwarz bound, cuts each group by
-bisection to the sums with room left (one isqrt per layer) and each state's
-bitset to the offsets that room allows.
+the largest target of its least term, so a wider box lists no more of them.
+One builder makes each state when it is first asked for, from the states
+after it; under a sum target, Cauchy-Schwarz bounds cut each layer to one
+window of sums and each state to the offsets its prefix leaves room for.
 
 Every target in range is routed left to right, all of them starting as one
 bitset, grouped at each coordinate by the suffix state they need; those that
@@ -37,18 +34,17 @@ share a state and a remaining offset travel together.  A state scans its
 candidates once in spiral order (outward from the coordinate's continuous
 minimizer, positive offset first), and each candidate takes, with one AND,
 every remaining offset its next state still reaches.  The first coordinate's
-walk builds each state of the layer after it when it first reaches it, and
-stops once every target is taken: a scan that witnesses all its targets
-builds only the states its walk asks for, and the targets a walk leaves are
-the misses.  So each target takes the first vector of the radius-R box in
-the lexicographic spiral order, the one a depth-first search in that order
-finds first, and witnesses are deterministic.  The tables are exact, so a
-target taken by a first value and later left without one would raise
-InvariantViolation.  Every target, int or on the half grid, becomes its
-numerator denom*k - const in plain integers, held by list position.  A miss
-takes q's residue classes only when quad = 1, denom = 2, lin = -2c with c
-integral, const = |c|^2 and the domain's sum target is sum(c); labels decide
-nothing.
+walk asks for the states it reaches and stops once every target is taken,
+so a scan builds only the states its walk needs, and the targets a walk
+leaves are the misses.  So each target takes the first vector of the
+radius-R box in the lexicographic spiral order, the one a depth-first
+search in that order finds first, and witnesses are deterministic.  The
+tables are exact, so a target taken by a first value and later left
+without one would raise InvariantViolation.  Every target, int or on the
+half grid, becomes its numerator denom*k - const in plain integers, held by
+list position.  A miss takes q's residue classes only when quad = 1, denom
+= 2, lin = -2c with c integral, const = |c|^2 and the domain's sum target
+is sum(c); labels decide nothing.
 """
 from __future__ import annotations
 
@@ -76,6 +72,7 @@ DEFAULT_OBSTRUCTION_MODULI = (3, 4, 8, 16, 32, 64, 128)
 # scan of 10^5 targets peaks 45 MB above one of 10^3), so a target weighs
 # what memory does, not one step: the default budget admits 10^6 targets.
 _TARGET_WEIGHT = 100
+_TABLE_BATCH = 1024  # table steps between two budget checks
 
 
 # ---------------------------------------------------------------------------
@@ -336,18 +333,20 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
     A*sum(t^2) + sum(B*t) == K inside the radius box, for every K in targets
     that has one.
 
-    Under a sum target S, layer i (the suffix i..n-1, at sum key) keeps
-    only what its prefix can complete.  The prefix's i values sum to
-    sigma = S - key, so by Cauchy-Schwarz their terms A*v^2 + B_j*v sum to
-    at least ((2A*sigma + P)^2 - i*Q) / 4Ai, where P and Q sum B_j and B_j^2
-    over the prefix.  Less LOW, the sum of the prefix's least terms, that is
-    the least offset the prefix adds, and the suffix may use only what it
-    leaves of top.  With room = 4Ai(top + LOW) + i*Q, a layer keeps the keys
-    with (2A*sigma + P)^2 <= room, a window found with one isqrt, and in
-    each state the offsets o with 4Ai*o <= room - (2A*sigma + P)^2.  A cut
-    bit lies on no vector of offset at most top, so the routing and every
-    witness are those of the uncut tables.  Layer 1 is built a state at a
-    time, when the routing's first step asks for it (see first).
+    build makes each state of a layer i >= 1 (the suffix i..n-1) from the
+    states of layer i + 1 it reads, building those first on an explicit
+    stack (any depth runs).  The routing's first step asks through pull, and
+    a built state has built every state after it the routing can reach.
+
+    Under a sum target S, j values of sum s have terms A*v^2 + B_l*v summing
+    to at least ((2A*s + P)^2 - j*Q) / 4Aj (Cauchy-Schwarz; P and Q sum B_l
+    and B_l^2), less LOW, the sum of their least terms, the least offset
+    they add.  So layer i keeps the keys (suffix sums; sigma = S - key) of
+    the box whose prefix, and whose prefix and suffix together, can stay
+    within top, and a state's offsets o stay within top and 4Ai*o <= 4Ai(top
+    + LOW) + i*Q - (2A*sigma + P)^2.  A cut bit lies on no vector of offset
+    at most top, so routing and witnesses are those of the uncut tables.
+    The budget is charged the values the builder reads.
     """
     n, S, caps = domain.nvars, domain.sum_target, domain.caps
     if not n:  # the empty vector alone, of value 0, in every box
@@ -363,21 +362,40 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
     # under parity_even, else 0; "& fold" reduces a sum to its key.  A state
     # is one int, key * W + filter state.
     fold = -1 if S is not None else (1 if domain.parity_even else 0)
-    total = S or 0
 
     boxes, base = _boxes(A, B, domain, radius)
     top = max(targets) - base
     if top < 0:
         return {}
-    mask = (2 << top) - 1
+    a2 = 2 * A
+    # under a sum target, cuts[i] = (c, den, room, lo, hi): layer i's prefix
+    # has 2A*sigma + P = c - 2A*key, den = 4Ai, room = den(top + LOW) + i*Q;
+    # (lo, hi) is layer i + 1's key window, (0, 0) at layer n, and win ends
+    # as layer 1's.  The prefix's and suffix's bounds (m = n - i values whose
+    # B sum to P') add up to |2An*key - d| <= isqrt(i*m*K0), d = m*c - i*P'.
+    cuts, win = [None] * n, (0, 0)
+    if S is not None:
+        PS, QS, an = sum(B), sum(b * b for b in B), a2 * n
+        K0 = n * (2 * a2 * (top + base) + QS) - (a2 * S + PS) ** 2
+        if K0 < 0:  # no vector of the domain has offset at most top
+            return {}
+        P, Q, L = PS, QS, base
+        for i in range(n - 1, 0, -1):
+            P, Q, L = P - B[i], Q - B[i] ** 2, L - boxes[i][3]
+            c, den, m = a2 * S + P, 2 * a2 * i, n - i
+            room = den * (top + L) + i * Q
+            r, rj, d = isqrt(room), isqrt(i * m * K0), m * c - i * (PS - P)
+            cuts[i] = (c, den, room, *win)
+            win = (max(S - i * radius, -((r - c) // a2), -((rj - d) // an)),
+                   min(S + i * radius, (r + c) // a2, (rj + d) // an))
 
     # Per coordinate, in spiral order (outward from the minimizer, positive
     # offset first): (value, term minus the least term, class weight, class
     # capacity), for the values of the box whose offset is at most top,
     # i.e. |2Av + B| <= isqrt(4A(top + low) + B^2).  by_class[i] groups the
     # same values by class, in increasing order, with the state step each
-    # adds: v * W under a sum target; else 0, the group sharing v & fold.
-    rows, by_class, a2 = [], [], 2 * A
+    # takes off: v * W under a sum target; else 0, the group sharing v & fold.
+    rows, by_class = [], []
     shifts, step = domain.shifts or (0,) * n, W if S is not None else 0
     for i, (lo, hi, center, low) in enumerate(boxes):
         b = B[i]
@@ -398,82 +416,61 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
         row.sort(key=lambda e: (abs(e[0] - center), e[0] < center))
         rows.append(row)
 
-    # tables[i]: state of coordinates i..n-1 -> bitset of the offset values
-    # they reach.  tables[0] is never needed, and the routing builds the
-    # states of tables[1] it asks for.
-    tables = [None] * n + [{0: 1}]
-    work = 0
-    for i in range(n - 1, 0, -1):
-        nxt, layer = tables[i + 1], {}
-        work += len(nxt) * len(rows[i])
-        budget.check(work, what="representation table")
-        # the suffix sums the i bounded prefix coordinates can complete:
-        # under a sum target each class group is cut to them, and to the
-        # keys whose prefix has room left: |c - 2A*key| <= isqrt(room), c
-        # being 2AS + P, so that c - 2A*key = 2A*sigma + P
-        if S is not None:
-            c, den = a2 * S + sum(B[:i]), 2 * a2 * i
-            room = (den * (top + sum(box[3] for box in boxes[:i]))
-                    + i * sum(b * b for b in B[:i]))
-            r = isqrt(room)
-            lo = max(S - i * radius, -((r - c) // a2))
-            hi = min(S + i * radius, (r + c) // a2)
-        if i == 1:
-            break
-        for st, bits in nxt.items():
-            key, f = divmod(st, W)
-            for wc, cap, p, vs, steps in by_class[i]:
-                if f // wc % (cap + 1) == cap:
-                    continue
-                g = ((key + p) & fold) * W + f + wc
-                if S is not None and (vs[0] < lo - key or vs[-1] > hi - key):
-                    steps = steps[bisect_left(vs, lo - key):
-                                  bisect_right(vs, hi - key)]
-                for dw, off in steps:
-                    b = bits << off & mask
-                    if b:
-                        t = g + dw
-                        layer[t] = layer.get(t, 0) | b
-        # cut each state's offsets to its key's limit, when the worst key,
-        # at a window end, limits them below top
-        if S is not None and (room - max(c - a2 * lo, a2 * hi - c) ** 2
-                              < den * top):
-            for t, bits in list(layer.items()):
-                lim = (room - (c - a2 * (t // W)) ** 2) // den
-                if bits.bit_length() > lim + 1:
-                    bits &= (2 << lim) - 1
-                    if bits:
-                        layer[t] = bits
-                    else:
-                        del layer[t]
-        tables[i] = layer
+    # tables[i]: built state of coordinates i..n-1 -> bitset of the offsets
+    # they reach; the empty suffix reaches 0 at key 0 and nothing at parity 1
+    tables = [{} for _ in range(n)] + [{0: 1, W: 0}]
+    work = charged = 0
 
-    def first(t, _):
-        """tables[1][t], built from tables[2] like the layers above when the
-        routing first asks.  One prefix value v0 makes the cut exact, lim =
-        top - offset(v0) >= 0, so the row asks for no state off the window."""
-        bits = memo.get(t)
-        if bits is None:
-            key, f = divmod(t, W)
-            lim = top if S is None else (room - (c - a2 * key) ** 2) // den
-            bits, get = 0, tables[2].get
-            for wc, cap, p, vs, steps in by_class[1]:
-                if f // wc % (cap + 1):
-                    g = ((key - p) & fold) * W + f - wc
-                    for dw, off in steps:
-                        bits |= get(g - dw, 0) << off
-            bits = memo[t] = bits & (2 << lim) - 1
-        return bits
+    def build(i, t):
+        """Set tables[i][t], first yielding the builder of each state of
+        tables[i + 1] it reads that is not built yet."""
+        nonlocal work
+        key, f = divmod(t, W)
+        nxt, bits, lim = tables[i + 1], 0, top
+        if S is not None:
+            c, den, room, lo, hi = cuts[i]
+            lim = min(top, (room - (c - a2 * key) ** 2) // den)
+        for wc, cap, p, vs, steps in by_class[i]:
+            if f // wc % (cap + 1):
+                g = ((key - p) & fold) * W + f - wc
+                if S is not None and (vs[0] < key - hi or vs[-1] > key - lo):
+                    steps = steps[bisect_left(vs, key - hi):
+                                  bisect_right(vs, key - lo)]
+                work += len(steps)
+                for dw, off in steps:
+                    b = nxt.get(g - dw)
+                    if b is None:
+                        yield build(i + 1, g - dw)
+                        b = nxt[g - dw]
+                    bits |= b << off
+        tables[i][t] = bits & (2 << lim) - 1
+
+    def pull(t, _):
+        """tables[1][t], built when the routing first asks; 0 off the
+        window.  The budget is checked every _TABLE_BATCH steps."""
+        nonlocal charged
+        if t not in tables[1] and (S is None or win[0] <= t // W <= win[1]):
+            stack = [build(1, t)]
+            while stack:
+                for child in stack[-1]:
+                    stack.append(child)
+                    break
+                else:
+                    stack.pop()
+                    if work > charged:
+                        budget.check(work, what="representation table")
+                        charged = work + _TABLE_BATCH
+        return tables[1].get(t, 0)
 
     # route every target in range; a group is the bitset of its remaining
     # offsets and, per offset, the targets that travel together (at the
     # first coordinate none: offset r is target base + r, and those left
     # there are the misses)
-    memo, vecs = {}, defaultdict(list)
-    groups = {(total & fold) * W + full: (
+    vecs = defaultdict(list)
+    groups = {(S or 0) * W + full: (
         sum(1 << (K - base) for K in targets if K >= base), {})}
     for i in range(n):
-        get, moved = first if i == 0 < n - 1 else tables[i + 1].get, {}
+        get, moved = pull if i == 0 < n - 1 else tables[i + 1].get, {}
         for st, (want, rems) in groups.items():
             key, f = divmod(st, W)
             for v, off, wc, cap in rows[i]:
@@ -500,6 +497,7 @@ def _witnesses_at_radius(A, B, targets, domain, radius) -> dict:
                     f"the table reaches {K} on {domain.label} but no route "
                     f"does")
         groups = moved
+    budget.check(work, what="representation table")
     return {K: tuple(vec) for K, vec in vecs.items()}
 
 

@@ -195,17 +195,19 @@ def test_out_of_range_arguments_exit_two(capsys, argv):
 
 
 def test_budget_errors_exit_two(capsys, monkeypatch):
-    # the 201 targets weigh 20,100 steps; the representation tables need
-    # 37,686 at their largest
-    scan = ("scan", "--form", "Q-delta", "--n", "7", "--max-k", "200",
+    # the 21 targets weigh 2,100 steps; the representation table builder
+    # makes 16,991
+    scan = ("scan", "--form", "Q-delta", "--n", "12", "--max-k", "20",
             "--radius", "30")
     monkeypatch.setenv("ATOMLEN_BUDGET", "abc")
     code, out, err = run(capsys, *scan)
     assert code == 2 and out == "" and "ATOMLEN_BUDGET" in err
-    monkeypatch.setenv("ATOMLEN_BUDGET", "30000")
+    monkeypatch.setenv("ATOMLEN_BUDGET", "16990")
     code, out, err = run(capsys, *scan)
     assert code == 2 and out == "" and "over the budget" in err
-    assert "representation table" in err
+    assert err.startswith("representation table needs ~16991 steps")
+    monkeypatch.setenv("ATOMLEN_BUDGET", "16991")
+    assert run(capsys, *scan)[0] == 0
 
 
 def test_scan_target_list_over_the_budget_exits_two(capsys, monkeypatch):

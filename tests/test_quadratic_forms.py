@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-import operator
 import random
 import re
 from fractions import Fraction
@@ -1113,11 +1112,27 @@ def _one_table(form, dom, targets, radius):
 
 
 def test_table_over_budget_raises(monkeypatch):
-    # the 201 targets weigh 20,100 steps, the tables up to 37,686
-    monkeypatch.setenv("ATOMLEN_BUDGET", "30000")
-    with pytest.raises(BudgetExceeded, match="representation table"):
-        qf.universality_scan(qf.form_Q(7), qf.domain_Delta(7), 200, 30)
-    assert qf.represent(qf.form_Q(3), qf.domain_Delta(3), 1, 2) is not None
+    # the one target weighs 100 steps, the table builder makes 5,868
+    scan = (qf.form_Q(7), qf.domain_Delta(7), 200, 30)
+    monkeypatch.setenv("ATOMLEN_BUDGET", "5867")
+    with pytest.raises(BudgetExceeded, match=r"^representation table needs "
+                                             r"~5868 steps"):
+        qf.universality_scan(*scan, min_k=200)
+    monkeypatch.setenv("ATOMLEN_BUDGET", "5868")
+    assert qf.universality_scan(*scan, min_k=200).all_witnessed
+
+
+def test_deep_ranks_build_their_layers_in_linear_time():
+    # radius 0 leaves one state per layer of core sizes on Q_full(20000),
+    # where re-summing each layer's prefix would make the scan quadratic
+    # (about 19 s on a 2-core Xeon); Q on Delta(1500) nests 1500 layers,
+    # past Python's recursion limit
+    go = granville_ono_scan(20000, 1, 0)
+    assert [e.status for e in go.entries] == ["witness", "not-found"]
+    assert go.entries[0].witness == (0,) * 20000
+    rep = qf.universality_scan(qf.form_Q(1500), qf.domain_Delta(1500), 4, 1)
+    assert [e.witness for e in rep.entries] == [
+        (0,) * (1500 - 2 * k) + (1, -1) * k for k in range(5)]
 
 
 def test_table_width_is_budgeted_before_any_table(monkeypatch):
@@ -1400,17 +1415,18 @@ def _engine_run(engine, form, dom, targets, radius):
 
 
 def _assert_engines_agree(form, dom, targets, radius):
-    """The same witnesses from both engines and as many budget checks, each
-    at most the old engine's (the new one drops the states no prefix can
-    complete), and the old engine's per-coordinate closed flag equal to the
-    test against closure_bound, the closed form the sweep tests read.
-    Returns both engines' counts."""
+    """The same witnesses from both engines; the new engine's budget checks
+    made in batches and rising to a last one at their total, so that a
+    budget of total - 1 refuses its table and total admits it; and the old
+    engine's per-coordinate closed flag equal to the test against
+    closure_bound, the closed form the sweep tests read.  Returns both
+    engines' counts."""
     new, checks = _engine_run(qf._witnesses_at_radius, form, dom, targets,
                               radius)
     (old, closed), old_checks = _engine_run(old_witnesses_at_radius, form,
                                             dom, targets, radius)
-    assert new == old and len(checks) == len(old_checks)
-    assert all(map(operator.le, checks, old_checks))
+    assert new == old and checks == sorted(checks)
+    assert not checks or len(checks) <= checks[-1] // qf._TABLE_BATCH + 2
     bound = closure_bound(form, dom, radius)
     assert closed == (bound is not None and max(targets) <= bound)
     return checks, old_checks
@@ -1446,12 +1462,18 @@ def test_int_keyed_engine_matches_at_scan_size(kind):
             _assert_engines_agree(form, dom, set(hits), radius)
 
 
-def test_the_cut_drops_states_no_prefix_completes():
+def test_the_cut_drops_states_no_prefix_completes(monkeypatch):
     # Q on Delta(6), k <= 200 at radius 30: a prefix of i coordinates sums
-    # to at most i * 30, but within norm 200 to far less
-    checks, old_checks = _assert_engines_agree(
-        qf.form_Q(6), qf.domain_Delta(6), {2 * k for k in range(201)}, 30)
-    assert checks[-1] < old_checks[-1]
+    # to at most i * 30, but within norm 200 to far less.  The old engine
+    # charges states x candidates of the uncut tables, the new one each
+    # value it reads, and the budget the cut tables need refuses the uncut
+    form, dom = qf.form_Q(6), qf.domain_Delta(6)
+    targets = {2 * k for k in range(201)}
+    checks, _ = _assert_engines_agree(form, dom, targets, 30)
+    monkeypatch.setenv("ATOMLEN_BUDGET", str(checks[-1]))
+    assert qf._witnesses_at_radius(form.quad, form.lin, targets, dom, 30)
+    with pytest.raises(BudgetExceeded, match="^representation table needs"):
+        old_witnesses_at_radius(form.quad, form.lin, targets, dom, 30)
 
 
 @given(st.data())
